@@ -9,10 +9,9 @@ quantum-cavity regime (trapped-mode decay rate and quality factor).
 from .model import (BasisState, ModelParams, NoResonantModeError, ParamError,
                     SectorBasis, enumerate_sector, resonant_mode_index,
                     validate_params)
-from .operators import (SparseOperator, build_collective_lowering,
-                        build_end_annihilation, build_hamiltonian,
-                        build_normal_mode, build_number_op, coupling_lambda,
-                        mode_weights, normal_mode_frequency)
+from .operators import (build_collective_lowering, build_end_annihilation,
+                        build_hamiltonian, build_normal_mode, build_number_op,
+                        coupling_lambda, mode_weights, normal_mode_frequency)
 from .bic import (ApproxState, BicCoefficients, DegenerateNullSpaceError,
                   NoTrappedStateError, RegimeObservables, StateVector,
                   TrappingReport, assemble_bic_state, chi,
@@ -49,7 +48,6 @@ __all__ = [
     "RegimeObservables",
     "SectorBasis",
     "SectorStack",
-    "SparseOperator",
     "StateVector",
     "Trajectory",
     "TrappingReport",

@@ -338,14 +338,14 @@ def verify_trapping(params: ModelParams, psi: StateVector,
 
     h = build_hamiltonian(params, sector)
     energy = (k - params.m_atoms) * params.omega_a
-    eigen_residual = float(np.linalg.norm(h.apply(v) - energy * v))
+    eigen_residual = float(np.linalg.norm(h @ v - energy * v))
 
     bq = build_normal_mode(params, sector, sector_km1, params.q)
     residuals = {}
     for side in ("L", "R"):
         j_low = build_collective_lowering(params, sector, sector_km1, side)
         op = params.g * j_low + coupling_lambda(params, params.q, side) * bq
-        residuals[side] = float(np.linalg.norm(op.apply(v)))
+        residuals[side] = float(np.linalg.norm(op @ v))
     return TrappingReport(eigen_residual, residuals["L"], residuals["R"])
 
 

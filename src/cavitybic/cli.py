@@ -27,7 +27,6 @@ import argparse
 import math
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, IO, Sequence
 
@@ -69,7 +68,6 @@ _MODEL_KEYS: dict[str, tuple[Callable, object]] = {
 
 _COMMON_KEYS: dict[str, tuple[Callable, object]] = {
     "seed": (int, 0),
-    "workers": (int, 1),
 }
 
 SCHEMAS: dict[str, dict[str, tuple[Callable, object]]] = {
@@ -228,7 +226,7 @@ def run_bic(config: RunConfig, stream: IO[str]) -> int:
     for m in range(k + 1):
         for n in range(k + 1 - m):
             out.line(f"{m},{n},{_fmt(coeffs.table[m, n].real)}")
-    out.line(f"energy={_fmt((k - p.m_atoms) * p.omega_a)}")
+    out.line(f"energy={_fmt((k - p.m_atoms) * p.omega_a + 0.0)}")  # + 0.0 turns -0 into 0
     out.line(f"chi={_fmt(coeffs.chi)}")
     out.line(f"sign_ratio={coeffs.sign_ratio}")
     out.line(f"eigen_residual={_fmt(report.eigen_residual)}")
@@ -286,12 +284,7 @@ def run_sweep_chi(config: RunConfig, stream: IO[str]) -> int:
         return (chi_value, obs.mean_photons, obs.mean_excited,
                 obs.mean_photons / k, obs.mean_excited / k)
 
-    workers = max(1, int(config.options["workers"]))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(row, grid))
-    else:
-        rows = [row(value) for value in grid]
+    rows = [row(value) for value in grid]
 
     out.line("chi,mean_photons,mean_excited,photon_fraction,atom_fraction")
     for values in rows:
@@ -346,9 +339,10 @@ def run_evolve(config: RunConfig, stream: IO[str]) -> int:
                for i in range(k_init + 1)]
     prob_cols = [f"P{i}" for i in range(k_init + 1)]
     out.line("lambda_t," + ",".join(prob_cols) + ",trace,min_eig")
-    for t, state in trajectory:
+    for t, state, min_eig in zip(trajectory.times, trajectory.states,
+                                 trajectory.min_eigenvalues):
         probs = dynamics.trapped_probabilities(state, trapped)
-        cells = [t, *probs, state.trace(), state.min_eigenvalue()]
+        cells = [t, *probs, state.trace(), min_eig]
         out.line(",".join(_fmt(v) for v in cells))
     out.comment(f"steady_state_reached={'true' if trajectory.steady_reached else 'false'}")
     if trajectory.steady_time is not None:
@@ -382,12 +376,7 @@ def run_qfactor(config: RunConfig, stream: IO[str]) -> int:
         rel_err = abs(q_exact - q_approx) / q_exact if q_exact > 0 else math.inf
         return (delta_over_gc, q_exact, q_approx, rel_err)
 
-    workers = max(1, int(config.options["workers"]))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(row, grid))
-    else:
-        rows = [row(value) for value in grid]
+    rows = [row(value) for value in grid]
 
     out.line("delta_over_gc,q_exact,q_approx,rel_err")
     worst = 0.0

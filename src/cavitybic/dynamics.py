@@ -35,12 +35,13 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+from scipy import sparse
 from scipy.integrate import solve_ivp
 
 from .bic import StateVector
 from .model import ModelParams, SectorBasis, enumerate_sector
-from .operators import (SparseOperator, build_collective_lowering,
-                        build_end_annihilation, build_hamiltonian)
+from .operators import (build_collective_lowering, build_end_annihilation,
+                        build_hamiltonian)
 
 _BLOCK_DIAG_TOL = 1e-12
 
@@ -223,6 +224,7 @@ class TrajectoryDiagnostics:
 class Trajectory:
     times: np.ndarray
     states: list[DensityMatrix]
+    min_eigenvalues: np.ndarray  # smallest eigenvalue of each stored state
     steady_reached: bool = False
     steady_time: float | None = None
     diagnostics: TrajectoryDiagnostics = field(default_factory=TrajectoryDiagnostics)
@@ -267,11 +269,12 @@ def evolve(params: ModelParams, rho0: DensityMatrix, t_end: float, *,
     trace0 = rho0.trace()
     block_diagonal_input = rho0.offblock_max() < _BLOCK_DIAG_TOL
 
+    states = [rho0.copy()]
+    min_eigs = [states[0].min_eigenvalue()]
     diag = TrajectoryDiagnostics(
-        min_eigenvalue=rho0.min_eigenvalue(),
+        min_eigenvalue=min_eigs[0],
         max_offblock=0.0 if block_diagonal_input else None,
     )
-    states = [rho0.copy()]
     kept_times = [0.0]
     steady_reached = False
     steady_time: float | None = None
@@ -304,6 +307,7 @@ def evolve(params: ModelParams, rho0: DensityMatrix, t_end: float, *,
             if block_diagonal_input:
                 diag.max_offblock = max(diag.max_offblock, state.offblock_max())
             states.append(state)
+            min_eigs.append(min_eig)
             kept_times.append(float(t))
             rhs_sup = float(np.abs(generator.apply(rho)).max())
             diag.rhs_sup_last = rhs_sup
@@ -319,7 +323,8 @@ def evolve(params: ModelParams, rho0: DensityMatrix, t_end: float, *,
         y = states[-1].data.ravel().copy()
         idx = stop + 1
 
-    return Trajectory(np.array(kept_times), states, steady_reached, steady_time, diag)
+    return Trajectory(np.array(kept_times), states, np.array(min_eigs),
+                      steady_reached, steady_time, diag)
 
 
 def trapped_probabilities(rho: DensityMatrix,
@@ -409,7 +414,7 @@ def steady_state_prediction(params: ModelParams,
     return sorted(weights.items())
 
 
-def effective_tc_hamiltonian(params: ModelParams, sector: SectorBasis) -> SparseOperator:
+def effective_tc_hamiltonian(params: ModelParams, sector: SectorBasis) -> sparse.csr_matrix:
     """Resonant-sector effective Hamiltonian for the triple-cavity case:
     the twisted collective spin exchanging excitations with the
     antisymmetric end-cavity mode (a_L - a_R)/sqrt(2) only.
@@ -427,18 +432,15 @@ def effective_tc_hamiltonian(params: ModelParams, sector: SectorBasis) -> Sparse
     a_minus = (1.0 / math.sqrt(2.0)) * (a_left - a_right)
     s_minus = (build_collective_lowering(params, sector, sector_km1, "L")
                - build_collective_lowering(params, sector, sector_km1, "R"))
+    sz = sparse.diags(sector.occupations[:, -2:].sum(axis=1) - params.m_atoms,
+                            dtype=np.complex128)
 
-    dim = sector.dim
-    idx = np.arange(dim)
-    sz_diag = np.array([s.excited_left + s.excited_right - params.m_atoms
-                        for s in sector.states], dtype=np.complex128)
-    sz = SparseOperator.from_triplets((dim, dim), idx, idx, sz_diag)
-
-    coupling = a_minus.adjoint() @ s_minus
+    a_dag = a_minus.conj().T
+    coupling = a_dag @ s_minus
     h_eff = (params.omega_a * sz
-             + params.omega_c * (a_minus.adjoint() @ a_minus)
-             + (params.g / math.sqrt(2.0)) * (coupling + coupling.adjoint()))
-    return h_eff
+             + params.omega_c * (a_dag @ a_minus)
+             + (params.g / math.sqrt(2.0)) * (coupling + coupling.conj().T))
+    return h_eff.tocsr()
 
 
 def fit_decay_rate(trajectory, observable: Callable[[DensityMatrix], float] | None = None,

@@ -19,7 +19,9 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
+
+import numpy as np
 
 
 class ParamError(ValueError):
@@ -83,13 +85,20 @@ class BasisState(NamedTuple):
 
 class SectorBasis:
     """Complete, duplicate-free, lexicographically ordered basis of one
-    fixed-excitation sector, with an exact reverse lookup."""
+    fixed-excitation sector, with an exact reverse lookup.
 
-    __slots__ = ("k_excitations", "states", "_index")
+    ``occupations`` holds the same states as an integer array of shape
+    (dim, n_chain + 3), one row per state, in slot order a_L, b_1 ..
+    b_{N-1}, a_R, J_L, J_R; its rows are in ascending lexicographic order.
+    """
 
-    def __init__(self, k_excitations: int, states: Sequence[BasisState]):
+    __slots__ = ("k_excitations", "states", "occupations", "_index")
+
+    def __init__(self, k_excitations: int, states: Sequence[BasisState],
+                 occupations: np.ndarray):
         self.k_excitations = k_excitations
         self.states = tuple(states)
+        self.occupations = occupations
         self._index = {state: i for i, state in enumerate(self.states)}
 
     @property
@@ -101,9 +110,6 @@ class SectorBasis:
 
     def index_of(self, state: BasisState) -> int:
         return self._index[state]
-
-    def find(self, state: BasisState) -> int | None:
-        return self._index.get(state)
 
     def __contains__(self, state: BasisState) -> bool:
         return state in self._index
@@ -117,6 +123,9 @@ def validate_params(params: ModelParams) -> ModelParams:
 
     Raises :class:`ParamError` naming the first violated invariant.
     """
+    for name in ("omega_c", "omega_a", "g", "lam", "gamma_c", "gamma_a"):
+        if not math.isfinite(getattr(params, name)):
+            raise ParamError(f"{name} must be finite, got {getattr(params, name)!r}")
     if params.n_chain < 2:
         raise ParamError("n_chain must be at least 2")
     if params.m_atoms < 1:
@@ -156,33 +165,41 @@ def resonant_mode_index(params: ModelParams, tol: float | None = None) -> int:
     return best_k
 
 
-def _occupations(total: int, caps: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """All occupation tuples with the given per-slot caps summing to ``total``,
-    in ascending lexicographic order."""
-    if not caps:
-        if total == 0:
-            yield ()
-        return
-    for first in range(min(caps[0], total) + 1):
-        for rest in _occupations(total - first, caps[1:]):
-            yield (first, *rest)
+def sector_occupations(params: ModelParams, k: int) -> np.ndarray:
+    """Occupations of every basis state with excitation number ``k``.
+
+    One row per state, shape (dim, n_chain + 3), slots a_L, b_1 .. b_{N-1},
+    a_R, J_L, J_R, rows in ascending lexicographic order.  Photon
+    occupations are capped at ``fock_cutoff`` (defaulting to ``k``, which
+    is exact because the closed dynamics never raises the total) and
+    atomic occupations at ``m_atoms``.  Sectors beyond capacity, and k < 0,
+    have no rows.
+    """
+    if k < 0:
+        return np.zeros((0, params.n_chain + 3), dtype=np.int64)
+    photon_cap = params.fock_cutoff if params.fock_cutoff is not None else k
+    caps = [photon_cap] * (params.n_chain + 1) + [params.m_atoms, params.m_atoms]
+    # suffixes[t]: rows over the last slots, placed so far, that sum to t
+    suffixes = [np.zeros((1 if t == 0 else 0, 0), dtype=np.int64) for t in range(k + 1)]
+    for cap in reversed(caps[1:]):
+        suffixes = [_prepend_slot(suffixes, cap, t) for t in range(k + 1)]
+    return _prepend_slot(suffixes, caps[0], k)
+
+
+def _prepend_slot(suffixes: list[np.ndarray], cap: int, total: int) -> np.ndarray:
+    """Rows summing to ``total``: a new first slot of 0 .. cap followed by a
+    suffix row.  Ascending first values over ordered suffixes keep the rows
+    in lexicographic order."""
+    return np.concatenate([
+        np.hstack((np.full((len(suffixes[total - first]), 1), first), suffixes[total - first]))
+        for first in range(min(cap, total) + 1)])
 
 
 def enumerate_sector(params: ModelParams, k: int) -> SectorBasis:
-    """Enumerate every basis state with excitation number ``k``.
-
-    Photon occupations are capped at ``fock_cutoff`` (defaulting to ``k``,
-    which is exact because the closed dynamics never raises the total) and
-    atomic occupations at ``m_atoms``.  Sectors beyond capacity, and k < 0,
-    come back empty.
-    """
-    if k < 0:
-        return SectorBasis(k, ())
+    """Enumerate every basis state with excitation number ``k``, with the
+    caps and order of :func:`sector_occupations`."""
     n = params.n_chain
-    photon_cap = params.fock_cutoff if params.fock_cutoff is not None else k
-    caps = [photon_cap] * (n + 1) + [params.m_atoms, params.m_atoms]
-    states = [
-        BasisState(occ[0], occ[1:n], occ[n], occ[n + 1], occ[n + 2])
-        for occ in _occupations(k, caps)
-    ]
-    return SectorBasis(k, states)
+    occupations = sector_occupations(params, k)
+    states = [BasisState(occ[0], tuple(occ[1:n]), occ[n], occ[n + 1], occ[n + 2])
+              for occ in occupations.tolist()]
+    return SectorBasis(k, states, occupations)

@@ -2,108 +2,39 @@
 
 Conventions
 -----------
+- A sector state is a row of ``SectorBasis.occupations`` with the slots in
+  the order a_L, b_1 .. b_{N-1}, a_R, J_L, J_R (end cavities, middle
+  cavities, excited-atom counts of the two ensembles).
+- Every operator is a complex ``scipy.sparse.csr_matrix`` in canonical form
+  (sorted indices, no duplicates, no stored zeros).  Ladder operators map
+  sector K to sector K - 1; all of them come from one lowering primitive,
+  ``_lower``, and their adjoints are ``.conj().T``.
+- Photon ladder action:  a |n> = sqrt(n) |n - 1>.
 - Collective (symmetric-subspace) ladder action for an ensemble of M atoms
   with n excited:  J- |n> = sqrt(n (M - n + 1)) |n - 1>,
                    J+ |n> = sqrt((n + 1)(M - n)) |n + 1>,
                    Jz |n> = (n - M/2) |n>.
 - Chain normal modes:  B_k = sqrt(2/N) sum_n b_n sin(k n pi / N) for
   k = 1 .. N - 1, with frequencies Omega_k = omega_c + 2 lam cos(k pi / N).
-- The Hamiltonian is assembled in the local b_n basis; the normal-mode
-  picture is kept as an independent verification path in the test suite.
-- All builders are pure functions of immutable inputs and accumulate matrix
-  elements in a deterministic order, so identical inputs give bitwise
-  identical operators.
+- The Hamiltonian is  H = sum omega n + sum (A+ B + h.c.)  in the local b_n
+  basis: the free energies on the diagonal, and one exchange term A+ B per
+  neighbouring pair (atoms with their end cavity at rate g, neighbouring
+  cavities at rate lam).  The normal-mode picture is kept as an
+  independent verification path in the test suite.
+- All builders are pure functions of immutable inputs, so identical inputs
+  give bitwise identical operators.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterator
 
 import numpy as np
 from scipy import sparse
 
-from .model import BasisState, ModelParams, SectorBasis
+from .model import ModelParams, SectorBasis, sector_occupations
 
 _SIDES = ("L", "R")
-
-
-class SparseOperator:
-    """Complex sparse linear map between sector bases.
-
-    Stored in canonical CSR form: sorted indices, duplicates summed,
-    explicit zeros dropped.
-    """
-
-    __slots__ = ("matrix", "shape")
-
-    def __init__(self, matrix):
-        m = sparse.csr_matrix(matrix, dtype=np.complex128, copy=True)
-        m.sum_duplicates()
-        m.eliminate_zeros()
-        m.sort_indices()
-        self.matrix = m
-        self.shape = m.shape
-
-    @classmethod
-    def from_triplets(cls, shape: tuple[int, int], rows, cols, vals) -> "SparseOperator":
-        coo = sparse.coo_matrix(
-            (np.asarray(vals, dtype=np.complex128),
-             (np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64))),
-            shape=shape)
-        return cls(coo)
-
-    # -- linear algebra -------------------------------------------------
-
-    def adjoint(self) -> "SparseOperator":
-        return SparseOperator(self.matrix.conj().T)
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        return self.matrix @ np.asarray(vec, dtype=np.complex128)
-
-    def toarray(self) -> np.ndarray:
-        return self.matrix.toarray()
-
-    def __matmul__(self, other: "SparseOperator") -> "SparseOperator":
-        return SparseOperator(self.matrix @ other.matrix)
-
-    def __add__(self, other: "SparseOperator") -> "SparseOperator":
-        return SparseOperator(self.matrix + other.matrix)
-
-    def __sub__(self, other: "SparseOperator") -> "SparseOperator":
-        return SparseOperator(self.matrix - other.matrix)
-
-    def __mul__(self, scalar: complex) -> "SparseOperator":
-        return SparseOperator(self.matrix * scalar)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "SparseOperator":
-        return SparseOperator(-self.matrix)
-
-    # -- inspection ------------------------------------------------------
-
-    @property
-    def nnz(self) -> int:
-        return self.matrix.nnz
-
-    def entries(self) -> Iterator[tuple[int, int, complex]]:
-        """Stored entries in deterministic row-major order."""
-        m = self.matrix
-        for i in range(m.shape[0]):
-            for ptr in range(m.indptr[i], m.indptr[i + 1]):
-                yield i, int(m.indices[ptr]), complex(m.data[ptr])
-
-    def max_abs(self) -> float:
-        return float(np.abs(self.matrix.data).max()) if self.matrix.nnz else 0.0
-
-    def hermiticity_defect(self) -> float:
-        """max |A - A^dagger| entrywise; 0.0 means exactly Hermitian."""
-        diff = (self.matrix - self.matrix.conj().T).tocsr()
-        return float(np.abs(diff.data).max()) if diff.nnz else 0.0
-
-    def __repr__(self) -> str:
-        return f"SparseOperator(shape={self.shape}, nnz={self.nnz})"
 
 
 def mode_weights(n_chain: int, k_index: int) -> np.ndarray:
@@ -120,8 +51,7 @@ def coupling_lambda(params: ModelParams, k: int, side: str) -> float:
     The right coupling equals the left one times the parity factor
     (-1)^(k+1); the sign is computed exactly rather than through the sine.
     """
-    if side not in _SIDES:
-        raise ValueError(f"side must be 'L' or 'R', got {side!r}")
+    _check_side(side)
     if not 1 <= k <= params.n_chain - 1:
         raise ValueError(f"mode index out of range: 1 <= k <= {params.n_chain - 1}")
     left = params.lam * math.sqrt(2.0 / params.n_chain) * math.sin(k * math.pi / params.n_chain)
@@ -137,147 +67,94 @@ def normal_mode_frequency(params: ModelParams, k: int) -> float:
     return params.omega_c + 2.0 * params.lam * math.cos(k * math.pi / params.n_chain)
 
 
-def _replace_mid(state: BasisState, i: int, value: int) -> tuple[int, ...]:
-    mid = state.photons_mid
-    return mid[:i] + (value,) + mid[i + 1:]
+def _check_side(side: str) -> None:
+    if side not in _SIDES:
+        raise ValueError(f"side must be 'L' or 'R', got {side!r}")
 
 
-def build_hamiltonian(params: ModelParams, sector: SectorBasis) -> SparseOperator:
+def _rank_keys(occupations: np.ndarray) -> np.ndarray:
+    """One opaque key per occupation row whose bytewise order is the rows'
+    lexicographic order (big-endian, nonnegative entries), so the search
+    needs no mixed-radix rank that could overflow."""
+    rows = np.ascontiguousarray(occupations, dtype=">i8")
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+
+
+def _canonical(matrix) -> sparse.csr_matrix:
+    m = sparse.csr_matrix(matrix, dtype=np.complex128)
+    m.sum_duplicates()
+    m.eliminate_zeros()
+    return m
+
+
+def _lower(params: ModelParams, occ_k: np.ndarray, occ_km1: np.ndarray,
+           slot: int) -> sparse.csr_matrix:
+    """Annihilation map of one occupation slot, from the sector with
+    occupation rows ``occ_k`` to the one with rows ``occ_km1``.
+
+    Amplitude sqrt(n) on photon slots and sqrt(n (M - n + 1)) on atom slots.
+    """
+    present = occ_k[:, slot] > 0
+    lowered = occ_k[present]
+    lowered[:, slot] -= 1
+    rows = np.searchsorted(_rank_keys(occ_km1), _rank_keys(lowered))
+    if len(rows) and (rows.max() >= len(occ_km1) or not np.array_equal(occ_km1[rows], lowered)):
+        raise ValueError("target sector does not contain every lowered state")
+    n = occ_k[present, slot]
+    if slot > params.n_chain:
+        n = n * (params.m_atoms - n + 1)
+    # at most one entry per column; the CSC constructor narrows the index type
+    indptr = np.concatenate(([0], np.cumsum(present)))
+    return _canonical(sparse.csc_matrix((np.sqrt(n), rows, indptr),
+                                       shape=(len(occ_km1), len(occ_k))))
+
+
+def build_hamiltonian(params: ModelParams, sector: SectorBasis) -> sparse.csr_matrix:
     """Interior Hamiltonian (cavity energies, atomic energies, hopping and
     atom-field exchange) restricted to one excitation sector.
 
-    Hermitian by construction: every off-diagonal element is inserted
-    together with its mirror image using the same floating-point value.
+    Built as diag(omega n) + X + X^dagger with X the sum of the exchange
+    terms (amplitude A+) @ B, so H is exactly Hermitian.
     """
-    m_at = params.m_atoms
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-
-    def pair(i: int, j: int, v: float) -> None:
-        rows.append(i)
-        cols.append(j)
-        vals.append(v)
-        rows.append(j)
-        cols.append(i)
-        vals.append(v)
-
-    for j, s in enumerate(sector.states):
-        photons = s.photons_left + sum(s.photons_mid) + s.photons_right
-        diag = (params.omega_c * photons
-                + params.omega_a * (s.excited_left + s.excited_right - m_at))
-        rows.append(j)
-        cols.append(j)
-        vals.append(diag)
-
-        # atom -> left end cavity photon
-        if s.excited_left >= 1:
-            tgt = s._replace(photons_left=s.photons_left + 1,
-                             excited_left=s.excited_left - 1)
-            i = sector.find(tgt)
-            if i is not None:
-                amp = params.g * math.sqrt(s.photons_left + 1) * math.sqrt(
-                    s.excited_left * (m_at - s.excited_left + 1))
-                pair(i, j, amp)
-        # atom -> right end cavity photon
-        if s.excited_right >= 1:
-            tgt = s._replace(photons_right=s.photons_right + 1,
-                             excited_right=s.excited_right - 1)
-            i = sector.find(tgt)
-            if i is not None:
-                amp = params.g * math.sqrt(s.photons_right + 1) * math.sqrt(
-                    s.excited_right * (m_at - s.excited_right + 1))
-                pair(i, j, amp)
-        # photon transfer b_1 -> left end cavity
-        if s.photons_mid and s.photons_mid[0] >= 1:
-            tgt = s._replace(photons_left=s.photons_left + 1,
-                             photons_mid=_replace_mid(s, 0, s.photons_mid[0] - 1))
-            i = sector.find(tgt)
-            if i is not None:
-                amp = params.lam * math.sqrt(s.photons_left + 1) * math.sqrt(s.photons_mid[0])
-                pair(i, j, amp)
-        # photon transfer b_{N-1} -> right end cavity
-        if s.photons_mid and s.photons_mid[-1] >= 1:
-            last = len(s.photons_mid) - 1
-            tgt = s._replace(photons_right=s.photons_right + 1,
-                             photons_mid=_replace_mid(s, last, s.photons_mid[last] - 1))
-            i = sector.find(tgt)
-            if i is not None:
-                amp = params.lam * math.sqrt(s.photons_right + 1) * math.sqrt(s.photons_mid[last])
-                pair(i, j, amp)
-        # chain hops: photon transfer from slot i+1 to slot i
-        for idx in range(len(s.photons_mid) - 1):
-            if s.photons_mid[idx + 1] >= 1:
-                mid = list(s.photons_mid)
-                mid[idx] += 1
-                mid[idx + 1] -= 1
-                tgt = s._replace(photons_mid=tuple(mid))
-                i = sector.find(tgt)
-                if i is not None:
-                    amp = params.lam * math.sqrt(s.photons_mid[idx] + 1) * math.sqrt(
-                        s.photons_mid[idx + 1])
-                    pair(i, j, amp)
-
-    return SparseOperator.from_triplets((sector.dim, sector.dim), rows, cols, vals)
+    n = params.n_chain
+    occ = sector.occupations
+    occ_km1 = sector_occupations(params, sector.k_excitations - 1)
+    lower = [_lower(params, occ, occ_km1, slot) for slot in range(n + 3)]
+    # (amplitude, raised slot, lowered slot)
+    exchanges = [(params.g, 0, n + 1), (params.g, n, n + 2),
+                 (params.lam, 0, 1), (params.lam, n, n - 1),
+                 *((params.lam, i, i + 1) for i in range(1, n - 1))]
+    terms = [(amp * lower[up].T) @ lower[down] for amp, up, down in exchanges]
+    x = sum(terms[1:], terms[0])
+    diag = (params.omega_c * occ[:, :n + 1].sum(axis=1)
+            + params.omega_a * (occ[:, n + 1:].sum(axis=1) - params.m_atoms))
+    return _canonical(sparse.diags(diag) + x + x.conj().T)
 
 
-def build_number_op(params: ModelParams, sector: SectorBasis) -> SparseOperator:
+def build_number_op(params: ModelParams, sector: SectorBasis) -> sparse.csr_matrix:
     """Total excitation-number operator (diagonal on any sector)."""
-    dim = sector.dim
-    idx = np.arange(dim)
-    vals = np.array([s.excitation_number() for s in sector.states], dtype=np.complex128)
-    return SparseOperator.from_triplets((dim, dim), idx, idx, vals)
+    return _canonical(sparse.diags(sector.occupations.sum(axis=1), dtype=np.complex128))
 
 
 def build_end_annihilation(params: ModelParams, sector_k: SectorBasis,
-                           sector_km1: SectorBasis, side: str) -> SparseOperator:
+                           sector_km1: SectorBasis, side: str) -> sparse.csr_matrix:
     """Annihilation operator of an end cavity, mapping sector K to K - 1."""
-    if side not in _SIDES:
-        raise ValueError(f"side must be 'L' or 'R', got {side!r}")
-    rows, cols, vals = [], [], []
-    for j, s in enumerate(sector_k.states):
-        n_ph = s.photons_left if side == "L" else s.photons_right
-        if n_ph >= 1:
-            if side == "L":
-                tgt = s._replace(photons_left=n_ph - 1)
-            else:
-                tgt = s._replace(photons_right=n_ph - 1)
-            rows.append(sector_km1.index_of(tgt))
-            cols.append(j)
-            vals.append(math.sqrt(n_ph))
-    return SparseOperator.from_triplets((sector_km1.dim, sector_k.dim), rows, cols, vals)
+    _check_side(side)
+    return _lower(params, sector_k.occupations, sector_km1.occupations,
+                  0 if side == "L" else params.n_chain)
 
 
 def build_collective_lowering(params: ModelParams, sector_k: SectorBasis,
-                              sector_km1: SectorBasis, side: str) -> SparseOperator:
+                              sector_km1: SectorBasis, side: str) -> sparse.csr_matrix:
     """Collective atomic lowering operator J- of one ensemble, K -> K - 1."""
-    if side not in _SIDES:
-        raise ValueError(f"side must be 'L' or 'R', got {side!r}")
-    m_at = params.m_atoms
-    rows, cols, vals = [], [], []
-    for j, s in enumerate(sector_k.states):
-        n_ex = s.excited_left if side == "L" else s.excited_right
-        if n_ex >= 1:
-            if side == "L":
-                tgt = s._replace(excited_left=n_ex - 1)
-            else:
-                tgt = s._replace(excited_right=n_ex - 1)
-            rows.append(sector_km1.index_of(tgt))
-            cols.append(j)
-            vals.append(math.sqrt(n_ex * (m_at - n_ex + 1)))
-    return SparseOperator.from_triplets((sector_km1.dim, sector_k.dim), rows, cols, vals)
+    _check_side(side)
+    return _lower(params, sector_k.occupations, sector_km1.occupations,
+                  params.n_chain + (1 if side == "L" else 2))
 
 
 def build_normal_mode(params: ModelParams, sector_k: SectorBasis,
-                      sector_km1: SectorBasis, k_index: int) -> SparseOperator:
+                      sector_km1: SectorBasis, k_index: int) -> sparse.csr_matrix:
     """Normal-mode annihilation operator B_k as a sparse map K -> K - 1."""
-    weights = mode_weights(params.n_chain, k_index)
-    rows, cols, vals = [], [], []
-    for j, s in enumerate(sector_k.states):
-        for i_mid, occ in enumerate(s.photons_mid):
-            if occ >= 1:
-                tgt = s._replace(photons_mid=_replace_mid(s, i_mid, occ - 1))
-                rows.append(sector_km1.index_of(tgt))
-                cols.append(j)
-                vals.append(weights[i_mid] * math.sqrt(occ))
-    return SparseOperator.from_triplets((sector_km1.dim, sector_k.dim), rows, cols, vals)
+    terms = [w * _lower(params, sector_k.occupations, sector_km1.occupations, slot)
+             for slot, w in enumerate(mode_weights(params.n_chain, k_index), start=1)]
+    return _canonical(sum(terms[1:], terms[0]))

@@ -52,6 +52,11 @@ def test_bic_ground_state():
     assert float(values["energy"]) == pytest.approx(-2 * 0.9)
     assert "status=PASS" in text
 
+    # (K - M) * 0.0 is -0.0; the energy line prints it unsigned
+    buffer = io.StringIO()
+    assert run_bic(resolve_config("bic", {"k_excitations": "1"}), buffer) == 0
+    assert "energy=0" in buffer.getvalue().splitlines()
+
 
 def test_invalid_config_key_exits_with_validation_error():
     code, _out, err = run_cli("bic", "--set", "bogus_key=1")
@@ -101,17 +106,23 @@ def test_sweep_chi_empty_grid():
     assert "empty grid" in err
 
 
-def test_sweep_workers_do_not_change_bytes(tmp_path):
-    paths = []
-    for i, workers in enumerate((1, 4)):
-        path = tmp_path / f"sweep{i}.csv"
-        code = run_in_process("sweep-chi", "--set", f"workers={workers}",
-                              "--set", "chi_points=9", "--out", str(path))
-        assert code == 0
-        paths.append(path.read_bytes())
-    # worker count is echoed in the header; compare data rows only
-    strip = lambda blob: [ln for ln in blob.split(b"\n") if not ln.startswith(b"#")]
-    assert strip(paths[0]) == strip(paths[1])
+def test_workers_key_is_rejected(capsys):
+    code = run_in_process("sweep-chi", "--set", "workers=2", "--set", "chi_points=3")
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "unknown config key" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("override", ["gamma_c=nan", "g=inf"])
+def test_non_finite_param_exits_with_validation_error(capsys, override):
+    code = run_in_process("bic", "--set", override)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: ")
+    assert override.split("=")[0] in captured.err
+    assert "status=PASS" not in captured.out
 
 
 def test_identical_configs_give_identical_bytes(tmp_path):

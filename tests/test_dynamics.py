@@ -67,6 +67,14 @@ def test_bare_photon_decays_exponentially():
         assert photon_population(state) == pytest.approx(math.exp(-0.4 * t), abs=1e-7)
 
 
+def test_trajectory_records_min_eigenvalue_of_each_state(relaxation_run):
+    traj = relaxation_run.trajectory
+    assert len(traj.min_eigenvalues) == len(traj.times) == len(traj.states)
+    for value, state in zip(traj.min_eigenvalues, traj.states):
+        assert value == state.min_eigenvalue()
+    assert traj.diagnostics.min_eigenvalue == traj.min_eigenvalues.min()
+
+
 def test_trapped_probabilities_projectors():
     p = triple_cavity(m_atoms=2, g=0.2)
     space = stack_sectors(p, 2)

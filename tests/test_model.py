@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +25,13 @@ def test_validate_rejects_nonpositive_lambda():
     p = triple_cavity().replace(lam=0.0)
     with pytest.raises(ParamError, match="lambda must be positive"):
         validate_params(p)
+
+
+@pytest.mark.parametrize("field", ["omega_c", "omega_a", "g", "lam", "gamma_c", "gamma_a"])
+def test_validate_rejects_non_finite(field):
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ParamError, match=f"{field} must be finite"):
+            validate_params(triple_cavity().replace(**{field: value}))
 
 
 def test_validate_rejects_small_systems():
@@ -92,3 +101,8 @@ def test_sector_matches_brute_force(n_chain, m_atoms, k):
     sector = enumerate_sector(p, k)
     assert list(sector.states) == brute_force_sector(p, k)
     assert len(set(sector.states)) == sector.dim
+    # one occupation row per state, slots a_L, b_1 .. b_{N-1}, a_R, J_L, J_R
+    assert sector.occupations.shape == (sector.dim, n_chain + 3)
+    assert sector.occupations.tolist() == [
+        [s.photons_left, *s.photons_mid, s.photons_right, s.excited_left, s.excited_right]
+        for s in sector.states]

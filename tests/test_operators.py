@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from cavitybic import (ModelParams, SparseOperator, build_collective_lowering,
+from scipy import sparse
+
+from cavitybic import (ModelParams, build_collective_lowering,
                        build_end_annihilation, build_hamiltonian,
                        build_normal_mode, build_number_op, coupling_lambda,
                        enumerate_sector, mode_weights, normal_mode_frequency)
@@ -11,18 +13,28 @@ from conftest import triple_cavity
 from oracles import hamiltonian_normal_mode_picture
 
 
-def test_sparse_operator_canonical_form():
-    op = SparseOperator.from_triplets((2, 2), [0, 0, 1], [1, 1, 0], [1.0, -1.0, 2.0])
-    # duplicate entries are summed; entries summing to zero are dropped
-    assert op.nnz == 1
-    assert list(op.entries()) == [(1, 0, 2.0 + 0j)]
-    assert op.adjoint().shape == (2, 2)
-    assert op.hermiticity_defect() == 2.0
-
-
 def four_chain(m_atoms=1, g=0.3, omega=0.0):
     return ModelParams(n_chain=4, m_atoms=m_atoms, omega_c=omega, omega_a=omega,
                        g=g, lam=1.0, q=2)
+
+
+def test_builders_return_canonical_csr():
+    # g = 0 and zero diagonal energies would leave stored zeros if any
+    # builder skipped canonicalisation; the cutoff truncates raised states
+    for p in (four_chain(m_atoms=2, g=0.0), four_chain(m_atoms=2).replace(fock_cutoff=1),
+              triple_cavity(m_atoms=3, g=0.4, omega_c=0.2)):
+        for k in range(4):
+            sector, sector_km1 = enumerate_sector(p, k), enumerate_sector(p, k - 1)
+            ops = [build_hamiltonian(p, sector), build_number_op(p, sector)]
+            for side in ("L", "R"):
+                ops.append(build_end_annihilation(p, sector, sector_km1, side))
+                ops.append(build_collective_lowering(p, sector, sector_km1, side))
+            ops += [build_normal_mode(p, sector, sector_km1, q) for q in range(1, p.n_chain)]
+            for op in ops:
+                assert isinstance(op, sparse.csr_matrix)
+                assert op.dtype == np.complex128
+                assert op.has_canonical_format
+                assert not np.any(op.data == 0)
 
 
 def test_vacuum_hamiltonian_is_ground_energy():
@@ -51,7 +63,7 @@ def test_hamiltonian_exactly_hermitian():
     p = four_chain(m_atoms=2)
     for k in range(4):
         h = build_hamiltonian(p, enumerate_sector(p, k))
-        assert h.hermiticity_defect() == 0.0
+        assert (h != h.conj().T).nnz == 0
 
 
 def test_hamiltonian_commutes_with_number_op():
@@ -70,6 +82,46 @@ def test_number_op_eigenvalues():
     n_op = build_number_op(p, sector).toarray()
     assert np.allclose(np.diag(n_op), 2)
     assert np.trace(n_op).real == pytest.approx(2 * sector.dim)
+
+
+def test_ladders_match_per_state_reference():
+    # reference: lower each state with a dict lookup, one state at a time
+    for p in (four_chain(m_atoms=2).replace(fock_cutoff=2), triple_cavity(m_atoms=3)):
+        n = p.n_chain
+        for k in range(4):
+            sector, sector_km1 = enumerate_sector(p, k), enumerate_sector(p, k - 1)
+
+            def reference(slot, amplitude):
+                ref = np.zeros((sector_km1.dim, sector.dim))
+                for col, s in enumerate(sector.states):
+                    occ = [s.photons_left, *s.photons_mid, s.photons_right,
+                           s.excited_left, s.excited_right]
+                    if occ[slot]:
+                        amp = amplitude(occ[slot])
+                        occ[slot] -= 1
+                        target = type(s)(occ[0], tuple(occ[1:n]), *occ[n:])
+                        ref[sector_km1.index_of(target), col] = amp
+                return ref
+
+            def photon(m):
+                return math.sqrt(m)
+
+            def atom(m):
+                return math.sqrt(m * (p.m_atoms - m + 1))
+
+            for side, end, ens in (("L", 0, n + 1), ("R", n, n + 2)):
+                assert np.array_equal(
+                    build_end_annihilation(p, sector, sector_km1, side).toarray(),
+                    reference(end, photon))
+                assert np.array_equal(
+                    build_collective_lowering(p, sector, sector_km1, side).toarray(),
+                    reference(ens, atom))
+            for q in range(1, n):
+                weights = mode_weights(n, q)
+                expected = sum(reference(i, lambda m, w=weights[i - 1]: w * math.sqrt(m))
+                               for i in range(1, n))
+                assert np.array_equal(build_normal_mode(p, sector, sector_km1, q).toarray(),
+                                      expected)
 
 
 def test_end_annihilation_amplitudes():
@@ -97,6 +149,13 @@ def test_end_annihilation_from_vacuum_is_zero_row_matrix():
     op = build_end_annihilation(p, sec0, empty, "L")
     assert op.shape == (0, 1)
     assert op.nnz == 0
+
+
+def test_ladder_rejects_a_target_that_is_not_the_lower_sector():
+    p = triple_cavity()
+    sec2, sec0 = enumerate_sector(p, 2), enumerate_sector(p, 0)
+    with pytest.raises(ValueError, match="does not contain every lowered state"):
+        build_end_annihilation(p, sec2, sec0, "L")
 
 
 def test_normal_mode_is_middle_cavity_for_triple():
@@ -166,9 +225,14 @@ def test_mode_index_out_of_range():
 
 
 def test_normal_mode_picture_reproduces_hamiltonian():
-    for p in (triple_cavity(m_atoms=2, g=0.3, omega_c=0.8).replace(omega_a=0.8),
-              four_chain(m_atoms=2, g=0.41, omega=0.6)):
-        for k in range(1, 4):
+    # the 41-cavity chain has a slot space of 3^41 * 4 > 2^63 states at K = 2,
+    # beyond any int64 mixed-radix rank of the occupations
+    long_chain = ModelParams(n_chain=40, m_atoms=1, omega_c=0.6, omega_a=0.6,
+                             g=0.41, lam=1.0, q=20)
+    for p, k_max in ((triple_cavity(m_atoms=2, g=0.3, omega_c=0.8).replace(omega_a=0.8), 3),
+                     (four_chain(m_atoms=2, g=0.41, omega=0.6), 3),
+                     (long_chain, 2)):
+        for k in range(1, k_max + 1):
             sector = enumerate_sector(p, k)
             sector_km1 = enumerate_sector(p, k - 1)
             direct = build_hamiltonian(p, sector).toarray()
