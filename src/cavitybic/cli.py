@@ -107,6 +107,9 @@ SCHEMAS: dict[str, dict[str, tuple[Callable, object]]] = {
 }
 SCHEMAS["qfactor"].pop("delta")  # detuning is the swept variable here
 
+# Float keys that must also be positive (every float key must be finite).
+_POSITIVE_KEYS = ("t_end", "snapshot_dt")
+
 
 @dataclass
 class RunConfig:
@@ -159,6 +162,11 @@ def resolve_config(experiment: str, raw_values: dict[str, str],
             options[key] = caster(text)
         except ValueError as exc:
             raise ParamError(f"bad value for {key!r}: {exc}") from exc
+        if caster is float and not math.isfinite(options[key]):
+            raise ParamError(f"bad value for {key!r}: must be finite, got {text!r}")
+    for key in _POSITIVE_KEYS:
+        if key in options and not options[key] > 0:
+            raise ParamError(f"bad value for {key!r}: must be > 0, got {options[key]!r}")
     if seed_override is not None:
         options["seed"] = seed_override
 

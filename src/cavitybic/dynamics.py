@@ -15,9 +15,14 @@ the fast carrier phase without changing any populations or any
 fixed-excitation expectation values.
 
 The state space is the direct sum of excitation sectors 0 .. K_max.  The
-Hamiltonian is block diagonal and the jump operators map sector K to
-K - 1, so a block-diagonal density matrix stays block diagonal; this is
-monitored, not assumed.
+Hamiltonian is block diagonal and every jump operator maps sector K to
+K - 1, so the generator feeds a block (K, K') of rho only into the blocks
+(K, K') and (K - 1, K' - 1) (a weak U(1) symmetry, Buca & Prosen,
+NJP 14, 073007 (2012)).  ``evolve`` therefore integrates only the blocks
+that the generator reaches from the nonzero blocks of the initial state,
+vectorised into one sparse superoperator.  For a sector-diagonal start
+these are the diagonal blocks alone, and every off-diagonal block is zero
+by construction.
 
 Twisted collective spin
 -----------------------
@@ -36,14 +41,14 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from scipy import sparse
-from scipy.integrate import solve_ivp
+# ``evolve`` drives RK45 directly.  ``solve_ivp`` stays a module attribute
+# because bench/tracing.py wraps ``dynamics.solve_ivp`` and fails without it.
+from scipy.integrate import RK45, solve_ivp  # noqa: F401
 
 from .bic import StateVector
 from .model import ModelParams, SectorBasis, enumerate_sector
 from .operators import (build_collective_lowering, build_end_annihilation,
                         build_hamiltonian)
-
-_BLOCK_DIAG_TOL = 1e-12
 
 
 class IntegrationError(RuntimeError):
@@ -145,33 +150,119 @@ class DensityMatrix:
         return worst
 
 
+def _sector_labels(space: SectorStack) -> np.ndarray:
+    """Excitation sector of every index of the stacked space."""
+    return np.repeat(np.arange(space.k_max + 1), np.diff(space.offsets))
+
+
+def _embed(space: SectorStack, k_row: int, k_col: int, block) -> sparse.csr_matrix:
+    """Stacked-space operator whose only sector block (k_row, k_col) is ``block``."""
+    coo = sparse.coo_matrix(block)
+    return sparse.csr_matrix(
+        (coo.data, (coo.row + space.offsets[k_row], coo.col + space.offsets[k_col])),
+        shape=(space.dim, space.dim), dtype=np.complex128)
+
+
+def _block_keys(space: SectorStack, rows: np.ndarray, cols: np.ndarray) -> list[tuple[int, int]]:
+    """Sorted sector blocks (J, K) that hold the stacked-space entries (rows, cols)."""
+    label, n = _sector_labels(space), space.k_max + 1
+    return [divmod(int(key), n) for key in np.unique(label[rows] * n + label[cols])]
+
+
+def _split(space: SectorStack, op: sparse.csr_matrix) -> dict[tuple[int, int], sparse.csr_matrix]:
+    """The sector blocks (J, K) of a stacked-space operator that hold a nonzero."""
+    op = op.copy()
+    op.eliminate_zeros()
+    coo = op.tocoo()
+    return {(j, k): op[space.sector_slice(j), space.sector_slice(k)]
+            for j, k in _block_keys(space, coo.row, coo.col)}
+
+
 class LindbladGenerator:
     """Right-hand side of the master equation on a sector stack.
 
-    Holds the rotating-frame Hamiltonian and the jump operators as dense
-    arrays (the stacked spaces at desk scale are tiny).
+    Holds the rotating-frame Hamiltonian and the jump operators as sparse
+    CSR matrices.  With H_eff = H - (i/2) sum gamma c+ c the generator is
+    L rho = -i H_eff rho + i rho H_eff+ + sum gamma c rho c+, a sum of
+    terms A rho B.  Each term is kept split into its nonzero sector blocks,
+    and ``superoperator`` vectorises the terms row-major,
+    vec(A rho B) = (A kron B^T) vec(rho), on the sector blocks that a given
+    state reaches.
     """
 
-    def __init__(self, space: SectorStack, hamiltonian: np.ndarray,
-                 jumps: Iterable[tuple[float, np.ndarray]]):
+    def __init__(self, space: SectorStack, hamiltonian,
+                 jumps: Iterable[tuple[float, object]]):
         self.space = space
-        self.hamiltonian = np.asarray(hamiltonian, dtype=np.complex128)
-        self._jumps = []
-        for rate, op in jumps:
-            op = np.asarray(op, dtype=np.complex128)
-            self._jumps.append((float(rate), op, op.conj().T, op.conj().T @ op))
+        self.hamiltonian = sparse.csr_matrix(hamiltonian, dtype=np.complex128)
+        self._jumps = [(float(rate), sparse.csr_matrix(op, dtype=np.complex128))
+                       for rate, op in jumps]
+        h_eff = self.hamiltonian
+        for rate, op in self._jumps:
+            h_eff = h_eff - (0.5j * rate) * (op.conj().T @ op)
+        eye = {(k, k): sparse.identity(sec.dim, dtype=np.complex128, format="csr")
+               for k, sec in enumerate(space.sectors)}
+        # one (blocks of A, blocks of B) pair per term A rho B
+        self._terms = [(_split(space, -1j * h_eff), eye),
+                       (eye, _split(space, 1j * h_eff.conj().T))]
+        self._terms += [(_split(space, rate * op), _split(space, op.conj().T))
+                        for rate, op in self._jumps]
+
+    def _reach(self, blocks: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+        """Sorted sector blocks (K, K') that the generator reaches from
+        ``blocks``, ``blocks`` included; a state supported on them stays so."""
+        found = set(blocks)
+        todo = list(found)
+        while todo:
+            k, k_col = todo.pop()
+            for a_blocks, b_blocks in self._terms:
+                for j, ka in a_blocks:
+                    if ka != k:
+                        continue
+                    for kb, j_col in b_blocks:
+                        if kb == k_col and (j, j_col) not in found:
+                            found.add((j, j_col))
+                            todo.append((j, j_col))
+        return sorted(found)
+
+    def superoperator(self, rho: np.ndarray) -> tuple[np.ndarray, sparse.csr_matrix]:
+        """``(index, matrix)`` for the sector blocks reached from the nonzero
+        blocks of ``rho``: ``index`` holds their positions in ``rho.ravel()``
+        (block by block, row-major within a block), and
+        ``apply(rho).ravel()[index] == matrix @ rho.ravel()[index]`` while
+        ``apply(rho)`` is zero elsewhere."""
+        space, dim = self.space, self.space.dim
+        if rho.shape != (dim, dim):
+            raise ValueError("density matrix does not match the generator's space")
+        blocks = self._reach(_block_keys(space, *np.nonzero(rho)))
+        dims = np.diff(space.offsets)
+        sizes = [int(dims[k] * dims[k_col]) for k, k_col in blocks]
+        start = dict(zip(blocks, np.cumsum([0] + sizes).tolist()))
+        empty = np.zeros(0, dtype=np.int64)
+        rows, cols, vals = [empty], [empty], [empty.astype(np.complex128)]
+        for a_blocks, b_blocks in self._terms:
+            for (j, k), a_blk in a_blocks.items():
+                for (k_col, j_col), b_blk in b_blocks.items():
+                    if (k, k_col) in start:  # then (j, j_col) is reached too
+                        term = sparse.kron(a_blk, b_blk.T, format="coo")
+                        rows.append(term.row + start[(j, j_col)])
+                        cols.append(term.col + start[(k, k_col)])
+                        vals.append(term.data)
+        size = sum(sizes)
+        matrix = sparse.csr_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(size, size))
+        index = [((space.offsets[k] + np.arange(dims[k]))[:, None] * dim
+                  + space.offsets[k_col] + np.arange(dims[k_col])).ravel()
+                 for k, k_col in blocks]
+        return np.concatenate([empty, *index]), matrix
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        h = self.hamiltonian
-        out = -1j * (h @ rho - rho @ h)
-        for rate, op, op_dag, op_sq in self._jumps:
-            out += rate * (op @ rho @ op_dag)
-            out -= (0.5 * rate) * (op_sq @ rho + rho @ op_sq)
-        return out
-
-    def rhs(self, _t: float, y: np.ndarray) -> np.ndarray:
-        dim = self.space.dim
-        return self.apply(y.reshape(dim, dim)).ravel()
+        """d rho / dt for a d x d matrix; builds ``superoperator(rho)`` on
+        every call, where ``evolve`` builds it once per run."""
+        index, matrix = self.superoperator(rho)
+        out = np.zeros(rho.size, dtype=np.complex128)
+        out[index] = matrix @ rho.ravel()[index]
+        return out.reshape(rho.shape)
 
 
 def lindblad_generator(params: ModelParams, k_max: int,
@@ -184,24 +275,22 @@ def lindblad_generator(params: ModelParams, k_max: int,
     """
     if space is None:
         space = stack_sectors(params, k_max)
-    dim = space.dim
-    h = np.zeros((dim, dim), dtype=np.complex128)
-    for k in range(k_max + 1):
-        sector = space.sectors[k]
-        block = build_hamiltonian(params, sector).toarray()
+    zero = sparse.csr_matrix((space.dim, space.dim), dtype=np.complex128)
+    h = zero
+    for k, sector in enumerate(space.sectors):
         # rotating frame: subtract omega_c times the excitation number
-        block -= params.omega_c * k * np.eye(sector.dim)
-        h[space.sector_slice(k), space.sector_slice(k)] = block
+        block = (build_hamiltonian(params, sector)
+                 - params.omega_c * k * sparse.identity(sector.dim))
+        h = h + _embed(space, k, k, block)
 
-    jumps: list[tuple[float, np.ndarray]] = []
-
-    def stacked_lowering(builder, side: str) -> np.ndarray:
-        full = np.zeros((dim, dim), dtype=np.complex128)
-        for k in range(1, k_max + 1):
+    def stacked_lowering(builder, side: str) -> sparse.csr_matrix:
+        full = zero
+        for k in range(1, space.k_max + 1):
             op = builder(params, space.sectors[k], space.sectors[k - 1], side)
-            full[space.sector_slice(k - 1), space.sector_slice(k)] = op.toarray()
+            full = full + _embed(space, k - 1, k, op)
         return full
 
+    jumps: list[tuple[float, sparse.csr_matrix]] = []
     if params.gamma_c > 0:
         for side in ("L", "R"):
             jumps.append((params.gamma_c, stacked_lowering(build_end_annihilation, side)))
@@ -215,7 +304,7 @@ def lindblad_generator(params: ModelParams, k_max: int,
 class TrajectoryDiagnostics:
     max_trace_drift: float = 0.0
     min_eigenvalue: float = 0.0
-    max_offblock: float | None = None
+    max_offblock: float = 0.0  # largest integrated entry outside the diagonal blocks
     rhs_sup_last: float = 0.0
     n_rhs_evaluations: int = 0
 
@@ -236,67 +325,80 @@ class Trajectory:
         return iter(zip(self.times, self.states))
 
 
+def _require_positive_finite(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+
+
 def evolve(params: ModelParams, rho0: DensityMatrix, t_end: float, *,
            generator: LindbladGenerator | None = None,
            include_atomic_decay: bool = False,
            snapshot_dt: float | None = None,
-           rtol: float = 1e-8, atol: float = 1e-12, method: str = "RK45",
+           rtol: float = 1e-8, atol: float = 1e-12,
            detect_steady: bool = True, steady_threshold: float | None = None,
            positivity_limit: float = 1e-6) -> Trajectory:
-    """Integrate the master equation with an embedded adaptive explicit
-    Runge-Kutta pair, recording snapshots on a regular grid.
+    """Integrate the master equation from 0 to ``t_end`` with one adaptive
+    explicit Runge-Kutta stepper (RK45), reading snapshots on a regular
+    grid from each step's dense output.
 
-    Trace, Hermiticity, positivity and sector block structure are checked
-    at every snapshot; positivity violations beyond ``positivity_limit``
-    abort the run.  When ``detect_steady`` is on, the run stops once
+    Only the sector blocks that the generator reaches from the nonzero
+    blocks of ``rho0`` are integrated (``LindbladGenerator.superoperator``).
+    Trace, Hermiticity (symmetrised storage) and positivity are checked at
+    every snapshot; positivity violations beyond ``positivity_limit`` abort
+    the run.  When ``detect_steady`` is on, the run stops once
     max |d rho / dt| stays below ``steady_threshold`` (default
     1e-9 * lam) at two consecutive snapshots.
     """
+    _require_positive_finite("t_end", t_end)
+    if snapshot_dt is None:
+        snapshot_dt = t_end / 200.0
+    _require_positive_finite("snapshot_dt", snapshot_dt)
+    space = rho0.space
     if generator is None:
-        generator = lindblad_generator(params, rho0.space.k_max,
+        generator = lindblad_generator(params, space.k_max,
                                        include_atomic_decay=include_atomic_decay,
-                                       space=rho0.space)
-    if generator.space is not rho0.space and generator.space.dim != rho0.space.dim:
+                                       space=space)
+    elif generator.space is not space and (generator.space.params != space.params
+                                           or generator.space.offsets != space.offsets):
         raise ValueError("generator and initial state live on different spaces")
     if steady_threshold is None:
         steady_threshold = 1e-9 * params.lam
-    if snapshot_dt is None:
-        snapshot_dt = t_end / 200.0
     n_snap = max(1, int(math.ceil(t_end / snapshot_dt - 1e-12)))
     times = np.linspace(0.0, t_end, n_snap + 1)
 
-    dim = rho0.space.dim
+    dim = space.dim
+    index, superop = generator.superoperator(rho0.data)
+    label = _sector_labels(space)
+    offblock = label[index // dim] != label[index % dim]
     trace0 = rho0.trace()
-    block_diagonal_input = rho0.offblock_max() < _BLOCK_DIAG_TOL
 
     states = [rho0.copy()]
     min_eigs = [states[0].min_eigenvalue()]
-    diag = TrajectoryDiagnostics(
-        min_eigenvalue=min_eigs[0],
-        max_offblock=0.0 if block_diagonal_input else None,
-    )
+    y0 = rho0.data.ravel()[index]
+    diag = TrajectoryDiagnostics(min_eigenvalue=min_eigs[0],
+                                 max_offblock=float(np.abs(y0[offblock]).max(initial=0.0)))
     kept_times = [0.0]
     steady_reached = False
     steady_time: float | None = None
     below_count = 0
-    y = rho0.data.ravel().copy()
 
-    chunk = 64
-    idx = 1
-    while idx <= n_snap and not steady_reached:
-        stop = min(idx + chunk - 1, n_snap)
-        t_eval = times[idx:stop + 1]
-        sol = solve_ivp(generator.rhs, (times[idx - 1], times[stop]), y,
-                        t_eval=t_eval, method=method, rtol=rtol, atol=atol)
-        diag.n_rhs_evaluations += int(sol.nfev)
-        if not sol.success:
-            reached = sol.t[-1] if len(sol.t) else times[idx - 1]
-            raise IntegrationError(
-                f"integration failed at t={reached:.6g}: {sol.message}")
-        for col, t in enumerate(sol.t):
-            rho = sol.y[:, col].reshape(dim, dim)
+    solver = RK45(lambda _t, y: superop @ y, 0.0, y0, t_end, rtol=rtol, atol=atol)
+    flat = np.zeros(dim * dim, dtype=np.complex128)
+    next_snap = 1
+    while next_snap <= n_snap and not steady_reached:
+        message = solver.step()
+        if solver.status == "failed":
+            raise IntegrationError(f"integration failed at t={solver.t:.6g}: {message}")
+        stop = int(np.searchsorted(times, solver.t, side="right"))
+        if stop <= next_snap:
+            continue
+        snap_times = times[next_snap:stop]
+        next_snap = stop
+        for t, y in zip(snap_times, solver.dense_output()(snap_times).T):
+            flat[index] = y
+            rho = flat.reshape(dim, dim)
             rho = 0.5 * (rho + rho.conj().T)  # symmetrized storage
-            state = DensityMatrix(rho0.space, rho)
+            state = DensityMatrix(space, rho)
             drift = abs(state.trace() - trace0)
             diag.max_trace_drift = max(diag.max_trace_drift, drift)
             min_eig = state.min_eigenvalue()
@@ -304,12 +406,13 @@ def evolve(params: ModelParams, rho0: DensityMatrix, t_end: float, *,
             if min_eig < -positivity_limit:
                 raise IntegrationError(
                     f"positivity violated at t={t:.6g}: min eigenvalue {min_eig:.3e}")
-            if block_diagonal_input:
-                diag.max_offblock = max(diag.max_offblock, state.offblock_max())
+            y_sym = rho.ravel()[index]
+            diag.max_offblock = max(diag.max_offblock,
+                                    float(np.abs(y_sym[offblock]).max(initial=0.0)))
             states.append(state)
             min_eigs.append(min_eig)
             kept_times.append(float(t))
-            rhs_sup = float(np.abs(generator.apply(rho)).max())
+            rhs_sup = float(np.abs(superop @ y_sym).max(initial=0.0))
             diag.rhs_sup_last = rhs_sup
             if detect_steady:
                 if rhs_sup < steady_threshold:
@@ -320,8 +423,7 @@ def evolve(params: ModelParams, rho0: DensityMatrix, t_end: float, *,
                         break
                 else:
                     below_count = 0
-        y = states[-1].data.ravel().copy()
-        idx = stop + 1
+    diag.n_rhs_evaluations = solver.nfev
 
     return Trajectory(np.array(kept_times), states, np.array(min_eigs),
                       steady_reached, steady_time, diag)

@@ -11,8 +11,9 @@ import itertools
 import numpy as np
 
 from cavitybic import (BasisState, build_collective_lowering,
-                       build_end_annihilation, build_normal_mode,
-                       coupling_lambda, normal_mode_frequency)
+                       build_end_annihilation, build_hamiltonian,
+                       build_normal_mode, coupling_lambda,
+                       normal_mode_frequency)
 
 
 def brute_force_sector(params, k):
@@ -85,3 +86,40 @@ def atomic_reduced_density(state):
                 col = sj.excited_left * side + sj.excited_right
                 reduced[row, col] += state.data[i, j]
     return reduced
+
+
+def dense_lindblad_apply(params, space, include_atomic_decay=False):
+    """Master-equation right-hand side on the whole stacked space by dense
+    d x d matrix products, with the rotating-frame Hamiltonian and every
+    jump operator stacked as full dense matrices."""
+    dim = space.dim
+    h = np.zeros((dim, dim), dtype=complex)
+    for k, sector in enumerate(space.sectors):
+        block = build_hamiltonian(params, sector).toarray()
+        block -= params.omega_c * k * np.eye(sector.dim)
+        h[space.sector_slice(k), space.sector_slice(k)] = block
+
+    def stacked_lowering(builder, side):
+        full = np.zeros((dim, dim), dtype=complex)
+        for k in range(1, space.k_max + 1):
+            op = builder(params, space.sectors[k], space.sectors[k - 1], side)
+            full[space.sector_slice(k - 1), space.sector_slice(k)] = op.toarray()
+        return full
+
+    jumps = []
+    if params.gamma_c > 0:
+        jumps += [(params.gamma_c, stacked_lowering(build_end_annihilation, side))
+                  for side in ("L", "R")]
+    if include_atomic_decay and params.gamma_a > 0:
+        jumps += [(params.gamma_a, stacked_lowering(build_collective_lowering, side))
+                  for side in ("L", "R")]
+
+    def apply(rho):
+        out = -1j * (h @ rho - rho @ h)
+        for rate, op in jumps:
+            op_dag = op.conj().T
+            out += rate * (op @ rho @ op_dag)
+            out -= (0.5 * rate) * (op_dag @ op @ rho + rho @ op_dag @ op)
+        return out
+
+    return apply

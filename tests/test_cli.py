@@ -202,3 +202,21 @@ def test_seed_flag_changes_baseline_only(tmp_path):
     pick = lambda txt, key: [ln for ln in txt.splitlines() if ln.startswith(key)]
     assert pick(outputs[0], "random_unit_residual") != pick(outputs[1], "random_unit_residual")
     assert pick(outputs[0], "eigen_residual") == pick(outputs[1], "eigen_residual")
+
+
+@pytest.mark.parametrize("setting", ["snapshot_dt=0", "t_end=inf", "t_end=nan",
+                                     "snapshot_dt=-1", "t_end=-5"])
+def test_evolve_rejects_bad_time_grid(setting, capsys):
+    code = run_in_process("evolve", "--set", setting)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert setting.split("=")[0] in err and "Traceback" not in err
+
+
+def test_non_finite_float_key_is_rejected(capsys):
+    code = run_in_process("sweep-chi", "--set", "chi_max=inf")
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: bad value for 'chi_max': must be finite, got 'inf'"]

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from cavitybic import (DensityMatrix, FitError, StateVector,
@@ -11,7 +12,7 @@ from cavitybic import (DensityMatrix, FitError, StateVector,
                        steady_state_prediction, trapped_probabilities,
                        twisted_spin_ops)
 from conftest import left_excited_state, triple_cavity
-from oracles import atomic_reduced_density
+from oracles import atomic_reduced_density, dense_lindblad_apply
 
 
 def test_generator_annihilates_ground_state():
@@ -40,6 +41,81 @@ def test_generator_preserves_trace():
     rho = x @ x.conj().T
     rho /= np.trace(rho)
     assert abs(np.trace(gen.apply(rho))) < 1e-12
+
+
+def test_sparse_apply_matches_dense_oracle():
+    p = triple_cavity(m_atoms=2, g=0.3, gamma_c=0.7, gamma_a=0.2, delta=0.1, omega_c=0.4)
+    space = stack_sectors(p, 2)
+    gen = lindblad_generator(p, 2, include_atomic_decay=True, space=space)
+    rng = np.random.default_rng(11)
+    rho = rng.normal(size=(space.dim, space.dim)) + 1j * rng.normal(size=(space.dim, space.dim))
+    index, _matrix = gen.superoperator(rho)
+    assert index.size == space.dim ** 2  # a full-space rho reaches every block
+    oracle = dense_lindblad_apply(p, space, include_atomic_decay=True)
+    assert np.abs(gen.apply(rho) - oracle(rho)).max() < 1e-13
+
+
+def test_diagonal_start_integrates_only_diagonal_blocks():
+    p = triple_cavity(m_atoms=3, g=0.1, gamma_c=1.0)
+    space = stack_sectors(p, 3)
+    gen = lindblad_generator(p, 3, space=space)
+    rho0 = DensityMatrix.from_pure(space, left_excited_state(space, 3))
+    index, matrix = gen.superoperator(rho0.data)
+    assert index.size == sum(sec.dim ** 2 for sec in space.sectors) == 1476
+    assert space.dim ** 2 == 3136
+    assert matrix.shape == (1476, 1476)
+
+
+@pytest.mark.parametrize("k_low, k_high", [(0, 1), (1, 2)])
+def test_evolve_from_cross_sector_state_matches_dense_oracle(k_low, k_high):
+    # (|beta_low> + |beta_high>)/sqrt(2); beta_0 is the ground state.  The
+    # jumps carry the (2, 1) coherence down into (1, 0), never into (2, 0).
+    p = triple_cavity(m_atoms=2, g=0.3, gamma_c=0.7, gamma_a=0.2, delta=0.1, omega_c=0.4)
+    space = stack_sectors(p, 2)
+    low, high = (space.embed(assemble_bic_state(p, k, sector=space.sectors[k]))
+                 for k in (k_low, k_high))
+    rho0 = DensityMatrix.from_vector(space, (low + high) / math.sqrt(2.0))
+    gen = lindblad_generator(p, 2, include_atomic_decay=True, space=space)
+    index, _matrix = gen.superoperator(rho0.data)
+    d0, d1, d2 = (sec.dim for sec in space.sectors)
+    expected = (d0 + d1) ** 2 if k_high == 1 else space.dim ** 2 - 2 * d0 * d2
+    assert index.size == expected
+
+    t_end, dt = 20.0, 1.0
+    traj = evolve(p, rho0, t_end, generator=gen, snapshot_dt=dt,
+                  rtol=1e-10, atol=1e-12, detect_steady=False)
+    oracle = dense_lindblad_apply(p, space, include_atomic_decay=True)
+    dim = space.dim
+    ref = solve_ivp(lambda _t, y: oracle(y.reshape(dim, dim)).ravel(), (0.0, t_end),
+                    rho0.data.ravel(), t_eval=traj.times, rtol=1e-10, atol=1e-12)
+    assert ref.success and len(traj.states) == len(ref.t) == 21
+    for col, state in enumerate(traj.states):
+        assert np.abs(state.data - ref.y[:, col].reshape(dim, dim)).max() < 1e-7
+    assert traj.diagnostics.max_offblock > 0.1  # the ground-beta1 coherence
+
+
+@pytest.mark.parametrize("t_end, snapshot_dt", [
+    (0.0, 1.0), (-5.0, 1.0), (math.inf, 1.0), (math.nan, 1.0),
+    (10.0, 0.0), (10.0, -1.0), (10.0, math.inf), (10.0, math.nan)])
+def test_evolve_rejects_bad_time_grid(t_end, snapshot_dt):
+    p = triple_cavity(m_atoms=1, gamma_c=1.0)
+    space = stack_sectors(p, 1)
+    rho0 = DensityMatrix.from_pure(space, left_excited_state(space, 1))
+    with pytest.raises(ValueError, match="must be finite and > 0"):
+        evolve(p, rho0, t_end, snapshot_dt=snapshot_dt)
+
+
+def test_evolve_rejects_generator_built_for_other_params():
+    p = triple_cavity(m_atoms=1, g=0.1, gamma_c=1.0)
+    other = p.replace(g=0.9)
+    space = stack_sectors(p, 1)
+    gen = lindblad_generator(other, 1)
+    assert gen.space.dim == space.dim
+    rho0 = DensityMatrix.from_pure(space, left_excited_state(space, 1))
+    with pytest.raises(ValueError, match="different spaces"):
+        evolve(p, rho0, 10.0, generator=gen)
+    # a generator on an equal space built apart is accepted
+    evolve(p, rho0, 10.0, generator=lindblad_generator(p, 1), detect_steady=False)
 
 
 def test_atomic_initial_state_is_frozen_without_coupling():
