@@ -46,7 +46,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy import linalg
 
-from .model import BasisState, ModelParams, SectorBasis, enumerate_sector
+from .model import ModelParams, SectorBasis, enumerate_sector
 from .operators import (build_collective_lowering, build_hamiltonian,
                         build_normal_mode, coupling_lambda, mode_weights)
 
@@ -310,7 +310,7 @@ def assemble_bic_state(params: ModelParams, k: int,
     cutoff = params.fock_cutoff if params.fock_cutoff is not None else k
     if cutoff < k:
         raise ValueError(f"fock_cutoff={cutoff} too small to embed {k} mode photons")
-    vec = np.zeros(sector.dim, dtype=np.complex128)
+    rows, amplitudes = [], []
     for m in range(k + 1):
         patterns = _mode_fock_patterns(params, m)
         for n in range(k + 1 - m):
@@ -318,8 +318,11 @@ def assemble_bic_state(params: ModelParams, k: int,
             if c == 0:
                 continue
             for pattern, w in patterns.items():
-                state = BasisState(0, pattern, 0, n, k - m - n)
-                vec[sector.index_of(state)] += c * w
+                rows.append([0, *pattern, 0, n, k - m - n])
+                amplitudes.append(c * w)
+    vec = np.zeros(sector.dim, dtype=np.complex128)
+    # the reshape keeps a caller's all-zero table (no rows) two-dimensional
+    vec[sector.indices(np.reshape(rows, (-1, params.n_chain + 3)))] += amplitudes
     return StateVector(sector, vec)
 
 

@@ -110,6 +110,10 @@ SCHEMAS["qfactor"].pop("delta")  # detuning is the swept variable here
 # Float keys that must also be positive (every float key must be finite).
 _POSITIVE_KEYS = ("t_end", "snapshot_dt")
 
+# q=auto accepts a chain mode no farther from omega_a than the bare cavity
+# (|delta|) plus this slack for the rounding of the mode frequencies.
+_RESONANCE_SLACK = 1e-9
+
 
 @dataclass
 class RunConfig:
@@ -167,6 +171,10 @@ def resolve_config(experiment: str, raw_values: dict[str, str],
     for key in _POSITIVE_KEYS:
         if key in options and not options[key] > 0:
             raise ParamError(f"bad value for {key!r}: must be > 0, got {options[key]!r}")
+    if experiment == "evolve" and (options["t_end"] / options["snapshot_dt"]
+                                   > dynamics.MAX_SNAPSHOTS):
+        raise ParamError(f"bad value for 'snapshot_dt': t_end / snapshot_dt must be at most "
+                         f"{dynamics.MAX_SNAPSHOTS}, got {options['snapshot_dt']!r}")
     if seed_override is not None:
         options["seed"] = seed_override
 
@@ -185,7 +193,7 @@ def resolve_config(experiment: str, raw_values: dict[str, str],
     )
     q = options["q"]
     if q == "auto":
-        q = resonant_mode_index(params, tol=None)
+        q = resonant_mode_index(params, tol=abs(delta) + _RESONANCE_SLACK)
     params = validate_params(params.replace(q=int(q)))
     options["q"] = int(q)
     return RunConfig(experiment=experiment, params=params, options=options)
@@ -317,16 +325,8 @@ def run_evolve(config: RunConfig, stream: IO[str]) -> int:
     if initial == "left_excited":
         sector = space.sectors[k_init]
         vec = np.zeros(sector.dim, dtype=np.complex128)
-        target = None
-        for i, state in enumerate(sector.states):
-            if (state.excited_left == k_init and state.excited_right == 0
-                    and state.photons_left == 0 and state.photons_right == 0
-                    and sum(state.photons_mid) == 0):
-                target = i
-                break
-        if target is None:
-            raise ParamError("left_excited initial state needs initial_k <= m_atoms")
-        vec[target] = 1.0
+        # every excitation on the left ensemble (slot J_L), none elsewhere
+        vec[sector.indices([[0] * (p.n_chain + 1) + [k_init, 0]])] = 1.0
         rho0 = dynamics.DensityMatrix.from_vector(
             space, space.embed(bic.StateVector(sector, vec)))
     elif initial == "bic":

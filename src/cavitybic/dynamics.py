@@ -325,6 +325,11 @@ class Trajectory:
         return iter(zip(self.times, self.states))
 
 
+# Largest snapshot grid ``evolve`` accepts: every snapshot keeps a full
+# density matrix, and a finer grid than this is an input error, not a run.
+MAX_SNAPSHOTS = 100_000
+
+
 def _require_positive_finite(name: str, value: float) -> None:
     if not (math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be finite and > 0, got {value!r}")
@@ -347,12 +352,16 @@ def evolve(params: ModelParams, rho0: DensityMatrix, t_end: float, *,
     every snapshot; positivity violations beyond ``positivity_limit`` abort
     the run.  When ``detect_steady`` is on, the run stops once
     max |d rho / dt| stays below ``steady_threshold`` (default
-    1e-9 * lam) at two consecutive snapshots.
+    1e-9 * lam) at two consecutive snapshots.  A grid of more than
+    ``MAX_SNAPSHOTS`` snapshots raises ``ValueError``.
     """
     _require_positive_finite("t_end", t_end)
     if snapshot_dt is None:
         snapshot_dt = t_end / 200.0
     _require_positive_finite("snapshot_dt", snapshot_dt)
+    if t_end / snapshot_dt > MAX_SNAPSHOTS:
+        raise ValueError(f"t_end / snapshot_dt must be at most {MAX_SNAPSHOTS}, "
+                         f"got {t_end / snapshot_dt:.3g}")
     space = rho0.space
     if generator is None:
         generator = lindblad_generator(params, space.k_max,

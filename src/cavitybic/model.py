@@ -11,7 +11,7 @@ the collective-damping variants.
 
 The closed part of the Hamiltonian conserves the total excitation number
 (end photons + chain photons + excited atoms), so all linear algebra is
-done on fixed-excitation sectors enumerated here.
+done on fixed-excitation sectors, each enumerated here as an occupation array.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -85,37 +85,58 @@ class BasisState(NamedTuple):
 
 class SectorBasis:
     """Complete, duplicate-free, lexicographically ordered basis of one
-    fixed-excitation sector, with an exact reverse lookup.
+    fixed-excitation sector, stored only as its occupation rows.
 
-    ``occupations`` holds the same states as an integer array of shape
-    (dim, n_chain + 3), one row per state, in slot order a_L, b_1 ..
-    b_{N-1}, a_R, J_L, J_R; its rows are in ascending lexicographic order.
+    ``occupations`` is an int64 array of shape (dim, n_chain + 3), slots
+    a_L, b_1 .. b_{N-1}, a_R, J_L, J_R; row i, in ascending lexicographic
+    order, is basis state i, and ``indices`` maps rows back to positions.
     """
 
-    __slots__ = ("k_excitations", "states", "occupations", "_index")
+    __slots__ = ("k_excitations", "occupations")
 
-    def __init__(self, k_excitations: int, states: Sequence[BasisState],
-                 occupations: np.ndarray):
+    def __init__(self, k_excitations: int, occupations: np.ndarray):
         self.k_excitations = k_excitations
-        self.states = tuple(states)
         self.occupations = occupations
-        self._index = {state: i for i, state in enumerate(self.states)}
 
     @property
     def dim(self) -> int:
-        return len(self.states)
+        return len(self.occupations)
 
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self.occupations)
+
+    @property
+    def states(self) -> tuple[BasisState, ...]:
+        """The basis states as labels, in basis order (built on each access)."""
+        n = self.occupations.shape[1] - 3
+        return tuple(BasisState(occ[0], tuple(occ[1:n]), occ[n], occ[n + 1], occ[n + 2])
+                     for occ in self.occupations.tolist())
+
+    def indices(self, rows: np.ndarray) -> np.ndarray:
+        """Basis indices of the occupation ``rows`` (shape (r, n_chain + 3));
+        raises ``ValueError`` unless every row is a state of this sector."""
+        rows = np.asarray(rows, dtype=np.int64)
+        found = np.searchsorted(_rank_keys(self.occupations), _rank_keys(rows))
+        if len(found) and (found.max() >= self.dim
+                           or not np.array_equal(self.occupations[found], rows)):
+            raise ValueError(f"sector K={self.k_excitations} lacks a requested state")
+        return found
 
     def index_of(self, state: BasisState) -> int:
-        return self._index[state]
-
-    def __contains__(self, state: BasisState) -> bool:
-        return state in self._index
+        row = [state.photons_left, *state.photons_mid, state.photons_right,
+               state.excited_left, state.excited_right]
+        return int(self.indices([row])[0])
 
     def __repr__(self) -> str:
         return f"SectorBasis(k={self.k_excitations}, dim={self.dim})"
+
+
+def _rank_keys(occupations: np.ndarray) -> np.ndarray:
+    """One opaque key per occupation row whose bytewise order is the rows'
+    lexicographic order (big-endian, nonnegative entries), so the search
+    needs no mixed-radix rank that could overflow."""
+    rows = np.ascontiguousarray(occupations, dtype=">i8")
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
 
 
 def validate_params(params: ModelParams) -> ModelParams:
@@ -166,12 +187,11 @@ def resonant_mode_index(params: ModelParams, tol: float | None = None) -> int:
 
 
 def sector_occupations(params: ModelParams, k: int) -> np.ndarray:
-    """Occupations of every basis state with excitation number ``k``.
+    """Occupation rows of every basis state with excitation number ``k``,
+    laid out and ordered as ``SectorBasis.occupations``.
 
-    One row per state, shape (dim, n_chain + 3), slots a_L, b_1 .. b_{N-1},
-    a_R, J_L, J_R, rows in ascending lexicographic order.  Photon
-    occupations are capped at ``fock_cutoff`` (defaulting to ``k``, which
-    is exact because the closed dynamics never raises the total) and
+    Photon occupations are capped at ``fock_cutoff`` (defaulting to ``k``,
+    which is exact because the closed dynamics never raises the total) and
     atomic occupations at ``m_atoms``.  Sectors beyond capacity, and k < 0,
     have no rows.
     """
@@ -196,10 +216,6 @@ def _prepend_slot(suffixes: list[np.ndarray], cap: int, total: int) -> np.ndarra
 
 
 def enumerate_sector(params: ModelParams, k: int) -> SectorBasis:
-    """Enumerate every basis state with excitation number ``k``, with the
-    caps and order of :func:`sector_occupations`."""
-    n = params.n_chain
-    occupations = sector_occupations(params, k)
-    states = [BasisState(occ[0], tuple(occ[1:n]), occ[n], occ[n + 1], occ[n + 2])
-              for occ in occupations.tolist()]
-    return SectorBasis(k, states, occupations)
+    """Basis of the sector with excitation number ``k``, with the caps and
+    order of :func:`sector_occupations`."""
+    return SectorBasis(k, sector_occupations(params, k))

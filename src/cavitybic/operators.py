@@ -2,9 +2,10 @@
 
 Conventions
 -----------
-- A sector state is a row of ``SectorBasis.occupations`` with the slots in
-  the order a_L, b_1 .. b_{N-1}, a_R, J_L, J_R (end cavities, middle
-  cavities, excited-atom counts of the two ensembles).
+- A sector state is a row of ``SectorBasis.occupations`` (end cavities,
+  middle cavities, excited-atom counts of the two ensembles).  A ladder
+  lowers every row of sector K at once and finds the results in sector
+  K - 1 with one ``SectorBasis.indices`` call.
 - Every operator is a complex ``scipy.sparse.csr_matrix`` in canonical form
   (sorted indices, no duplicates, no stored zeros).  Ladder operators map
   sector K to sector K - 1; all of them come from one lowering primitive,
@@ -32,7 +33,7 @@ import math
 import numpy as np
 from scipy import sparse
 
-from .model import ModelParams, SectorBasis, sector_occupations
+from .model import ModelParams, SectorBasis, enumerate_sector
 
 _SIDES = ("L", "R")
 
@@ -72,14 +73,6 @@ def _check_side(side: str) -> None:
         raise ValueError(f"side must be 'L' or 'R', got {side!r}")
 
 
-def _rank_keys(occupations: np.ndarray) -> np.ndarray:
-    """One opaque key per occupation row whose bytewise order is the rows'
-    lexicographic order (big-endian, nonnegative entries), so the search
-    needs no mixed-radix rank that could overflow."""
-    rows = np.ascontiguousarray(occupations, dtype=">i8")
-    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-
-
 def _canonical(matrix) -> sparse.csr_matrix:
     m = sparse.csr_matrix(matrix, dtype=np.complex128)
     m.sum_duplicates()
@@ -87,26 +80,28 @@ def _canonical(matrix) -> sparse.csr_matrix:
     return m
 
 
-def _lower(params: ModelParams, occ_k: np.ndarray, occ_km1: np.ndarray,
+def _lower(params: ModelParams, sector_k: SectorBasis, sector_km1: SectorBasis,
            slot: int) -> sparse.csr_matrix:
-    """Annihilation map of one occupation slot, from the sector with
-    occupation rows ``occ_k`` to the one with rows ``occ_km1``.
+    """Annihilation map of one occupation slot from ``sector_k`` to
+    ``sector_km1``.
 
     Amplitude sqrt(n) on photon slots and sqrt(n (M - n + 1)) on atom slots.
     """
-    present = occ_k[:, slot] > 0
-    lowered = occ_k[present]
+    occ = sector_k.occupations
+    present = occ[:, slot] > 0
+    lowered = occ[present]
     lowered[:, slot] -= 1
-    rows = np.searchsorted(_rank_keys(occ_km1), _rank_keys(lowered))
-    if len(rows) and (rows.max() >= len(occ_km1) or not np.array_equal(occ_km1[rows], lowered)):
-        raise ValueError("target sector does not contain every lowered state")
-    n = occ_k[present, slot]
+    try:
+        rows = sector_km1.indices(lowered)
+    except ValueError:
+        raise ValueError("target sector does not contain every lowered state") from None
+    n = occ[present, slot]
     if slot > params.n_chain:
         n = n * (params.m_atoms - n + 1)
     # at most one entry per column; the CSC constructor narrows the index type
     indptr = np.concatenate(([0], np.cumsum(present)))
     return _canonical(sparse.csc_matrix((np.sqrt(n), rows, indptr),
-                                       shape=(len(occ_km1), len(occ_k))))
+                                       shape=(sector_km1.dim, sector_k.dim)))
 
 
 def build_hamiltonian(params: ModelParams, sector: SectorBasis) -> sparse.csr_matrix:
@@ -118,8 +113,8 @@ def build_hamiltonian(params: ModelParams, sector: SectorBasis) -> sparse.csr_ma
     """
     n = params.n_chain
     occ = sector.occupations
-    occ_km1 = sector_occupations(params, sector.k_excitations - 1)
-    lower = [_lower(params, occ, occ_km1, slot) for slot in range(n + 3)]
+    sector_km1 = enumerate_sector(params, sector.k_excitations - 1)
+    lower = [_lower(params, sector, sector_km1, slot) for slot in range(n + 3)]
     # (amplitude, raised slot, lowered slot)
     exchanges = [(params.g, 0, n + 1), (params.g, n, n + 2),
                  (params.lam, 0, 1), (params.lam, n, n - 1),
@@ -140,21 +135,19 @@ def build_end_annihilation(params: ModelParams, sector_k: SectorBasis,
                            sector_km1: SectorBasis, side: str) -> sparse.csr_matrix:
     """Annihilation operator of an end cavity, mapping sector K to K - 1."""
     _check_side(side)
-    return _lower(params, sector_k.occupations, sector_km1.occupations,
-                  0 if side == "L" else params.n_chain)
+    return _lower(params, sector_k, sector_km1, 0 if side == "L" else params.n_chain)
 
 
 def build_collective_lowering(params: ModelParams, sector_k: SectorBasis,
                               sector_km1: SectorBasis, side: str) -> sparse.csr_matrix:
     """Collective atomic lowering operator J- of one ensemble, K -> K - 1."""
     _check_side(side)
-    return _lower(params, sector_k.occupations, sector_km1.occupations,
-                  params.n_chain + (1 if side == "L" else 2))
+    return _lower(params, sector_k, sector_km1, params.n_chain + (1 if side == "L" else 2))
 
 
 def build_normal_mode(params: ModelParams, sector_k: SectorBasis,
                       sector_km1: SectorBasis, k_index: int) -> sparse.csr_matrix:
     """Normal-mode annihilation operator B_k as a sparse map K -> K - 1."""
-    terms = [w * _lower(params, sector_k.occupations, sector_km1.occupations, slot)
+    terms = [w * _lower(params, sector_k, sector_km1, slot)
              for slot, w in enumerate(mode_weights(params.n_chain, k_index), start=1)]
     return _canonical(sum(terms[1:], terms[0]))

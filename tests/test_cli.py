@@ -1,4 +1,5 @@
 import io
+import os
 import subprocess
 import sys
 
@@ -9,8 +10,11 @@ from cavitybic.cli import main, parse_config_file, resolve_config
 
 
 def run_cli(*args):
+    # the child imports cavitybic from wherever this process does (src/ when
+    # run from a checkout through pytest's pythonpath setting)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     proc = subprocess.run([sys.executable, "-m", "cavitybic", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -205,7 +209,8 @@ def test_seed_flag_changes_baseline_only(tmp_path):
 
 
 @pytest.mark.parametrize("setting", ["snapshot_dt=0", "t_end=inf", "t_end=nan",
-                                     "snapshot_dt=-1", "t_end=-5"])
+                                     "snapshot_dt=-1", "t_end=-5",
+                                     "snapshot_dt=1e-300", "snapshot_dt=1e-9"])
 def test_evolve_rejects_bad_time_grid(setting, capsys):
     code = run_in_process("evolve", "--set", setting)
     err = capsys.readouterr().err
@@ -220,3 +225,13 @@ def test_non_finite_float_key_is_rejected(capsys):
     assert code == 1
     assert captured.out == ""
     assert captured.err.splitlines() == ["error: bad value for 'chi_max': must be finite, got 'inf'"]
+
+
+def test_auto_q_without_a_resonant_mode_is_rejected(capsys):
+    # an odd chain has no mode at omega_c: the nearest lies 1.0 from the atoms
+    code = run_in_process("bic", "--set", "n_chain=3")
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: no resonant chain mode")

@@ -105,6 +105,14 @@ def test_evolve_rejects_bad_time_grid(t_end, snapshot_dt):
         evolve(p, rho0, t_end, snapshot_dt=snapshot_dt)
 
 
+def test_evolve_rejects_too_fine_snapshot_grid():
+    p = triple_cavity(m_atoms=1, gamma_c=1.0)
+    space = stack_sectors(p, 1)
+    rho0 = DensityMatrix.from_pure(space, left_excited_state(space, 1))
+    with pytest.raises(ValueError, match="t_end / snapshot_dt must be at most"):
+        evolve(p, rho0, 2000.0, snapshot_dt=1e-300)
+
+
 def test_evolve_rejects_generator_built_for_other_params():
     p = triple_cavity(m_atoms=1, g=0.1, gamma_c=1.0)
     other = p.replace(g=0.9)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cavitybic import (ModelParams, NoResonantModeError, ParamError,
+from cavitybic import (BasisState, ModelParams, NoResonantModeError, ParamError,
                        enumerate_sector, resonant_mode_index, validate_params)
 from conftest import triple_cavity
 from oracles import brute_force_sector
@@ -80,6 +80,12 @@ def test_sector_excitation_numbers_and_round_trip():
         assert sector.index_of(state) == i
 
 
+def test_index_of_an_absent_state_raises_value_error():
+    sector = enumerate_sector(triple_cavity(m_atoms=2), 2)
+    with pytest.raises(ValueError, match="lacks a requested state"):
+        sector.index_of(BasisState(0, (3,), 0, 0, 0))  # three photons in sector K = 2
+
+
 def test_sector_ordering_is_lexicographic():
     sector = enumerate_sector(triple_cavity(m_atoms=2), 2)
     assert list(sector.states) == sorted(sector.states)
@@ -99,10 +105,14 @@ def test_sector_matches_brute_force(n_chain, m_atoms, k):
     p = ModelParams(n_chain=n_chain, m_atoms=m_atoms, omega_c=0.0, omega_a=0.0,
                     g=0.1, lam=1.0, q=1)
     sector = enumerate_sector(p, k)
-    assert list(sector.states) == brute_force_sector(p, k)
+    brute = brute_force_sector(p, k)
+    assert list(sector.states) == brute
     assert len(set(sector.states)) == sector.dim
     # one occupation row per state, slots a_L, b_1 .. b_{N-1}, a_R, J_L, J_R
+    rows = [[s.photons_left, *s.photons_mid, s.photons_right, s.excited_left, s.excited_right]
+            for s in brute]
     assert sector.occupations.shape == (sector.dim, n_chain + 3)
-    assert sector.occupations.tolist() == [
-        [s.photons_left, *s.photons_mid, s.photons_right, s.excited_left, s.excited_right]
-        for s in sector.states]
+    assert sector.occupations.tolist() == rows
+    assert sector.indices(rows).tolist() == list(range(sector.dim))
+    with pytest.raises(ValueError, match="lacks a requested state"):
+        sector.indices([[k + 1] + [0] * (n_chain + 2)])  # one excitation too many
