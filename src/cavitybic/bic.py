@@ -156,7 +156,11 @@ def _check_k(params: ModelParams, k: int) -> None:
 
 
 def _normalize(k: int, params: ModelParams, table: np.ndarray) -> BicCoefficients:
-    table = table / np.linalg.norm(table)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = np.linalg.norm(table)
+    if not math.isfinite(norm):
+        raise _overflow(params, k)
+    table = table / norm
     c00 = table[0, 0]
     if abs(c00) > 0:
         table = table * (abs(c00) / c00)  # global phase: c[0,0] real positive
@@ -167,6 +171,10 @@ def _normalize(k: int, params: ModelParams, table: np.ndarray) -> BicCoefficient
         sign_ratio=_sign_ratio(params.q),
         table=table,
     )
+
+
+def _overflow(params: ModelParams, k: int) -> OverflowError:
+    return OverflowError(f"the K={k} amplitude table overflows a float at chi={chi(params):.6g}")
 
 
 def _sqrt_combinatorial(m_atoms: int, k: int, m: int, n: int) -> float:
@@ -193,12 +201,15 @@ def closed_form_coefficients(params: ModelParams, k: int) -> BicCoefficients:
     """Amplitude table evaluated directly from the closed-form solution."""
     _check_k(params, k)
     m_at = params.m_atoms
-    chi_s = _chi_signed(params)
+    chi_s = float(_chi_signed(params))  # a float power raises OverflowError
     ratio = _sign_ratio(params.q)
     table = np.zeros((k + 1, k + 1), dtype=np.complex128)
-    for m in range(k + 1):
-        for n in range(k + 1 - m):
-            table[m, n] = (chi_s ** m) * (ratio ** n) * _sqrt_combinatorial(m_at, k, m, n)
+    try:
+        for m in range(k + 1):
+            for n in range(k + 1 - m):
+                table[m, n] = (chi_s ** m) * (ratio ** n) * _sqrt_combinatorial(m_at, k, m, n)
+    except OverflowError:
+        raise _overflow(params, k) from None
     return _normalize(k, params, table)
 
 
@@ -339,7 +350,7 @@ def verify_trapping(params: ModelParams, psi: StateVector,
     sector_km1 = enumerate_sector(params, k - 1)
     v = psi.amplitudes
 
-    h = build_hamiltonian(params, sector)
+    h = build_hamiltonian(params, sector, sector_km1)
     energy = (k - params.m_atoms) * params.omega_a
     eigen_residual = float(np.linalg.norm(h @ v - energy * v))
 

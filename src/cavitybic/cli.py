@@ -366,6 +366,10 @@ def run_qfactor(config: RunConfig, stream: IO[str]) -> int:
     for line in config.echo_lines():
         out.line(line)
     p = config.params
+    if p.n_chain != 2:
+        raise ParamError("qfactor requires the triple-cavity configuration (n_chain=2)")
+    if not p.gamma_c > 0:
+        raise ParamError("qfactor requires gamma_c > 0: its detuning grid is in units of gamma_c")
     n = int(config.options["delta_points"])
     if n < 1:
         raise ParamError("empty grid: delta_points must be at least 1")
@@ -456,7 +460,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (dynamics.IntegrationError, bic.DegenerateNullSpaceError,
-            np.linalg.LinAlgError) as exc:
+            np.linalg.LinAlgError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -18,11 +18,22 @@ The state space is the direct sum of excitation sectors 0 .. K_max.  The
 Hamiltonian is block diagonal and every jump operator maps sector K to
 K - 1, so the generator feeds a block (K, K') of rho only into the blocks
 (K, K') and (K - 1, K' - 1) (a weak U(1) symmetry, Buca & Prosen,
-NJP 14, 073007 (2012)).  ``evolve`` therefore integrates only the blocks
-that the generator reaches from the nonzero blocks of the initial state,
-vectorised into one sparse superoperator.  For a sector-diagonal start
-these are the diagonal blocks alone, and every off-diagonal block is zero
-by construction.
+NJP 14, 073007 (2012)).  Only the blocks that the generator reaches from
+the nonzero blocks of the initial state are ever nonzero; for a
+sector-diagonal start these are the diagonal blocks alone.
+
+``evolve`` propagates those blocks exactly.  With the non-Hermitian
+H_eff = H - (i/2) sum gamma c+ c diagonalised per sector, H_eff,K =
+V_K E_K V_K^-1, block (K, K') is V_K X(t) V_K'^+ where X(t) is a sum of
+exponentials: its own modes decay at the rates
+mu_ab = -i (E_K,a - conj(E_K',b)), and every mode of the block above,
+carried down by the jumps, drives it at that mode's own rate.  There is
+no step size and no tolerance.  Inputs the eigenbasis cannot represent
+accurately (an ill-conditioned V, a resonance that needs a secular
+t e^{mu t} term, too many coefficients, or a caller's generator that is
+not block lower-triangular) run on an adaptive RK45 integrator of the
+sparse superoperator instead, and the trajectory's diagnostics name the
+path that ran.
 
 Twisted collective spin
 -----------------------
@@ -41,7 +52,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from scipy import sparse
-# ``evolve`` drives RK45 directly.  ``solve_ivp`` stays a module attribute
+# ``evolve``'s fallback drives RK45 directly.  ``solve_ivp`` stays a module attribute
 # because bench/tracing.py wraps ``dynamics.solve_ivp`` and fails without it.
 from scipy.integrate import RK45, solve_ivp  # noqa: F401
 
@@ -131,6 +142,11 @@ class DensityMatrix:
         return float(np.abs(self.data - self.data.conj().T).max())
 
     def min_eigenvalue(self) -> float:
+        """Smallest eigenvalue; the smallest over the sector-diagonal blocks'
+        spectra when no entry off those blocks is nonzero."""
+        blocks = [self.block(k) for k in range(self.space.k_max + 1)]
+        if sum(map(np.count_nonzero, blocks)) == np.count_nonzero(self.data):
+            return min(float(np.linalg.eigvalsh(blk)[0]) for blk in blocks)
         return float(np.linalg.eigvalsh(self.data)[0])
 
     def block(self, k_row: int, k_col: int | None = None) -> np.ndarray:
@@ -169,6 +185,15 @@ def _block_keys(space: SectorStack, rows: np.ndarray, cols: np.ndarray) -> list[
     return [divmod(int(key), n) for key in np.unique(label[rows] * n + label[cols])]
 
 
+def _block_index(space: SectorStack, blocks: Sequence[tuple[int, int]]) -> np.ndarray:
+    """Positions in ``rho.ravel()`` of the entries of ``blocks``, block by
+    block and row-major within a block."""
+    dims, start = np.diff(space.offsets), space.offsets
+    index = [((start[k] + np.arange(dims[k]))[:, None] * space.dim
+              + start[k_col] + np.arange(dims[k_col])).ravel() for k, k_col in blocks]
+    return np.concatenate([np.zeros(0, dtype=np.int64), *index])
+
+
 def _split(space: SectorStack, op: sparse.csr_matrix) -> dict[tuple[int, int], sparse.csr_matrix]:
     """The sector blocks (J, K) of a stacked-space operator that hold a nonzero."""
     op = op.copy()
@@ -199,6 +224,7 @@ class LindbladGenerator:
         h_eff = self.hamiltonian
         for rate, op in self._jumps:
             h_eff = h_eff - (0.5j * rate) * (op.conj().T @ op)
+        self._h_eff = h_eff
         eye = {(k, k): sparse.identity(sec.dim, dtype=np.complex128, format="csr")
                for k, sec in enumerate(space.sectors)}
         # one (blocks of A, blocks of B) pair per term A rho B
@@ -251,10 +277,7 @@ class LindbladGenerator:
         matrix = sparse.csr_matrix(
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
             shape=(size, size))
-        index = [((space.offsets[k] + np.arange(dims[k]))[:, None] * dim
-                  + space.offsets[k_col] + np.arange(dims[k_col])).ravel()
-                 for k, k_col in blocks]
-        return np.concatenate([empty, *index]), matrix
+        return _block_index(space, blocks), matrix
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """d rho / dt for a d x d matrix; builds ``superoperator(rho)`` on
@@ -279,7 +302,8 @@ def lindblad_generator(params: ModelParams, k_max: int,
     h = zero
     for k, sector in enumerate(space.sectors):
         # rotating frame: subtract omega_c times the excitation number
-        block = (build_hamiltonian(params, sector)
+        below = space.sectors[k - 1] if k else None
+        block = (build_hamiltonian(params, sector, below)
                  - params.omega_c * k * sparse.identity(sector.dim))
         h = h + _embed(space, k, k, block)
 
@@ -304,9 +328,11 @@ def lindblad_generator(params: ModelParams, k_max: int,
 class TrajectoryDiagnostics:
     max_trace_drift: float = 0.0
     min_eigenvalue: float = 0.0
-    max_offblock: float = 0.0  # largest integrated entry outside the diagonal blocks
+    max_offblock: float = 0.0  # largest propagated entry outside the diagonal blocks
     rhs_sup_last: float = 0.0
-    n_rhs_evaluations: int = 0
+    n_rhs_evaluations: int = 0  # RK45 right-hand-side evaluations; 0 on the cascade
+    propagator: str = "cascade"  # the path that ran: "cascade" or "rk45"
+    fallback_reason: str = ""  # the cascade guard that sent the run to RK45
 
 
 @dataclass
@@ -329,6 +355,210 @@ class Trajectory:
 # density matrix, and a finer grid than this is an input error, not a run.
 MAX_SNAPSHOTS = 100_000
 
+# Guards of the cascade propagator; a run that fails one goes to RK45.
+# Most complex coefficients the cascade may hold (64 MiB).  Block K - 1
+# holds d_{K-1}^2 times the number of modes above it: from the top sector
+# K = M, 3.2e5 at (N, M) = (2, 3), 7.6e6 at (2, 4) and 1.1e8 at (2, 5).
+MAX_CASCADE_COEFFICIENTS = 1 << 22
+# Largest condition number of a sector's eigenvector matrix V.  H_eff at an
+# exceptional point cannot be diagonalised, and the rounding of
+# V X V^+ grows like eps cond(V)^2 as one is approached.
+MAX_EIGENVECTOR_CONDITION = 1e3
+# Largest error the cascade accepts from one particular coefficient
+# S / (lam - mu): its rounding, about eps |S| / |lam - mu|, or, where that
+# is too large, leaving it out, which costs at most |S| t_end.
+_CASCADE_TOL = 1e-10
+_EPS = float(np.finfo(float).eps)
+# Entries of a source that ``_particular`` works on at once.
+_SLICE = 1 << 12
+# Snapshots the cascade evaluates at once; the steady test may stop a run
+# inside a chunk.
+_CHUNK = 16
+
+
+class _CascadeRejected(Exception):
+    """The cascade cannot represent this run accurately; says which guard."""
+
+
+@dataclass
+class _CascadeBlock:
+    """Block (K, K') in the eigenbases: X(t) = h e^{mu t} + sum P e^{lam t}."""
+
+    mu: np.ndarray  # own rates -i (E_K,a - conj(E_K',b)), row-major over (a, b)
+    h: np.ndarray   # coefficient of each own mode
+    # (block B, P): column f of P multiplies exp(B.mu[f] t); B lies above
+    parts: list[tuple[tuple[int, int], np.ndarray]]
+
+
+def _particular(source: np.ndarray, lam: np.ndarray, mu: np.ndarray,
+                t_end: float) -> np.ndarray:
+    """Overwrite ``source`` with the coefficients source / (lam_f - mu_ab) of
+    the modes exp(lam_f t) that it drives into a block with own rates
+    ``mu``, and return it.  A coefficient whose rounding would exceed
+    ``_CASCADE_TOL`` is left out when its secular term is that small;
+    otherwise the cascade is rejected.  Works on a few rows at a time."""
+    step = max(1, _SLICE // len(lam))
+    for start in range(0, len(mu), step):
+        rows = source[start:start + step]
+        denom = lam[None, :] - mu[start:start + step, None]
+        size = np.abs(rows)
+        inexact = _EPS * size > _CASCADE_TOL * np.abs(denom)
+        inexact |= denom == 0
+        bad = inexact & (size * t_end > _CASCADE_TOL)
+        if bad.any():
+            worst = np.unravel_index(np.argmax(np.where(bad, size, 0.0)), bad.shape)
+            raise _CascadeRejected(
+                f"denominator |lam - mu| = {abs(denom[worst]):.3g} is too small for a "
+                f"source of {size[worst]:.3g} (a resonance)")
+        rows[inexact], denom[inexact] = 0.0, 1.0
+        np.divide(rows, denom, out=rows)
+    return source
+
+
+class _Cascade:
+    """Exact propagator on the reached sector blocks, in the eigenbases of
+    each sector's H_eff (see the module docstring)."""
+
+    name = "cascade"
+    n_rhs_evaluations = 0
+
+    def __init__(self, generator: LindbladGenerator, rho0: np.ndarray, t_end: float):
+        space = generator.space
+        if any(j != k for j, k in _split(space, generator._h_eff)):
+            raise _CascadeRejected("the Hamiltonian couples excitation sectors")
+        jumps = []
+        for rate, op in generator._jumps:
+            blocks = _split(space, op)
+            if any(j != k - 1 for j, k in blocks):
+                raise _CascadeRejected("a jump operator does not map sector K to K - 1")
+            jumps.append((rate, {j: blk.toarray() for (j, _k), blk in blocks.items()}))
+        self.blocks = generator._reach(_block_keys(space, *np.nonzero(rho0)))
+        self.index = _block_index(space, self.blocks)
+        dims = np.diff(space.offsets)
+        size = {key: int(dims[key[0]] * dims[key[1]]) for key in self.blocks}
+        # top block first along every diagonal: a block comes after the one driving it
+        order = sorted(self.blocks, reverse=True)
+        above = {key: (key[0] + 1, key[1] + 1) for key in order
+                 if jumps and (key[0] + 1, key[1] + 1) in size}
+        # a block holds one coefficient per own mode and, per entry, one per
+        # mode of every block above it
+        driving: dict[tuple[int, int], int] = {}
+        for key in order:
+            up = above.get(key)
+            driving[key] = size[up] + driving[up] if up else 0
+        stored = sum(size[key] * (1 + driving[key]) for key in order)
+        if stored > MAX_CASCADE_COEFFICIENTS:
+            raise _CascadeRejected(f"{stored} coefficients exceed MAX_CASCADE_COEFFICIENTS"
+                                   f" = {MAX_CASCADE_COEFFICIENTS}")
+
+        self._h, self._eig = {}, {}
+        for k in sorted({k for key in self.blocks for k in key}):
+            h_eff = generator._h_eff[space.sector_slice(k), space.sector_slice(k)].toarray()
+            energies, vecs = np.linalg.eig(h_eff)
+            cond = np.linalg.cond(vecs)
+            if not cond <= MAX_EIGENVECTOR_CONDITION:
+                raise _CascadeRejected(f"sector {k}: H_eff eigenvectors have condition "
+                                       f"number {cond:.3g} > {MAX_EIGENVECTOR_CONDITION:g}")
+            self._h[k] = h_eff
+            self._eig[k] = (energies, vecs, np.linalg.inv(vecs))
+        # (rate, c_K, c_K') of every jump that drives a block, c_K its block (K, K + 1)
+        self._drive = {key: [(rate, c[key[0]], c[key[1]]) for rate, c in jumps
+                             if key[0] in c and key[1] in c] for key in above}
+
+        self._modes: dict[tuple[int, int], _CascadeBlock] = {}
+        for key in order:
+            (e_k, _, w_k), (e_c, _, w_c) = self._eig[key[0]], self._eig[key[1]]
+            mu = (-1j * (e_k[:, None] - e_c.conj()[None, :])).ravel()
+            rho_blk = rho0[space.sector_slice(key[0]), space.sector_slice(key[1])]
+            x0 = (w_k @ rho_blk @ w_c.conj().T).ravel()
+            parts = []
+            if key in above:
+                top = self._modes[above[key]]
+                v_up, v_up_c = self._eig[key[0] + 1][1], self._eig[key[1] + 1][1]
+                # T = sum rate kron(V_K^-1 c V_K+1, conj(V_K'^-1 c V_K'+1))
+                left = [rate * (w_k @ c_k @ v_up) for rate, c_k, _ in self._drive[key]]
+                right = [(w_c @ c_col @ v_up_c).conj() for _, _, c_col in self._drive[key]]
+                t_map = np.zeros((mu.size, top.mu.size), dtype=np.complex128)
+                if left:  # one einsum, so no temporary as large as T
+                    np.einsum("jac,jbd->abcd", left, right,
+                              out=t_map.reshape(len(e_k), len(e_c), len(v_up), len(v_up_c)))
+                parts = [(src, _particular(t_map @ p, self._modes[src].mu, mu, t_end))
+                         for src, p in top.parts]
+                t_map *= top.h  # now the source of the own modes of the block above
+                parts.insert(0, (above[key], _particular(t_map, top.mu, mu, t_end)))
+            h = x0 - sum(p.sum(axis=1) for _src, p in parts)
+            self._modes[key] = _CascadeBlock(mu, h, parts)
+        self._spans = np.cumsum([0] + [size[key] for key in self.blocks]).tolist()
+
+    def chunks(self, times: np.ndarray):
+        """``(ts, ys)`` over ``times[1:]`` in order; row i of ``ys`` holds the
+        reached entries (at ``index``) at time ``ts[i]``."""
+        for start in range(1, len(times), _CHUNK):
+            chunk = times[start:start + _CHUNK]
+            yield chunk, self._evaluate(chunk)
+
+    def _evaluate(self, ts: np.ndarray) -> np.ndarray:
+        expo = {key: np.exp(np.outer(blk.mu, ts)) for key, blk in self._modes.items()}
+        out = [np.zeros((len(ts), 0), dtype=np.complex128)]  # a zero rho0 reaches no block
+        for key in self.blocks:
+            blk = self._modes[key]
+            x = blk.h[:, None] * expo[key]
+            for src, p in blk.parts:
+                x += p @ expo[src]
+            v_k, v_c = self._eig[key[0]][1], self._eig[key[1]][1]
+            x = x.T.reshape(len(ts), len(v_k), len(v_c))
+            out.append((v_k @ x @ v_c.conj().T).reshape(len(ts), -1))
+        return np.hstack(out)
+
+    def rhs_sup(self, ys: np.ndarray) -> np.ndarray:
+        """max |d rho / dt| of each row of reached entries, from per-sector
+        products."""
+        x = {key: ys[:, a:b].reshape(len(ys), len(self._h[key[0]]), len(self._h[key[1]]))
+             for key, a, b in zip(self.blocks, self._spans, self._spans[1:])}
+        worst = np.zeros(len(ys))
+        for (k, k_col), blk in x.items():
+            rate = -1j * (self._h[k] @ blk - blk @ self._h[k_col].conj().T)
+            for gamma, c_k, c_col in self._drive.get((k, k_col), ()):
+                rate += gamma * (c_k @ x[(k + 1, k_col + 1)] @ c_col.conj().T)
+            worst = np.maximum(worst, np.abs(rate).max(axis=(1, 2)))
+        return worst
+
+
+class _Rk45:
+    """Adaptive RK45 on the sparse superoperator of the reached blocks,
+    read out on the snapshot grid from each step's dense output."""
+
+    name = "rk45"
+
+    def __init__(self, generator: LindbladGenerator, rho0: np.ndarray, t_end: float,
+                 rtol: float, atol: float):
+        self.index, superop = generator.superoperator(rho0)
+        self._superop = superop
+        self._solver = RK45(lambda _t, y: superop @ y, 0.0, rho0.ravel()[self.index],
+                            t_end, rtol=rtol, atol=atol)
+
+    @property
+    def n_rhs_evaluations(self) -> int:
+        return self._solver.nfev
+
+    def chunks(self, times: np.ndarray):
+        """``(ts, ys)`` over ``times[1:]`` in order, one chunk per step that
+        passes a snapshot time; as ``_Cascade.chunks``."""
+        solver, next_snap = self._solver, 1
+        while next_snap < len(times):
+            message = solver.step()
+            if solver.status == "failed":
+                raise IntegrationError(f"integration failed at t={solver.t:.6g}: {message}")
+            stop = int(np.searchsorted(times, solver.t, side="right"))
+            if stop <= next_snap:
+                continue
+            snap_times = times[next_snap:stop]
+            next_snap = stop
+            yield snap_times, solver.dense_output()(snap_times).T
+
+    def rhs_sup(self, ys: np.ndarray) -> np.ndarray:
+        return np.abs(self._superop @ ys.T).max(axis=0, initial=0.0)
+
 
 def _require_positive_finite(name: str, value: float) -> None:
     if not (math.isfinite(value) and value > 0):
@@ -342,12 +572,27 @@ def evolve(params: ModelParams, rho0: DensityMatrix, t_end: float, *,
            rtol: float = 1e-8, atol: float = 1e-12,
            detect_steady: bool = True, steady_threshold: float | None = None,
            positivity_limit: float = 1e-6) -> Trajectory:
-    """Integrate the master equation from 0 to ``t_end`` with one adaptive
-    explicit Runge-Kutta stepper (RK45), reading snapshots on a regular
-    grid from each step's dense output.
+    """Evolve the master equation from 0 to ``t_end`` and keep snapshots on
+    a regular grid.
 
     Only the sector blocks that the generator reaches from the nonzero
-    blocks of ``rho0`` are integrated (``LindbladGenerator.superoperator``).
+    blocks of ``rho0`` are propagated.  They are propagated exactly, as sums
+    of exponentials in the eigenbases of each sector's H_eff (the module
+    docstring has the construction).  A run that fails one of the cascade's
+    guards is integrated by adaptive RK45 instead, with ``rtol`` and
+    ``atol``, which govern nothing else:
+      * a sector's eigenvector matrix has a condition number above
+        ``MAX_EIGENVECTOR_CONDITION`` (at or near an exceptional point);
+      * a particular coefficient S / (lam - mu) would round by more than
+        ``_CASCADE_TOL`` while its secular term, at most |S| t_end, is not
+        that small (at a resonance lam = mu the exact answer has a
+        t e^{mu t} term);
+      * the coefficients would exceed ``MAX_CASCADE_COEFFICIENTS``;
+      * the generator is not block lower-triangular: a jump that does not
+        map sector K to K - 1, or a Hamiltonian that couples sectors.
+    ``diagnostics.propagator`` names the path that ran and
+    ``diagnostics.fallback_reason`` the guard that failed.
+
     Trace, Hermiticity (symmetrised storage) and positivity are checked at
     every snapshot; positivity violations beyond ``positivity_limit`` abort
     the run.  When ``detect_steady`` is on, the run stops once
@@ -375,8 +620,13 @@ def evolve(params: ModelParams, rho0: DensityMatrix, t_end: float, *,
     n_snap = max(1, int(math.ceil(t_end / snapshot_dt - 1e-12)))
     times = np.linspace(0.0, t_end, n_snap + 1)
 
-    dim = space.dim
-    index, superop = generator.superoperator(rho0.data)
+    try:
+        path = _Cascade(generator, rho0.data, t_end)
+        fallback_reason = ""
+    except _CascadeRejected as exc:
+        path = _Rk45(generator, rho0.data, t_end, rtol, atol)
+        fallback_reason = str(exc)
+    dim, index = space.dim, path.index
     label = _sector_labels(space)
     offblock = label[index // dim] != label[index % dim]
     trace0 = rho0.trace()
@@ -385,28 +635,22 @@ def evolve(params: ModelParams, rho0: DensityMatrix, t_end: float, *,
     min_eigs = [states[0].min_eigenvalue()]
     y0 = rho0.data.ravel()[index]
     diag = TrajectoryDiagnostics(min_eigenvalue=min_eigs[0],
-                                 max_offblock=float(np.abs(y0[offblock]).max(initial=0.0)))
+                                 max_offblock=float(np.abs(y0[offblock]).max(initial=0.0)),
+                                 propagator=path.name, fallback_reason=fallback_reason)
     kept_times = [0.0]
     steady_reached = False
     steady_time: float | None = None
     below_count = 0
 
-    solver = RK45(lambda _t, y: superop @ y, 0.0, y0, t_end, rtol=rtol, atol=atol)
     flat = np.zeros(dim * dim, dtype=np.complex128)
-    next_snap = 1
-    while next_snap <= n_snap and not steady_reached:
-        message = solver.step()
-        if solver.status == "failed":
-            raise IntegrationError(f"integration failed at t={solver.t:.6g}: {message}")
-        stop = int(np.searchsorted(times, solver.t, side="right"))
-        if stop <= next_snap:
-            continue
-        snap_times = times[next_snap:stop]
-        next_snap = stop
-        for t, y in zip(snap_times, solver.dense_output()(snap_times).T):
+    for ts, ys in path.chunks(times):
+        rhos = []
+        for y in ys:
             flat[index] = y
             rho = flat.reshape(dim, dim)
-            rho = 0.5 * (rho + rho.conj().T)  # symmetrized storage
+            rhos.append(0.5 * (rho + rho.conj().T))  # symmetrized storage
+        ys_sym = np.array([rho.ravel()[index] for rho in rhos])
+        for t, rho, y_sym, rhs_sup in zip(ts, rhos, ys_sym, path.rhs_sup(ys_sym)):
             state = DensityMatrix(space, rho)
             drift = abs(state.trace() - trace0)
             diag.max_trace_drift = max(diag.max_trace_drift, drift)
@@ -415,14 +659,12 @@ def evolve(params: ModelParams, rho0: DensityMatrix, t_end: float, *,
             if min_eig < -positivity_limit:
                 raise IntegrationError(
                     f"positivity violated at t={t:.6g}: min eigenvalue {min_eig:.3e}")
-            y_sym = rho.ravel()[index]
             diag.max_offblock = max(diag.max_offblock,
                                     float(np.abs(y_sym[offblock]).max(initial=0.0)))
             states.append(state)
             min_eigs.append(min_eig)
             kept_times.append(float(t))
-            rhs_sup = float(np.abs(superop @ y_sym).max(initial=0.0))
-            diag.rhs_sup_last = rhs_sup
+            diag.rhs_sup_last = float(rhs_sup)
             if detect_steady:
                 if rhs_sup < steady_threshold:
                     below_count += 1
@@ -432,7 +674,9 @@ def evolve(params: ModelParams, rho0: DensityMatrix, t_end: float, *,
                         break
                 else:
                     below_count = 0
-    diag.n_rhs_evaluations = solver.nfev
+        if steady_reached:
+            break
+    diag.n_rhs_evaluations = path.n_rhs_evaluations
 
     return Trajectory(np.array(kept_times), states, np.array(min_eigs),
                       steady_reached, steady_time, diag)

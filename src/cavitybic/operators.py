@@ -104,16 +104,20 @@ def _lower(params: ModelParams, sector_k: SectorBasis, sector_km1: SectorBasis,
                                        shape=(sector_km1.dim, sector_k.dim)))
 
 
-def build_hamiltonian(params: ModelParams, sector: SectorBasis) -> sparse.csr_matrix:
+def build_hamiltonian(params: ModelParams, sector: SectorBasis,
+                      sector_km1: SectorBasis | None = None) -> sparse.csr_matrix:
     """Interior Hamiltonian (cavity energies, atomic energies, hopping and
     atom-field exchange) restricted to one excitation sector.
 
     Built as diag(omega n) + X + X^dagger with X the sum of the exchange
-    terms (amplitude A+) @ B, so H is exactly Hermitian.
+    terms (amplitude A+) @ B, so H is exactly Hermitian.  ``sector_km1``,
+    the sector K - 1 basis the exchange terms pass through, is enumerated
+    when not given.
     """
     n = params.n_chain
     occ = sector.occupations
-    sector_km1 = enumerate_sector(params, sector.k_excitations - 1)
+    if sector_km1 is None:
+        sector_km1 = enumerate_sector(params, sector.k_excitations - 1)
     lower = [_lower(params, sector, sector_km1, slot) for slot in range(n + 3)]
     # (amplitude, raised slot, lowered slot)
     exchanges = [(params.g, 0, n + 1), (params.g, n, n + 2),

@@ -235,3 +235,39 @@ def test_auto_q_without_a_resonant_mode_is_rejected(capsys):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("error: no resonant chain mode")
+
+
+@pytest.mark.parametrize("setting, message", [
+    ("n_chain=4", "error: qfactor requires the triple-cavity configuration (n_chain=2)"),
+    ("gamma_c=0", "error: qfactor requires gamma_c > 0: its detuning grid is in units of gamma_c"),
+])
+def test_qfactor_outside_its_model_is_rejected(setting, message, capsys):
+    code = run_in_process("qfactor", "--set", setting)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.splitlines() == [message]
+    assert "status=PASS" not in captured.out
+
+
+@pytest.mark.parametrize("argv", [
+    ("bic", "--set", "g=1e308"),  # chi^2 overflows
+    ("bic", "--set", "g=1e150"),  # the table's norm overflows
+    ("sweep-chi", "--set", "chi_max=1e300", "--set", "chi_points=3"),
+    ("sweep-chi", "--set", "chi_min=1e100", "--set", "chi_max=1e100", "--set", "chi_points=1"),
+])
+def test_overflowing_amplitude_table_is_a_numerical_failure(argv, capsys):
+    code = run_in_process(*argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("numerical failure: the K=2 amplitude table overflows")
+    assert "nan" not in captured.out and "status=" not in captured.out
+
+
+def test_evolve_at_an_exceptional_point_runs_on_rk45(capsys):
+    # g = gamma_c / 4 with one atom per end: the K = 1 H_eff is defective
+    code = run_in_process("evolve", "--set", "n_chain=2", "--set", "m_atoms=1",
+                          "--set", "g=0.25")
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    assert "# steady_state_reached=true" in captured.out.splitlines()

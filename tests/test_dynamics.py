@@ -5,8 +5,9 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from cavitybic import (DensityMatrix, FitError, StateVector,
-                       assemble_bic_state, build_hamiltonian, dicke_basis,
+from cavitybic import (DensityMatrix, FitError, LindbladGenerator, ModelParams,
+                       StateVector, assemble_bic_state, build_end_annihilation,
+                       build_hamiltonian, dicke_basis, dynamics,
                        effective_tc_hamiltonian, enumerate_sector, evolve,
                        fit_decay_rate, lindblad_generator, stack_sectors,
                        steady_state_prediction, trapped_probabilities,
@@ -335,3 +336,168 @@ def test_relaxation_sanity_diagnostics(relaxation_run):
     assert diag.max_trace_drift < 1e-8
     assert diag.min_eigenvalue > -1e-8
     assert diag.max_offblock is not None and diag.max_offblock < 1e-10
+
+
+# -- cascade propagator and its RK45 fallback -----------------------------
+
+
+def _chain(n_chain, m_atoms, g=1.0, gamma_c=1.0, gamma_a=0.0, delta=0.0):
+    return ModelParams(n_chain=n_chain, m_atoms=m_atoms, omega_c=0.0, omega_a=-delta,
+                       g=g, lam=1.0, q=1, gamma_c=gamma_c, gamma_a=gamma_a)
+
+
+def _max_gap(a, b):
+    assert len(a.states) == len(b.states)
+    return max(np.abs(x.data - y.data).max() for x, y in zip(a.states, b.states))
+
+
+def _tight_rk45(monkeypatch, *args, **kwargs):
+    """``evolve`` pushed onto its RK45 fallback by the storage guard."""
+    with monkeypatch.context() as patch:
+        patch.setattr(dynamics, "MAX_CASCADE_COEFFICIENTS", 0)
+        traj = evolve(*args, rtol=1e-11, atol=1e-13, **kwargs)
+    assert traj.diagnostics.propagator == "rk45"
+    assert "MAX_CASCADE_COEFFICIENTS" in traj.diagnostics.fallback_reason
+    return traj
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.3])
+@pytest.mark.parametrize("gamma_a", [0.0, 0.05])
+@pytest.mark.parametrize("n_chain, m_atoms", [(2, 1), (2, 2), (2, 3), (4, 1), (4, 2), (4, 3)])
+def test_cascade_matches_tight_rk45(n_chain, m_atoms, gamma_a, delta, monkeypatch):
+    p = _chain(n_chain, m_atoms, gamma_a=gamma_a, delta=delta)
+    # (4, 3) starts in K = 2: at K = 3 it exceeds the storage bound (next test)
+    k = min(m_atoms, 2) if n_chain == 4 else m_atoms
+    space = stack_sectors(p, k)
+    rho0 = DensityMatrix.from_pure(space, left_excited_state(space, k))
+    args = (p, rho0, 20.0)
+    kwargs = dict(snapshot_dt=1.0, include_atomic_decay=True, detect_steady=False)
+    cascade = evolve(*args, **kwargs)
+    assert cascade.diagnostics.propagator == "cascade"
+    assert cascade.diagnostics.fallback_reason == ""
+    assert cascade.diagnostics.n_rhs_evaluations == 0
+    assert _max_gap(cascade, _tight_rk45(monkeypatch, *args, **kwargs)) < 1e-9
+    # the steady test's d rho / dt, from per-sector products, is the generator's
+    gen = lindblad_generator(p, k, include_atomic_decay=True, space=space)
+    rhs = np.abs(gen.apply(cascade.states[-1].data)).max()
+    assert cascade.diagnostics.rhs_sup_last == pytest.approx(rhs, rel=1e-9)
+
+
+def test_oversized_cascade_falls_back_to_rk45():
+    p = _chain(4, 3)
+    space = stack_sectors(p, 3)
+    rho0 = DensityMatrix.from_pure(space, left_excited_state(space, 3))
+    traj = evolve(p, rho0, 0.5, snapshot_dt=0.5, detect_steady=False)
+    assert traj.diagnostics.propagator == "rk45"
+    assert "exceed MAX_CASCADE_COEFFICIENTS" in traj.diagnostics.fallback_reason
+    assert traj.diagnostics.n_rhs_evaluations > 0
+
+
+@pytest.mark.parametrize("k_low, k_high", [(0, 1), (1, 2)])
+def test_cross_sector_start_runs_on_the_cascade(k_low, k_high, monkeypatch):
+    p = triple_cavity(m_atoms=2, g=0.3, gamma_c=0.7, gamma_a=0.2, delta=0.1, omega_c=0.4)
+    space = stack_sectors(p, 2)
+    low, high = (space.embed(assemble_bic_state(p, k, sector=space.sectors[k]))
+                 for k in (k_low, k_high))
+    rho0 = DensityMatrix.from_vector(space, (low + high) / math.sqrt(2.0))
+    args = (p, rho0, 20.0)
+    kwargs = dict(snapshot_dt=1.0, include_atomic_decay=True, detect_steady=False)
+    cascade = evolve(*args, **kwargs)
+    assert cascade.diagnostics.propagator == "cascade"
+    assert cascade.diagnostics.max_offblock > 0.1
+    gen = lindblad_generator(p, 2, include_atomic_decay=True, space=space)
+    rhs = np.abs(gen.apply(cascade.states[-1].data)).max()
+    assert cascade.diagnostics.rhs_sup_last == pytest.approx(rhs, rel=1e-9)
+    assert _max_gap(cascade, _tight_rk45(monkeypatch, *args, **kwargs)) < 1e-9
+
+
+def _oracle_run(apply, rho0, times):
+    dim = rho0.space.dim
+    ref = solve_ivp(lambda _t, y: apply(y.reshape(dim, dim)).ravel(), (0.0, times[-1]),
+                    rho0.data.ravel(), t_eval=times, rtol=1e-10, atol=1e-12)
+    assert ref.success
+    return [ref.y[:, i].reshape(dim, dim) for i in range(len(times))]
+
+
+def test_exceptional_point_takes_the_rk45_fallback():
+    # g = gamma_c / 4: the K = 1 block of H_eff is not diagonalisable
+    p = triple_cavity(m_atoms=1, g=0.25, gamma_c=1.0)
+    space = stack_sectors(p, 1)
+    rho0 = DensityMatrix.from_pure(space, left_excited_state(space, 1))
+    traj = evolve(p, rho0, 20.0, snapshot_dt=1.0, detect_steady=False)
+    assert traj.diagnostics.propagator == "rk45"
+    assert traj.diagnostics.fallback_reason.startswith("sector 1: H_eff eigenvectors")
+    assert traj.diagnostics.n_rhs_evaluations > 0
+    oracle = _oracle_run(dense_lindblad_apply(p, space), rho0, traj.times)
+    for state, ref in zip(traj.states, oracle):
+        assert np.abs(state.data - ref).max() < 1e-7
+
+
+def test_jump_that_keeps_the_sector_takes_the_rk45_fallback():
+    p = triple_cavity(m_atoms=2, g=0.3, gamma_c=0.5)
+    space = stack_sectors(p, 2)
+    base = lindblad_generator(p, 2, space=space)
+    # dephasing by the left-cavity photon number, which maps sector K to K
+    dephasing = np.zeros((space.dim, space.dim), dtype=complex)
+    for k in (1, 2):
+        a_left = build_end_annihilation(p, space.sectors[k], space.sectors[k - 1], "L")
+        block = space.sector_slice(k)
+        dephasing[block, block] = (a_left.conj().T @ a_left).toarray()
+    gen = LindbladGenerator(space, base.hamiltonian, [*base._jumps, (0.3, dephasing)])
+    rho0 = DensityMatrix.from_pure(space, left_excited_state(space, 2))
+    traj = evolve(p, rho0, 20.0, generator=gen, snapshot_dt=1.0, detect_steady=False)
+    assert traj.diagnostics.propagator == "rk45"
+    assert traj.diagnostics.fallback_reason == "a jump operator does not map sector K to K - 1"
+
+    leak = dense_lindblad_apply(p, space)
+
+    def apply(rho):
+        anti = dephasing @ dephasing @ rho + rho @ dephasing @ dephasing
+        return leak(rho) + 0.3 * (dephasing @ rho @ dephasing - 0.5 * anti)
+
+    for state, ref in zip(traj.states, _oracle_run(apply, rho0, traj.times)):
+        assert np.abs(state.data - ref).max() < 1e-7
+
+
+def test_resonant_cascade_takes_the_rk45_fallback(monkeypatch):
+    # g = 0 leaves the atoms alone with their collective decay.  For M = 2,
+    # |J_L = 2> and |J_L = 1> both decay at 2 gamma_a, so the population of
+    # |J_L = 1> is the secular 2 gamma_a t exp(-2 gamma_a t).
+    gamma_a = 0.05
+    p = triple_cavity(m_atoms=2, g=0.0, gamma_c=1.0, gamma_a=gamma_a)
+    space = stack_sectors(p, 2)
+    rho0 = DensityMatrix.from_pure(space, left_excited_state(space, 2))
+    rate = 2 * gamma_a
+    kwargs = dict(snapshot_dt=1.0, include_atomic_decay=True, detect_steady=False)
+    traj = evolve(p, rho0, 40.0, **kwargs)
+    assert traj.diagnostics.propagator == "rk45"
+    assert "too small for a source" in traj.diagnostics.fallback_reason
+    two = space.offsets[2] + space.sectors[2].indices([[0, 0, 0, 2, 0]])[0]
+    one = space.offsets[1] + space.sectors[1].indices([[0, 0, 0, 1, 0]])[0]
+    for t, state in traj:
+        assert state.data[two, two].real == pytest.approx(math.exp(-rate * t), abs=1e-7)
+        assert state.data[one, one].real == pytest.approx(rate * t * math.exp(-rate * t),
+                                                          abs=1e-7)
+    # without its resonance guard the cascade would return a wrong trajectory
+    monkeypatch.setattr(dynamics, "_CASCADE_TOL", 1e300)
+    unguarded = evolve(p, rho0, 40.0, **kwargs)
+    assert unguarded.diagnostics.propagator == "cascade"
+    assert abs(unguarded.states[-1].data[one, one].real - rate * 40 * math.exp(-rate * 40)) > 1e-3
+
+
+def test_min_eigenvalue_of_a_block_diagonal_state_uses_the_block_spectra():
+    p = triple_cavity(m_atoms=2, g=0.3)
+    space = stack_sectors(p, 2)
+    rng = np.random.default_rng(5)
+    data = np.zeros((space.dim, space.dim), dtype=complex)
+    for k in range(3):
+        d = space.sectors[k].dim
+        x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        data[space.sector_slice(k), space.sector_slice(k)] = x + x.conj().T
+    full = np.linalg.eigvalsh(data)[0]
+    blocks = min(np.linalg.eigvalsh(data[space.sector_slice(k), space.sector_slice(k)])[0]
+                 for k in range(3))
+    assert DensityMatrix(space, data).min_eigenvalue() == blocks
+    assert blocks == pytest.approx(full, abs=1e-12)
+    data[0, -1] = data[-1, 0] = 0.5  # a coherence between sectors 0 and 2
+    assert DensityMatrix(space, data).min_eigenvalue() == np.linalg.eigvalsh(data)[0]

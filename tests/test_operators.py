@@ -249,3 +249,12 @@ def test_collective_lowering_matrix_elements():
                 and s.photons_left == 0 and s.photons_right == 0:
             # J-|2> = sqrt(2 * (3 - 2 + 1)) |1> = 2 |1>
             assert np.abs(jl[:, j]).max() == pytest.approx(2.0)
+
+
+def test_hamiltonian_from_a_given_lower_sector_is_identical():
+    p = four_chain(m_atoms=2, g=0.7, omega=0.3)
+    for k in range(4):
+        sector, below = enumerate_sector(p, k), enumerate_sector(p, k - 1)
+        own, given = build_hamiltonian(p, sector), build_hamiltonian(p, sector, below)
+        for attr in ("indptr", "indices", "data"):
+            assert getattr(own, attr).tobytes() == getattr(given, attr).tobytes()
