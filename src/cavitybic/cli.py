@@ -370,6 +370,9 @@ def run_qfactor(config: RunConfig, stream: IO[str]) -> int:
         raise ParamError("qfactor requires the triple-cavity configuration (n_chain=2)")
     if not p.gamma_c > 0:
         raise ParamError("qfactor requires gamma_c > 0: its detuning grid is in units of gamma_c")
+    if p.g == 0:
+        raise ParamError("qfactor requires g != 0: its closed-form decay rate is 0/0 "
+                         "at zero detuning without coupling")
     n = int(config.options["delta_points"])
     if n < 1:
         raise ParamError("empty grid: delta_points must be at least 1")
@@ -384,8 +387,14 @@ def run_qfactor(config: RunConfig, stream: IO[str]) -> int:
         params_here = p.replace(omega_a=p.omega_c - delta)
         q_exact = linear.q_factor(params_here)
         gamma_ap = gamma_approx_quiet(params_here)
+        if math.isnan(gamma_ap):  # 0/0 or inf/inf: g^2 underflows or delta^2 overflows
+            raise FloatingPointError("the closed-form decay rate is undefined at "
+                                     f"delta_over_gc={_fmt(delta_over_gc)}")
         q_approx = math.inf if gamma_ap == 0 else params_here.gamma_c / gamma_ap
-        rel_err = abs(q_exact - q_approx) / q_exact if q_exact > 0 else math.inf
+        if math.isinf(q_exact):  # the limit of |Q - q| / Q: 0 only if q is unbounded too
+            rel_err = 0.0 if math.isinf(q_approx) else 1.0
+        else:
+            rel_err = abs(q_exact - q_approx) / q_exact if q_exact > 0 else math.inf
         return (delta_over_gc, q_exact, q_approx, rel_err)
 
     rows = [row(value) for value in grid]
@@ -453,14 +462,12 @@ def main(argv: Sequence[str] | None = None) -> int:
             with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
                 return driver(config, handle)
         return driver(config, sys.stdout)
-    except (ParamError, NoResonantModeError, bic.NoTrappedStateError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except FileNotFoundError as exc:
+    except (ParamError, NoResonantModeError, bic.NoTrappedStateError,
+            OSError, UnicodeDecodeError) as exc:  # the last two: an unreadable --config/--out
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (dynamics.IntegrationError, bic.DegenerateNullSpaceError,
-            np.linalg.LinAlgError, OverflowError) as exc:
+            np.linalg.LinAlgError, OverflowError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

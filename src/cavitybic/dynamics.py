@@ -138,9 +138,6 @@ class DensityMatrix:
     def trace(self) -> float:
         return float(np.trace(self.data).real)
 
-    def hermiticity_defect(self) -> float:
-        return float(np.abs(self.data - self.data.conj().T).max())
-
     def min_eigenvalue(self) -> float:
         """Smallest eigenvalue; the smallest over the sector-diagonal blocks'
         spectra when no entry off those blocks is nonzero."""
@@ -171,14 +168,6 @@ def _sector_labels(space: SectorStack) -> np.ndarray:
     return np.repeat(np.arange(space.k_max + 1), np.diff(space.offsets))
 
 
-def _embed(space: SectorStack, k_row: int, k_col: int, block) -> sparse.csr_matrix:
-    """Stacked-space operator whose only sector block (k_row, k_col) is ``block``."""
-    coo = sparse.coo_matrix(block)
-    return sparse.csr_matrix(
-        (coo.data, (coo.row + space.offsets[k_row], coo.col + space.offsets[k_col])),
-        shape=(space.dim, space.dim), dtype=np.complex128)
-
-
 def _block_keys(space: SectorStack, rows: np.ndarray, cols: np.ndarray) -> list[tuple[int, int]]:
     """Sorted sector blocks (J, K) that hold the stacked-space entries (rows, cols)."""
     label, n = _sector_labels(space), space.k_max + 1
@@ -203,14 +192,33 @@ def _split(space: SectorStack, op: sparse.csr_matrix) -> dict[tuple[int, int], s
             for j, k in _block_keys(space, coo.row, coo.col)}
 
 
+def _adjoint(blocks: dict) -> dict:
+    """Sector blocks of the adjoint: block (K, J) is block (J, K)+."""
+    return {(k, j): blk.conj().T for (j, k), blk in blocks.items()}
+
+
+def _scaled(factor: complex, blocks: dict) -> dict:
+    """Sector blocks of ``factor`` times the operator, without the entries
+    (and blocks) that the product rounds to zero."""
+    out = {}
+    for key, blk in blocks.items():
+        blk = factor * blk
+        blk.eliminate_zeros()
+        if blk.nnz:
+            out[key] = blk
+    return out
+
+
 class LindbladGenerator:
     """Right-hand side of the master equation on a sector stack.
 
     Holds the rotating-frame Hamiltonian and the jump operators as sparse
     CSR matrices.  With H_eff = H - (i/2) sum gamma c+ c the generator is
     L rho = -i H_eff rho + i rho H_eff+ + sum gamma c rho c+, a sum of
-    terms A rho B.  Each term is kept split into its nonzero sector blocks,
-    and ``superoperator`` vectorises the terms row-major,
+    terms A rho B.  H_eff and each jump are split into their nonzero sector
+    blocks once, here; every term's blocks are those blocks scaled or
+    adjoined, and ``evolve``'s cascade reads the same blocks.
+    ``superoperator`` vectorises the terms row-major,
     vec(A rho B) = (A kron B^T) vec(rho), on the sector blocks that a given
     state reaches.
     """
@@ -224,14 +232,15 @@ class LindbladGenerator:
         h_eff = self.hamiltonian
         for rate, op in self._jumps:
             h_eff = h_eff - (0.5j * rate) * (op.conj().T @ op)
-        self._h_eff = h_eff
+        self._h_eff_blocks = _split(space, h_eff)
+        self._jump_blocks = [(rate, _split(space, op)) for rate, op in self._jumps]
         eye = {(k, k): sparse.identity(sec.dim, dtype=np.complex128, format="csr")
                for k, sec in enumerate(space.sectors)}
         # one (blocks of A, blocks of B) pair per term A rho B
-        self._terms = [(_split(space, -1j * h_eff), eye),
-                       (eye, _split(space, 1j * h_eff.conj().T))]
-        self._terms += [(_split(space, rate * op), _split(space, op.conj().T))
-                        for rate, op in self._jumps]
+        self._terms = [(_scaled(-1j, self._h_eff_blocks), eye),
+                       (eye, _scaled(1j, _adjoint(self._h_eff_blocks)))]
+        self._terms += [(_scaled(rate, blocks), _adjoint(blocks))
+                        for rate, blocks in self._jump_blocks]
 
     def _reach(self, blocks: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
         """Sorted sector blocks (K, K') that the generator reaches from
@@ -256,6 +265,11 @@ class LindbladGenerator:
         (block by block, row-major within a block), and
         ``apply(rho).ravel()[index] == matrix @ rho.ravel()[index]`` while
         ``apply(rho)`` is zero elsewhere."""
+        return self._superoperator(rho)[1:]
+
+    def _superoperator(self, rho: np.ndarray):
+        """``(blocks, index, matrix)``: ``superoperator(rho)`` with the
+        sorted list of the reached sector blocks in front."""
         space, dim = self.space, self.space.dim
         if rho.shape != (dim, dim):
             raise ValueError("density matrix does not match the generator's space")
@@ -277,7 +291,7 @@ class LindbladGenerator:
         matrix = sparse.csr_matrix(
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
             shape=(size, size))
-        return _block_index(space, blocks), matrix
+        return blocks, _block_index(space, blocks), matrix
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """d rho / dt for a d x d matrix; builds ``superoperator(rho)`` on
@@ -298,21 +312,19 @@ def lindblad_generator(params: ModelParams, k_max: int,
     """
     if space is None:
         space = stack_sectors(params, k_max)
-    zero = sparse.csr_matrix((space.dim, space.dim), dtype=np.complex128)
-    h = zero
-    for k, sector in enumerate(space.sectors):
-        # rotating frame: subtract omega_c times the excitation number
-        below = space.sectors[k - 1] if k else None
-        block = (build_hamiltonian(params, sector, below)
-                 - params.omega_c * k * sparse.identity(sector.dim))
-        h = h + _embed(space, k, k, block)
+    sectors = space.sectors
+    # rotating frame: subtract omega_c times the excitation number
+    h = sparse.block_diag(
+        [build_hamiltonian(params, sec, sectors[k - 1] if k else None)
+         - params.omega_c * k * sparse.identity(sec.dim) for k, sec in enumerate(sectors)],
+        format="csr", dtype=np.complex128)
 
     def stacked_lowering(builder, side: str) -> sparse.csr_matrix:
-        full = zero
-        for k in range(1, space.k_max + 1):
-            op = builder(params, space.sectors[k], space.sectors[k - 1], side)
-            full = full + _embed(space, k - 1, k, op)
-        return full
+        # the blocks (K - 1, K) lie one sector right of the diagonal: pad the
+        # diagonal with an empty 0 x d_0 block in front and d_Kmax x 0 behind
+        ops = [builder(params, sectors[k], sectors[k - 1], side) for k in range(1, len(sectors))]
+        empty = [sparse.csr_matrix((0, sectors[0].dim)), sparse.csr_matrix((sectors[-1].dim, 0))]
+        return sparse.block_diag([empty[0], *ops, empty[1]], format="csr", dtype=np.complex128)
 
     jumps: list[tuple[float, sparse.csr_matrix]] = []
     if params.gamma_c > 0:
@@ -417,27 +429,29 @@ def _particular(source: np.ndarray, lam: np.ndarray, mu: np.ndarray,
 
 class _Cascade:
     """Exact propagator on the reached sector blocks, in the eigenbases of
-    each sector's H_eff (see the module docstring)."""
+    each sector's H_eff (see the module docstring).  Reads the generator's
+    sector blocks of H_eff and of the jumps, as split once by
+    ``LindbladGenerator``, for its structure guards, its dense per-sector
+    H_eff and its jump blocks; the reached ``blocks`` come from ``evolve``."""
 
     name = "cascade"
     n_rhs_evaluations = 0
 
-    def __init__(self, generator: LindbladGenerator, rho0: np.ndarray, t_end: float):
+    def __init__(self, generator: LindbladGenerator, blocks: list[tuple[int, int]],
+                 rho0: np.ndarray, t_end: float):
         space = generator.space
-        if any(j != k for j, k in _split(space, generator._h_eff)):
+        if any(j != k for j, k in generator._h_eff_blocks):
             raise _CascadeRejected("the Hamiltonian couples excitation sectors")
         jumps = []
-        for rate, op in generator._jumps:
-            blocks = _split(space, op)
-            if any(j != k - 1 for j, k in blocks):
+        for rate, jump_blocks in generator._jump_blocks:
+            if any(j != k - 1 for j, k in jump_blocks):
                 raise _CascadeRejected("a jump operator does not map sector K to K - 1")
-            jumps.append((rate, {j: blk.toarray() for (j, _k), blk in blocks.items()}))
-        self.blocks = generator._reach(_block_keys(space, *np.nonzero(rho0)))
-        self.index = _block_index(space, self.blocks)
+            jumps.append((rate, {j: blk.toarray() for (j, _k), blk in jump_blocks.items()}))
+        self.blocks = blocks
         dims = np.diff(space.offsets)
-        size = {key: int(dims[key[0]] * dims[key[1]]) for key in self.blocks}
+        size = {key: int(dims[key[0]] * dims[key[1]]) for key in blocks}
         # top block first along every diagonal: a block comes after the one driving it
-        order = sorted(self.blocks, reverse=True)
+        order = sorted(blocks, reverse=True)
         above = {key: (key[0] + 1, key[1] + 1) for key in order
                  if jumps and (key[0] + 1, key[1] + 1) in size}
         # a block holds one coefficient per own mode and, per entry, one per
@@ -451,19 +465,19 @@ class _Cascade:
             raise _CascadeRejected(f"{stored} coefficients exceed MAX_CASCADE_COEFFICIENTS"
                                    f" = {MAX_CASCADE_COEFFICIENTS}")
 
-        self._h, self._eig = {}, {}
-        for k in sorted({k for key in self.blocks for k in key}):
-            h_eff = generator._h_eff[space.sector_slice(k), space.sector_slice(k)].toarray()
-            energies, vecs = np.linalg.eig(h_eff)
+        self._eig = {}
+        for k in sorted({k for key in blocks for k in key}):
+            # a sector whose H_eff block is zero has no stored block
+            zero = sparse.csr_matrix((dims[k], dims[k]), dtype=np.complex128)
+            energies, vecs = np.linalg.eig(generator._h_eff_blocks.get((k, k), zero).toarray())
             cond = np.linalg.cond(vecs)
             if not cond <= MAX_EIGENVECTOR_CONDITION:
                 raise _CascadeRejected(f"sector {k}: H_eff eigenvectors have condition "
                                        f"number {cond:.3g} > {MAX_EIGENVECTOR_CONDITION:g}")
-            self._h[k] = h_eff
             self._eig[k] = (energies, vecs, np.linalg.inv(vecs))
         # (rate, c_K, c_K') of every jump that drives a block, c_K its block (K, K + 1)
-        self._drive = {key: [(rate, c[key[0]], c[key[1]]) for rate, c in jumps
-                             if key[0] in c and key[1] in c] for key in above}
+        drive = {key: [(rate, c[key[0]], c[key[1]]) for rate, c in jumps
+                       if key[0] in c and key[1] in c] for key in above}
 
         self._modes: dict[tuple[int, int], _CascadeBlock] = {}
         for key in order:
@@ -476,8 +490,8 @@ class _Cascade:
                 top = self._modes[above[key]]
                 v_up, v_up_c = self._eig[key[0] + 1][1], self._eig[key[1] + 1][1]
                 # T = sum rate kron(V_K^-1 c V_K+1, conj(V_K'^-1 c V_K'+1))
-                left = [rate * (w_k @ c_k @ v_up) for rate, c_k, _ in self._drive[key]]
-                right = [(w_c @ c_col @ v_up_c).conj() for _, _, c_col in self._drive[key]]
+                left = [rate * (w_k @ c_k @ v_up) for rate, c_k, _ in drive[key]]
+                right = [(w_c @ c_col @ v_up_c).conj() for _, _, c_col in drive[key]]
                 t_map = np.zeros((mu.size, top.mu.size), dtype=np.complex128)
                 if left:  # one einsum, so no temporary as large as T
                     np.einsum("jac,jbd->abcd", left, right,
@@ -488,11 +502,10 @@ class _Cascade:
                 parts.insert(0, (above[key], _particular(t_map, top.mu, mu, t_end)))
             h = x0 - sum(p.sum(axis=1) for _src, p in parts)
             self._modes[key] = _CascadeBlock(mu, h, parts)
-        self._spans = np.cumsum([0] + [size[key] for key in self.blocks]).tolist()
 
     def chunks(self, times: np.ndarray):
         """``(ts, ys)`` over ``times[1:]`` in order; row i of ``ys`` holds the
-        reached entries (at ``index``) at time ``ts[i]``."""
+        reached entries (at ``evolve``'s ``index``) at time ``ts[i]``."""
         for start in range(1, len(times), _CHUNK):
             chunk = times[start:start + _CHUNK]
             yield chunk, self._evaluate(chunk)
@@ -510,19 +523,6 @@ class _Cascade:
             out.append((v_k @ x @ v_c.conj().T).reshape(len(ts), -1))
         return np.hstack(out)
 
-    def rhs_sup(self, ys: np.ndarray) -> np.ndarray:
-        """max |d rho / dt| of each row of reached entries, from per-sector
-        products."""
-        x = {key: ys[:, a:b].reshape(len(ys), len(self._h[key[0]]), len(self._h[key[1]]))
-             for key, a, b in zip(self.blocks, self._spans, self._spans[1:])}
-        worst = np.zeros(len(ys))
-        for (k, k_col), blk in x.items():
-            rate = -1j * (self._h[k] @ blk - blk @ self._h[k_col].conj().T)
-            for gamma, c_k, c_col in self._drive.get((k, k_col), ()):
-                rate += gamma * (c_k @ x[(k + 1, k_col + 1)] @ c_col.conj().T)
-            worst = np.maximum(worst, np.abs(rate).max(axis=(1, 2)))
-        return worst
-
 
 class _Rk45:
     """Adaptive RK45 on the sparse superoperator of the reached blocks,
@@ -530,12 +530,9 @@ class _Rk45:
 
     name = "rk45"
 
-    def __init__(self, generator: LindbladGenerator, rho0: np.ndarray, t_end: float,
+    def __init__(self, superop: sparse.csr_matrix, y0: np.ndarray, t_end: float,
                  rtol: float, atol: float):
-        self.index, superop = generator.superoperator(rho0)
-        self._superop = superop
-        self._solver = RK45(lambda _t, y: superop @ y, 0.0, rho0.ravel()[self.index],
-                            t_end, rtol=rtol, atol=atol)
+        self._solver = RK45(lambda _t, y: superop @ y, 0.0, y0, t_end, rtol=rtol, atol=atol)
 
     @property
     def n_rhs_evaluations(self) -> int:
@@ -556,9 +553,6 @@ class _Rk45:
             next_snap = stop
             yield snap_times, solver.dense_output()(snap_times).T
 
-    def rhs_sup(self, ys: np.ndarray) -> np.ndarray:
-        return np.abs(self._superop @ ys.T).max(axis=0, initial=0.0)
-
 
 def _require_positive_finite(name: str, value: float) -> None:
     if not (math.isfinite(value) and value > 0):
@@ -576,7 +570,10 @@ def evolve(params: ModelParams, rho0: DensityMatrix, t_end: float, *,
     a regular grid.
 
     Only the sector blocks that the generator reaches from the nonzero
-    blocks of ``rho0`` are propagated.  They are propagated exactly, as sums
+    blocks of ``rho0`` are propagated.  The reach, the positions of its
+    entries and its sparse superoperator are computed once per run, from
+    the generator's one sector-block split, and both propagators start from
+    them.  The blocks are propagated exactly, as sums
     of exponentials in the eigenbases of each sector's H_eff (the module
     docstring has the construction).  A run that fails one of the cascade's
     guards is integrated by adaptive RK45 instead, with ``rtol`` and
@@ -597,7 +594,9 @@ def evolve(params: ModelParams, rho0: DensityMatrix, t_end: float, *,
     every snapshot; positivity violations beyond ``positivity_limit`` abort
     the run.  When ``detect_steady`` is on, the run stops once
     max |d rho / dt| stays below ``steady_threshold`` (default
-    1e-9 * lam) at two consecutive snapshots.  A grid of more than
+    1e-9 * lam) at two consecutive snapshots; on either propagator
+    d rho / dt is that superoperator times the symmetrised snapshot, and
+    ``diagnostics.rhs_sup_last`` keeps its last value.  A grid of more than
     ``MAX_SNAPSHOTS`` snapshots raises ``ValueError``.
     """
     _require_positive_finite("t_end", t_end)
@@ -620,20 +619,23 @@ def evolve(params: ModelParams, rho0: DensityMatrix, t_end: float, *,
     n_snap = max(1, int(math.ceil(t_end / snapshot_dt - 1e-12)))
     times = np.linspace(0.0, t_end, n_snap + 1)
 
+    # the reach, its positions in rho.ravel() and its superoperator, once per
+    # run: the propagator starts from them and the steady test reads them
+    blocks, index, superop = generator._superoperator(rho0.data)
+    y0 = rho0.data.ravel()[index]
     try:
-        path = _Cascade(generator, rho0.data, t_end)
+        path = _Cascade(generator, blocks, rho0.data, t_end)
         fallback_reason = ""
     except _CascadeRejected as exc:
-        path = _Rk45(generator, rho0.data, t_end, rtol, atol)
+        path = _Rk45(superop, y0, t_end, rtol, atol)
         fallback_reason = str(exc)
-    dim, index = space.dim, path.index
+    dim = space.dim
     label = _sector_labels(space)
     offblock = label[index // dim] != label[index % dim]
     trace0 = rho0.trace()
 
     states = [rho0.copy()]
     min_eigs = [states[0].min_eigenvalue()]
-    y0 = rho0.data.ravel()[index]
     diag = TrajectoryDiagnostics(min_eigenvalue=min_eigs[0],
                                  max_offblock=float(np.abs(y0[offblock]).max(initial=0.0)),
                                  propagator=path.name, fallback_reason=fallback_reason)
@@ -650,7 +652,8 @@ def evolve(params: ModelParams, rho0: DensityMatrix, t_end: float, *,
             rho = flat.reshape(dim, dim)
             rhos.append(0.5 * (rho + rho.conj().T))  # symmetrized storage
         ys_sym = np.array([rho.ravel()[index] for rho in rhos])
-        for t, rho, y_sym, rhs_sup in zip(ts, rhos, ys_sym, path.rhs_sup(ys_sym)):
+        rhs_sups = np.abs(superop @ ys_sym.T).max(axis=0, initial=0.0)
+        for t, rho, y_sym, rhs_sup in zip(ts, rhos, ys_sym, rhs_sups):
             state = DensityMatrix(space, rho)
             drift = abs(state.trace() - trace0)
             diag.max_trace_drift = max(diag.max_trace_drift, drift)

@@ -23,6 +23,14 @@ def run_in_process(*args):
     return main(list(args))
 
 
+def run_captured(capsys, *args):
+    # ``main`` in this process, read back as run_cli reads a child:
+    # (exit code, stdout, stderr)
+    code = main(list(args))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
 def test_bic_report_contents(capsys):
     code = run_in_process("bic", "--set", "m_atoms=2", "--set", "k_excitations=2")
     out = capsys.readouterr().out
@@ -62,14 +70,14 @@ def test_bic_ground_state():
     assert "energy=0" in buffer.getvalue().splitlines()
 
 
-def test_invalid_config_key_exits_with_validation_error():
-    code, _out, err = run_cli("bic", "--set", "bogus_key=1")
+def test_invalid_config_key_exits_with_validation_error(capsys):
+    code, _out, err = run_captured(capsys, "bic", "--set", "bogus_key=1")
     assert code == 1
     assert "unknown config key" in err
 
 
-def test_invalid_param_value_exits_with_validation_error():
-    code, _out, err = run_cli("bic", "--set", "m_atoms=0")
+def test_invalid_param_value_exits_with_validation_error(capsys):
+    code, _out, err = run_captured(capsys, "bic", "--set", "m_atoms=0")
     assert code == 1
     assert "m_atoms" in err
 
@@ -104,8 +112,8 @@ def test_sweep_chi_single_point():
     assert data_rows[0].startswith("2,")
 
 
-def test_sweep_chi_empty_grid():
-    code, _out, err = run_cli("sweep-chi", "--set", "chi_points=0")
+def test_sweep_chi_empty_grid(capsys):
+    code, _out, err = run_captured(capsys, "sweep-chi", "--set", "chi_points=0")
     assert code == 1
     assert "empty grid" in err
 
@@ -185,22 +193,22 @@ def test_evolve_without_leakage_never_steadies(tmp_path):
     assert "# steady_state_reached=false" in out_path.read_text().splitlines()
 
 
-def test_config_file_plus_overrides(tmp_path):
+def test_config_file_plus_overrides(tmp_path, capsys):
     config = tmp_path / "run.cfg"
     config.write_text("# comment line\nm_atoms=2\nk_excitations=1\ng=0.2\n")
     parsed = parse_config_file(str(config))
     assert parsed == {"m_atoms": "2", "k_excitations": "1", "g": "0.2"}
-    code, out, _err = run_cli("bic", "--config", str(config),
-                              "--set", "k_excitations=2")
+    code, out, _err = run_captured(capsys, "bic", "--config", str(config),
+                                   "--set", "k_excitations=2")
     assert code == 0
     assert "# k_excitations=2" in out
     assert "# g=0.2" in out.replace("0.20000000000000001", "0.2")
 
 
-def test_seed_flag_changes_baseline_only(tmp_path):
+def test_seed_flag_changes_baseline_only(tmp_path, capsys):
     outputs = []
     for seed in ("1", "2"):
-        code, out, _ = run_cli("bic", "--seed", seed)
+        code, out, _ = run_captured(capsys, "bic", "--seed", seed)
         assert code == 0
         outputs.append(out)
     pick = lambda txt, key: [ln for ln in txt.splitlines() if ln.startswith(key)]
@@ -240,6 +248,9 @@ def test_auto_q_without_a_resonant_mode_is_rejected(capsys):
 @pytest.mark.parametrize("setting, message", [
     ("n_chain=4", "error: qfactor requires the triple-cavity configuration (n_chain=2)"),
     ("gamma_c=0", "error: qfactor requires gamma_c > 0: its detuning grid is in units of gamma_c"),
+    # without coupling the closed-form rate is 0/0 at zero detuning
+    ("g=0", "error: qfactor requires g != 0: its closed-form decay rate is 0/0 "
+            "at zero detuning without coupling"),
 ])
 def test_qfactor_outside_its_model_is_rejected(setting, message, capsys):
     code = run_in_process("qfactor", "--set", setting)
@@ -271,3 +282,58 @@ def test_evolve_at_an_exceptional_point_runs_on_rk45(capsys):
     captured = capsys.readouterr()
     assert code == 0 and captured.err == ""
     assert "# steady_state_reached=true" in captured.out.splitlines()
+
+
+def _qfactor_rows(out):
+    return [line.split(",") for line in out.splitlines()
+            if line and not line.startswith(("#", "delta"))]
+
+
+def test_qfactor_unbounded_q_on_both_sides_is_no_error(capsys):
+    # without atomic loss the trapped mode at zero detuning never decays,
+    # and the closed form says so too: |Q - q| / Q is 0 there, not nan
+    code, out, err = run_captured(capsys, "qfactor", "--set", "gamma_a=0")
+    assert code == 0 and err == ""
+    rows = _qfactor_rows(out)
+    assert ["0", "inf", "inf", "0"] in rows
+    assert all(row[3] != "nan" for row in rows)
+    assert "# status=PASS" in out.splitlines()
+
+
+def test_qfactor_unbounded_exact_q_fails_a_finite_approximation(capsys):
+    # Q = inf against a finite closed form is a relative error of 1 (the
+    # limit of |Q - q| / Q), which the 0.05 gate rejects
+    code, out, err = run_captured(capsys, "qfactor", "--set", "gamma_a=0",
+                                  "--set", "delta_min=1e-7", "--set", "delta_max=1e-7",
+                                  "--set", "delta_points=1", "--set", "max_rel_err=0.05")
+    assert code == 3 and err == ""
+    assert _qfactor_rows(out) == [["9.9999999999999995e-08", "inf", "4.0000000000000005e+18", "1"]]
+    assert out.splitlines()[-2:] == ["# max_rel_err_observed=1", "# status=FAIL"]
+
+
+@pytest.mark.parametrize("settings", [
+    ("g=1e-200", "delta_points=3"),  # g^2 underflows: 0/0 at zero detuning
+    ("gamma_a=0", "g=1e-100", "delta_points=3"),  # g^4 underflows: 0/0 there too
+    ("delta_min=-1e300", "delta_max=1e300", "delta_points=3"),  # delta^2 overflows
+])
+def test_qfactor_with_an_undefined_closed_form_is_a_numerical_failure(settings, capsys):
+    argv = [arg for setting in settings for arg in ("--set", setting)]
+    code, out, err = run_captured(capsys, "qfactor", *argv)
+    assert code == 2
+    assert "numerical failure: the closed-form decay rate is undefined at delta_over_gc=" in err
+    assert "nan" not in out and "status=" not in out
+
+
+@pytest.mark.parametrize("kind", ["config_is_a_directory", "out_is_a_directory",
+                                  "config_is_not_utf8"])
+def test_unreadable_config_or_out_path_is_a_validation_error(kind, tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"g=0.1\n\xff\n")
+    option, path = {"config_is_a_directory": ("--config", tmp_path),
+                    "out_is_a_directory": ("--out", tmp_path),
+                    "config_is_not_utf8": ("--config", bad)}[kind]
+    code, out, err = run_captured(capsys, "bic", option, str(path))
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err

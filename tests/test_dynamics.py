@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from cavitybic import (DensityMatrix, FitError, LindbladGenerator, ModelParams,
-                       StateVector, assemble_bic_state, build_end_annihilation,
-                       build_hamiltonian, dicke_basis, dynamics,
+                       StateVector, assemble_bic_state, build_collective_lowering,
+                       build_end_annihilation, build_hamiltonian, dicke_basis, dynamics,
                        effective_tc_hamiltonian, enumerate_sector, evolve,
                        fit_decay_rate, lindblad_generator, stack_sectors,
                        steady_state_prediction, trapped_probabilities,
@@ -65,6 +66,41 @@ def test_diagonal_start_integrates_only_diagonal_blocks():
     assert index.size == sum(sec.dim ** 2 for sec in space.sectors) == 1476
     assert space.dim ** 2 == 3136
     assert matrix.shape == (1476, 1476)
+
+
+@pytest.mark.parametrize("n_chain, m_atoms", [(2, 2), (3, 1), (4, 3)])
+def test_generator_blocks_are_the_sector_operators(n_chain, m_atoms):
+    # rotating frame omega_c != 0 and atomic decay on: H, a_L, a_R, J_L, J_R
+    p = ModelParams(n_chain=n_chain, m_atoms=m_atoms, omega_c=0.4, omega_a=0.3, g=-0.7,
+                    lam=1.0, q=1, gamma_c=0.7, gamma_a=0.2)
+    space = stack_sectors(p, m_atoms)
+    gen = lindblad_generator(p, m_atoms, include_atomic_decay=True, space=space)
+    sectors, sl = space.sectors, space.sector_slice
+
+    def same(blk, ref):
+        # canonical complex CSR with no stored zero, entry for entry the builder's
+        assert blk.format == "csr" and blk.dtype == np.complex128
+        assert blk.has_canonical_format and np.count_nonzero(blk.data) == blk.nnz
+        assert np.array_equal(blk.indptr, ref.indptr)
+        assert np.array_equal(blk.indices, ref.indices)
+        assert np.array_equal(blk.data, ref.data)
+
+    # the sector blocks each operator should hold, all others empty
+    wanted = [{(k, k): build_hamiltonian(p, sec, sectors[k - 1] if k else None)
+               - p.omega_c * k * sparse.identity(sec.dim) for k, sec in enumerate(sectors)}]
+    for builder in (build_end_annihilation, build_collective_lowering):
+        for side in ("L", "R"):
+            wanted.append({(k - 1, k): builder(p, sectors[k], sectors[k - 1], side)
+                           for k in range(1, len(sectors))})
+    assert [rate for rate, _op in gen._jumps] == [p.gamma_c] * 2 + [p.gamma_a] * 2
+    for op, blocks in zip([gen.hamiltonian] + [op for _rate, op in gen._jumps], wanted):
+        assert op.has_canonical_format and np.count_nonzero(op.data) == op.nnz
+        for j in range(len(sectors)):
+            for k in range(len(sectors)):
+                if (j, k) in blocks:
+                    same(op[sl(j), sl(k)], blocks[(j, k)])
+                else:
+                    assert op[sl(j), sl(k)].nnz == 0
 
 
 @pytest.mark.parametrize("k_low, k_high", [(0, 1), (1, 2)])
@@ -376,11 +412,13 @@ def test_cascade_matches_tight_rk45(n_chain, m_atoms, gamma_a, delta, monkeypatc
     assert cascade.diagnostics.propagator == "cascade"
     assert cascade.diagnostics.fallback_reason == ""
     assert cascade.diagnostics.n_rhs_evaluations == 0
-    assert _max_gap(cascade, _tight_rk45(monkeypatch, *args, **kwargs)) < 1e-9
-    # the steady test's d rho / dt, from per-sector products, is the generator's
+    rk45 = _tight_rk45(monkeypatch, *args, **kwargs)
+    assert _max_gap(cascade, rk45) < 1e-9
+    # the steady test's d rho / dt is the generator's, on either propagator
     gen = lindblad_generator(p, k, include_atomic_decay=True, space=space)
     rhs = np.abs(gen.apply(cascade.states[-1].data)).max()
     assert cascade.diagnostics.rhs_sup_last == pytest.approx(rhs, rel=1e-9)
+    assert rk45.diagnostics.rhs_sup_last == np.abs(gen.apply(rk45.states[-1].data)).max()
 
 
 def test_oversized_cascade_falls_back_to_rk45():
@@ -408,7 +446,9 @@ def test_cross_sector_start_runs_on_the_cascade(k_low, k_high, monkeypatch):
     gen = lindblad_generator(p, 2, include_atomic_decay=True, space=space)
     rhs = np.abs(gen.apply(cascade.states[-1].data)).max()
     assert cascade.diagnostics.rhs_sup_last == pytest.approx(rhs, rel=1e-9)
-    assert _max_gap(cascade, _tight_rk45(monkeypatch, *args, **kwargs)) < 1e-9
+    rk45 = _tight_rk45(monkeypatch, *args, **kwargs)
+    assert _max_gap(cascade, rk45) < 1e-9
+    assert rk45.diagnostics.rhs_sup_last == np.abs(gen.apply(rk45.states[-1].data)).max()
 
 
 def _oracle_run(apply, rho0, times):
@@ -428,6 +468,8 @@ def test_exceptional_point_takes_the_rk45_fallback():
     assert traj.diagnostics.propagator == "rk45"
     assert traj.diagnostics.fallback_reason.startswith("sector 1: H_eff eigenvectors")
     assert traj.diagnostics.n_rhs_evaluations > 0
+    gen = lindblad_generator(p, 1, space=space)
+    assert traj.diagnostics.rhs_sup_last == np.abs(gen.apply(traj.states[-1].data)).max()
     oracle = _oracle_run(dense_lindblad_apply(p, space), rho0, traj.times)
     for state, ref in zip(traj.states, oracle):
         assert np.abs(state.data - ref).max() < 1e-7
