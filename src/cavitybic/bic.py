@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import lgamma
 from typing import NamedTuple
 
 import numpy as np
@@ -49,8 +48,6 @@ from scipy import linalg
 from .model import ModelParams, SectorBasis, enumerate_sector
 from .operators import (build_collective_lowering, build_hamiltonian,
                         build_normal_mode, coupling_lambda, mode_weights)
-
-_EXACT_FACTORIAL_LIMIT = 20
 
 
 class NoTrappedStateError(ValueError):
@@ -177,39 +174,33 @@ def _overflow(params: ModelParams, k: int) -> OverflowError:
     return OverflowError(f"the K={k} amplitude table overflows a float at chi={chi(params):.6g}")
 
 
-def _sqrt_combinatorial(m_atoms: int, k: int, m: int, n: int) -> float:
-    """sqrt of the factorial combination multiplying chi_s^m ratio^n.
+def _log_factorials(n: int) -> np.ndarray:
+    """log(j!) for j = 0 .. n."""
+    return np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, n + 1)))))
 
-    Exact integer arithmetic below the overflow-safe threshold, log-gamma
-    above it (large ensembles).
-    """
-    if m_atoms < _EXACT_FACTORIAL_LIMIT:
-        num = (math.factorial(m_atoms - k + n + m) * math.factorial(m_atoms - n)
-               * math.factorial(k))
-        den = (math.factorial(k - n - m) * math.factorial(m)
-               * math.factorial(m_atoms) * math.factorial(m_atoms - k)
-               * math.factorial(n))
-        return math.sqrt(num / den)
-    log_val = 0.5 * (lgamma(m_atoms - k + n + m + 1) - lgamma(k - n - m + 1)
-                     - lgamma(m + 1) + lgamma(m_atoms - n + 1)
-                     - lgamma(m_atoms + 1) + lgamma(k + 1)
-                     - lgamma(m_atoms - k + 1) - lgamma(n + 1))
-    return math.exp(log_val)
+
+def _cells(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Labels (m, n) of the table cells m + n <= K, m-major."""
+    labels = np.arange(k + 1)
+    return np.nonzero(np.add.outer(labels, labels) <= k)
 
 
 def closed_form_coefficients(params: ModelParams, k: int) -> BicCoefficients:
-    """Amplitude table evaluated directly from the closed-form solution."""
+    """Amplitude table evaluated directly from the closed-form solution,
+    with every factorial taken from one log-factorial table."""
     _check_k(params, k)
     m_at = params.m_atoms
-    chi_s = float(_chi_signed(params))  # a float power raises OverflowError
-    ratio = _sign_ratio(params.q)
+    m, n = _cells(k)
+    lf = _log_factorials(m_at)
+    excited = np.arange(k + 1)
+    # log sqrt((M - j)! / j!): the factor of an ensemble with j excited atoms
+    ensemble = 0.5 * (lf[m_at - excited] - lf[excited])
+    log_sqrt = (ensemble[n] + ensemble[k - m - n] - 0.5 * lf[m]
+                + 0.5 * (lf[k] - lf[m_at] - lf[m_at - k]))
     table = np.zeros((k + 1, k + 1), dtype=np.complex128)
-    try:
-        for m in range(k + 1):
-            for n in range(k + 1 - m):
-                table[m, n] = (chi_s ** m) * (ratio ** n) * _sqrt_combinatorial(m_at, k, m, n)
-    except OverflowError:
-        raise _overflow(params, k) from None
+    with np.errstate(over="ignore"):  # an overflow fails _normalize's finite-norm check
+        table[m, n] = (_chi_signed(params) ** m * _sign_ratio(params.q) ** n
+                       * np.exp(log_sqrt))
     return _normalize(k, params, table)
 
 
@@ -281,29 +272,8 @@ def null_space_coefficients(params: ModelParams, k: int) -> BicCoefficients:
         raise DegenerateNullSpaceError(
             f"stacked trapping conditions have a {kernel.shape[1]}-dimensional kernel")
     table = np.zeros((k + 1, k + 1), dtype=np.complex128)
-    i = 0
-    for m in range(k + 1):
-        for n in range(k + 1 - m):
-            table[m, n] = kernel[i, 0]
-            i += 1
+    table[_cells(k)] = kernel[:, 0]
     return _normalize(k, params, table)
-
-
-def _mode_fock_patterns(params: ModelParams, m: int) -> dict[tuple[int, ...], float]:
-    """Amplitudes of the m-photon Fock state of mode q over middle-cavity
-    occupation patterns, from repeated application of the creation operator."""
-    n_mid = params.n_chain - 1
-    weights = mode_weights(params.n_chain, params.q)
-    current: dict[tuple[int, ...], float] = {(0,) * n_mid: 1.0}
-    for _ in range(m):
-        nxt: dict[tuple[int, ...], float] = {}
-        for pattern, amp in current.items():
-            for i, w in enumerate(weights):
-                new = pattern[:i] + (pattern[i] + 1,) + pattern[i + 1:]
-                nxt[new] = nxt.get(new, 0.0) + amp * w * math.sqrt(pattern[i] + 1)
-        current = nxt
-    scale = 1.0 / math.sqrt(math.factorial(m))
-    return {pattern: amp * scale for pattern, amp in current.items()}
 
 
 def assemble_bic_state(params: ModelParams, k: int,
@@ -311,29 +281,36 @@ def assemble_bic_state(params: ModelParams, k: int,
                        coefficients: BicCoefficients | None = None) -> StateVector:
     """Embed an amplitude table into the full sector-K basis.
 
-    m resonant-mode photons are expanded over middle-cavity occupations,
-    the end cavities stay in vacuum, and the atomic labels map directly.
+    The end cavities stay in vacuum and the atomic labels map directly:
+    a row with middle-cavity occupations n_1 .. n_{N-1} (m = sum n_i
+    photons) and J_L = n excited left atoms gets
+
+        c[m, n] sqrt(m! / prod n_i!) prod w_i^{n_i},
+
+    the m-photon Fock state of mode q, with weights w_i = ``mode_weights``,
+    expanded as a multinomial over the middle cavities.  ``sector`` must be
+    the complete sector K; ``ValueError`` otherwise.
     """
     if coefficients is None:
         coefficients = closed_form_coefficients(params, k)
     if sector is None:
         sector = enumerate_sector(params, k)
-    cutoff = params.fock_cutoff if params.fock_cutoff is not None else k
-    if cutoff < k:
-        raise ValueError(f"fock_cutoff={cutoff} too small to embed {k} mode photons")
-    rows, amplitudes = [], []
-    for m in range(k + 1):
-        patterns = _mode_fock_patterns(params, m)
-        for n in range(k + 1 - m):
-            c = coefficients.table[m, n]
-            if c == 0:
-                continue
-            for pattern, w in patterns.items():
-                rows.append([0, *pattern, 0, n, k - m - n])
-                amplitudes.append(c * w)
+    n_chain = params.n_chain
+    # the complete sector is every composition of K into the N + 3 slots; any
+    # photon cap (fock_cutoff) or atom count below K drops some of them
+    full = math.comb(k + n_chain + 2, k)
+    if sector.k_excitations != k or sector.dim != full:
+        raise ValueError(f"{sector!r} is not the complete sector K={k} of {full} states "
+                         "(is fock_cutoff below K?)")
+    occ = sector.occupations
+    rows = np.flatnonzero((occ[:, 0] == 0) & (occ[:, n_chain] == 0))
+    mid = occ[rows, 1:n_chain]
+    m = mid.sum(axis=1)
+    lf = _log_factorials(k)
+    fock = (np.exp(0.5 * (lf[m] - lf[mid].sum(axis=1)))
+            * np.prod(mode_weights(n_chain, params.q) ** mid, axis=1))
     vec = np.zeros(sector.dim, dtype=np.complex128)
-    # the reshape keeps a caller's all-zero table (no rows) two-dimensional
-    vec[sector.indices(np.reshape(rows, (-1, params.n_chain + 3)))] += amplitudes
+    vec[rows] = coefficients.table[m, occ[rows, n_chain + 1]] * fock
     return StateVector(sector, vec)
 
 
@@ -369,8 +346,7 @@ def regime_observables(params: ModelParams, k: int,
     trapped state; the two add up to K."""
     if coefficients is None:
         coefficients = closed_form_coefficients(params, k)
-    weights = np.abs(coefficients.table) ** 2
-    mean_photons = float(sum(m * weights[m, :].sum() for m in range(k + 1)))
+    mean_photons = float(np.arange(k + 1) @ (np.abs(coefficients.table) ** 2).sum(axis=1))
     return RegimeObservables(mean_photons=mean_photons, mean_excited=k - mean_photons)
 
 

@@ -177,6 +177,8 @@ def resolve_config(experiment: str, raw_values: dict[str, str],
                          f"{dynamics.MAX_SNAPSHOTS}, got {options['snapshot_dt']!r}")
     if seed_override is not None:
         options["seed"] = seed_override
+    if options["seed"] < 0:
+        raise ParamError(f"bad value for 'seed': must be >= 0, got {options['seed']!r}")
 
     delta = float(options.get("delta", 0.0))
     omega_c = float(options["omega_c"])
@@ -397,7 +399,19 @@ def run_qfactor(config: RunConfig, stream: IO[str]) -> int:
             rel_err = abs(q_exact - q_approx) / q_exact if q_exact > 0 else math.inf
         return (delta_over_gc, q_exact, q_approx, rel_err)
 
-    rows = [row(value) for value in grid]
+    # one stderr line for the whole grid, not one warning per degenerate point
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", linear.DegenerateDecayWarning)
+        rows = [row(value) for value in grid]
+    degenerate = 0
+    for w in caught:
+        if issubclass(w.category, linear.DegenerateDecayWarning):
+            degenerate += 1
+        else:  # recording caught it too: pass it on unchanged
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    if degenerate:
+        print(f"warning: degenerate minimal decay pair at {degenerate} of {n} grid points; "
+              "q_exact there uses the smallest rate", file=sys.stderr)
 
     out.line("delta_over_gc,q_exact,q_approx,rel_err")
     worst = 0.0

@@ -31,6 +31,10 @@ from scipy import linalg
 from .model import ModelParams
 
 
+class DegenerateDecayWarning(RuntimeWarning):
+    """The two least damped modes decay at the same rate."""
+
+
 @dataclass(frozen=True)
 class LinearSystem:
     """Coefficient matrix and its spectrum, over (a_L, a_R, b_1, d_L, d_R)."""
@@ -100,7 +104,7 @@ def trapped_mode_decay(params: ModelParams) -> float:
         gamma = 0.0
     if len(ims) > 1 and abs(ims[1] - ims[0]) <= 1e-12 * max(1.0, abs(ims[0])):
         warnings.warn("degenerate minimal decay pair; returning the smallest rate",
-                      RuntimeWarning, stacklevel=2)
+                      DegenerateDecayWarning, stacklevel=2)
     return gamma
 
 

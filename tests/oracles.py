@@ -7,12 +7,13 @@ checks.
 """
 
 import itertools
+import math
 
 import numpy as np
 
 from cavitybic import (BasisState, build_collective_lowering,
                        build_end_annihilation, build_hamiltonian,
-                       build_normal_mode, coupling_lambda,
+                       build_normal_mode, coupling_lambda, enumerate_sector,
                        normal_mode_frequency)
 
 
@@ -29,6 +30,27 @@ def brute_force_sector(params, k):
         if sum(occ) == k:
             states.append(BasisState(occ[0], occ[1:n], occ[n], occ[n + 1], occ[n + 2]))
     return sorted(states)
+
+
+def mode_fock_embedding(params, k, table):
+    """Trapped-state vector over sector k from an amplitude table, built as
+    sum over (m, n) of table[m, n] (B_q^dagger)^m / sqrt(m!) applied to the
+    atomic state |0...0, n, k - m - n>: each creation step is the adjoint
+    of the normal-mode annihilation matrix, so no multinomial is used."""
+    sectors = [enumerate_sector(params, j) for j in range(k + 1)]
+    raising = [build_normal_mode(params, sectors[j + 1], sectors[j], params.q).conj().T
+               for j in range(k)]
+    vacuum = (0,) * (params.n_chain - 1)
+    vec = np.zeros(sectors[k].dim, dtype=complex)
+    for m in range(k + 1):
+        for n in range(k + 1 - m):
+            atoms = sectors[k - m]
+            state = np.zeros(atoms.dim, dtype=complex)
+            state[atoms.index_of(BasisState(0, vacuum, 0, n, k - m - n))] = 1.0
+            for j in range(k - m, k):
+                state = raising[j] @ state
+            vec += table[m, n] * state / math.sqrt(math.factorial(m))
+    return vec
 
 
 def hamiltonian_normal_mode_picture(params, sector, sector_km1):

@@ -13,7 +13,7 @@ from cavitybic import (BasisState, ModelParams, NoTrappedStateError,
                        subradiant_approx, verify_trapping)
 from cavitybic.bic import DegenerateNullSpaceError
 from conftest import triple_cavity
-from oracles import eigenspace_projection
+from oracles import eigenspace_projection, mode_fock_embedding
 
 
 def four_chain(m_atoms, g=0.3):
@@ -74,7 +74,7 @@ def test_two_photon_amplitude_scales_quadratically():
 
 def test_routes_agree_across_grid():
     for n_chain in (2, 4):
-        for m_atoms in range(1, 5):
+        for m_atoms in (1, 2, 3, 4, 19, 20):
             params = (triple_cavity(m_atoms=m_atoms, g=0.3) if n_chain == 2
                       else four_chain(m_atoms))
             for k in range(m_atoms + 1):
@@ -110,6 +110,29 @@ def test_assembly_is_relabeling_for_triple_cavity():
             state_idx = psi.sector.index_of(
                 BasisState(0, (m,), 0, n, k - m - n))
             assert psi.amplitudes[state_idx] == pytest.approx(coeffs.table[m, n])
+
+
+def test_assembly_matches_the_created_mode_fock_state():
+    for n_chain in (3, 4, 5, 6):
+        for q in range(1, n_chain):
+            p = ModelParams(n_chain=n_chain, m_atoms=3, omega_c=0.4,
+                            omega_a=0.4 + 2 * math.cos(q * math.pi / n_chain),
+                            g=0.3, lam=1.0, q=q)
+            for k in range(4):
+                coeffs = closed_form_coefficients(p, k)
+                psi = assemble_bic_state(p, k, coefficients=coeffs)
+                expected = mode_fock_embedding(p, k, coeffs.table)
+                assert np.abs(psi.amplitudes - expected).max() < 1e-12
+
+
+def test_assembly_rejects_a_sector_that_is_not_the_full_sector_k():
+    p = triple_cavity(m_atoms=2, g=0.3)
+    with pytest.raises(ValueError):
+        assemble_bic_state(p, 2, sector=enumerate_sector(p, 1))
+    with pytest.raises(ValueError):  # caps the two-photon Fock state away
+        assemble_bic_state(p, 2, sector=enumerate_sector(p.replace(fock_cutoff=1), 2))
+    with pytest.raises(ValueError):
+        assemble_bic_state(p.replace(fock_cutoff=1), 2)
 
 
 def test_trapping_residuals_vanish_on_grid():

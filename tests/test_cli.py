@@ -216,6 +216,14 @@ def test_seed_flag_changes_baseline_only(tmp_path, capsys):
     assert pick(outputs[0], "eigen_residual") == pick(outputs[1], "eigen_residual")
 
 
+@pytest.mark.parametrize("argv", [("--set", "seed=-1"), ("--seed", "-1")])
+def test_negative_seed_is_rejected(argv, capsys):
+    code, out, err = run_captured(capsys, "bic", *argv)
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == ["error: bad value for 'seed': must be >= 0, got -1"]
+
+
 @pytest.mark.parametrize("setting", ["snapshot_dt=0", "t_end=inf", "t_end=nan",
                                      "snapshot_dt=-1", "t_end=-5",
                                      "snapshot_dt=1e-300", "snapshot_dt=1e-9"])
@@ -309,6 +317,16 @@ def test_qfactor_unbounded_exact_q_fails_a_finite_approximation(capsys):
     assert code == 3 and err == ""
     assert _qfactor_rows(out) == [["9.9999999999999995e-08", "inf", "4.0000000000000005e+18", "1"]]
     assert out.splitlines()[-2:] == ["# max_rel_err_observed=1", "# status=FAIL"]
+
+
+def test_qfactor_degenerate_points_give_one_warning_line(capsys):
+    # at tiny coupling every point has a degenerate least-damped pair
+    code, out, err = run_captured(capsys, "qfactor", "--set", "g=1e-100")
+    assert code == 0
+    assert err.splitlines() == ["warning: degenerate minimal decay pair at 61 of 61 grid points; "
+                                "q_exact there uses the smallest rate"]
+    assert len(_qfactor_rows(out)) == 61
+    assert "# status=PASS" in out.splitlines()
 
 
 @pytest.mark.parametrize("settings", [
