@@ -18,12 +18,14 @@ comment lines echoing the fully resolved configuration, so identical
 configs give byte-identical files.
 
 Exit codes: 0 success, 1 validation error, 2 numerical failure,
-3 tolerance violation.
+3 tolerance violation.  A run that exits 1 or 2 writes nothing to stdout
+or ``--out``.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import math
 import sys
 import warnings
@@ -109,6 +111,12 @@ SCHEMAS["qfactor"].pop("delta")  # detuning is the swept variable here
 
 # Float keys that must also be positive (every float key must be finite).
 _POSITIVE_KEYS = ("t_end", "snapshot_dt")
+# Keys that must not be negative (RK45 raises on a negative atol).
+_NONNEGATIVE_KEYS = ("seed", "atol")
+
+# Upper bound on chi_points and delta_points: every grid point costs a table
+# or an eigensolve, and the grid itself is allocated whole.
+MAX_GRID_POINTS = 100_000
 
 # q=auto accepts a chain mode no farther from omega_a than the bare cavity
 # (|delta|) plus this slack for the rounding of the mode frequencies.
@@ -124,18 +132,8 @@ class RunConfig:
     options: dict[str, object]
 
     def echo_lines(self) -> list[str]:
-        items = sorted(self.options.items())
-        lines = [f"# experiment={self.experiment}"]
-        lines += [f"# {key}={_format_value(value)}" for key, value in items]
-        return lines
-
-
-def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
+        return [f"# experiment={self.experiment}",
+                *(f"# {key}={_fmt(value)}" for key, value in sorted(self.options.items()))]
 
 
 def parse_config_file(path: str) -> dict[str, str]:
@@ -177,8 +175,9 @@ def resolve_config(experiment: str, raw_values: dict[str, str],
                          f"{dynamics.MAX_SNAPSHOTS}, got {options['snapshot_dt']!r}")
     if seed_override is not None:
         options["seed"] = seed_override
-    if options["seed"] < 0:
-        raise ParamError(f"bad value for 'seed': must be >= 0, got {options['seed']!r}")
+    for key in _NONNEGATIVE_KEYS:
+        if key in options and options[key] < 0:
+            raise ParamError(f"bad value for {key!r}: must be >= 0, got {options[key]!r}")
 
     delta = float(options.get("delta", 0.0))
     omega_c = float(options["omega_c"])
@@ -201,29 +200,37 @@ def resolve_config(experiment: str, raw_values: dict[str, str],
     return RunConfig(experiment=experiment, params=params, options=options)
 
 
-class _Writer:
-    """Accumulates output lines; emits with trailing newlines, LF only."""
-
-    def __init__(self, stream: IO[str]):
-        self._stream = stream
-
-    def line(self, text: str = "") -> None:
-        self._stream.write(text + "\n")
-
-    def comment(self, text: str) -> None:
-        self.line("# " + text)
+def _fmt(value) -> str:
+    """One output field: floats round-trip (``.17g``), bools are true/false."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value) if isinstance(value, (int, str)) else f"{value:.17g}"
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
+def _grid(config: RunConfig, name: str, scale: str = "linear", *,
+          positive: bool = False) -> np.ndarray:
+    """``{name}_points`` values from ``{name}_min`` to ``{name}_max``, evenly
+    spaced on a 'linear' or 'log' scale; a single point is ``{name}_min``."""
+    lo, hi, n = (config.options[f"{name}_{end}"] for end in ("min", "max", "points"))
+    if n < 1:
+        raise ParamError(f"empty grid: {name}_points must be at least 1")
+    if n > MAX_GRID_POINTS:
+        raise ParamError(f"bad value for '{name}_points': must be at most "
+                         f"{MAX_GRID_POINTS}, got {n}")
+    if hi < lo or (positive and lo <= 0):
+        raise ParamError(f"need {'0 < ' if positive else ''}{name}_min <= {name}_max")
+    if n == 1:
+        return np.array([lo])
+    if scale == "log":
+        return np.logspace(math.log10(lo), math.log10(hi), n)
+    if scale == "linear":
+        return np.linspace(lo, hi, n)
+    raise ParamError(f"{name}_scale must be 'log' or 'linear', got {scale!r}")
 
 
 def run_bic(config: RunConfig, stream: IO[str]) -> int:
     """Trapped-state report: amplitude table, residuals, kernel overlap,
     regime observables, and a seeded random-vector residual baseline."""
-    out = _Writer(stream)
-    for line in config.echo_lines():
-        out.line(line)
     p = config.params
     k = int(config.options["k_excitations"])
 
@@ -240,60 +247,40 @@ def run_bic(config: RunConfig, stream: IO[str]) -> int:
     random_state = bic.StateVector(sector, random_vec / np.linalg.norm(random_vec))
     baseline = bic.verify_trapping(p, random_state, k)
 
-    out.line("m,n,amplitude")
+    print("m,n,amplitude", file=stream)
     for m in range(k + 1):
         for n in range(k + 1 - m):
-            out.line(f"{m},{n},{_fmt(coeffs.table[m, n].real)}")
-    out.line(f"energy={_fmt((k - p.m_atoms) * p.omega_a + 0.0)}")  # + 0.0 turns -0 into 0
-    out.line(f"chi={_fmt(coeffs.chi)}")
-    out.line(f"sign_ratio={coeffs.sign_ratio}")
-    out.line(f"eigen_residual={_fmt(report.eigen_residual)}")
-    out.line(f"left_residual={_fmt(report.left_residual)}")
-    out.line(f"right_residual={_fmt(report.right_residual)}")
-    out.line(f"nullspace_overlap={_fmt(overlap)}")
-    out.line(f"random_unit_residual={_fmt(baseline.max_residual)}")
-    out.line(f"mean_photons={_fmt(observables.mean_photons)}")
-    out.line(f"mean_excited={_fmt(observables.mean_excited)}")
+            print(f"{m},{n},{_fmt(coeffs.table[m, n].real)}", file=stream)
+    # + 0.0 turns -0 into 0
+    print(f"energy={_fmt((k - p.m_atoms) * p.omega_a + 0.0)}", file=stream)
+    print(f"chi={_fmt(coeffs.chi)}", file=stream)
+    print(f"sign_ratio={coeffs.sign_ratio}", file=stream)
+    print(f"eigen_residual={_fmt(report.eigen_residual)}", file=stream)
+    print(f"left_residual={_fmt(report.left_residual)}", file=stream)
+    print(f"right_residual={_fmt(report.right_residual)}", file=stream)
+    print(f"nullspace_overlap={_fmt(overlap)}", file=stream)
+    print(f"random_unit_residual={_fmt(baseline.max_residual)}", file=stream)
+    print(f"mean_photons={_fmt(observables.mean_photons)}", file=stream)
+    print(f"mean_excited={_fmt(observables.mean_excited)}", file=stream)
     if k > 0:
-        out.line(f"photon_fraction={_fmt(observables.mean_photons / k)}")
-        out.line(f"atom_fraction={_fmt(observables.mean_excited / k)}")
+        print(f"photon_fraction={_fmt(observables.mean_photons / k)}", file=stream)
+        print(f"atom_fraction={_fmt(observables.mean_excited / k)}", file=stream)
 
     residual_tol = float(config.options["residual_tol"])
     overlap_tol = float(config.options["overlap_tol"])
     passed = (report.max_residual <= residual_tol
               and abs(overlap - 1.0) <= overlap_tol)
-    out.line(f"status={'PASS' if passed else 'FAIL'}")
+    print(f"status={'PASS' if passed else 'FAIL'}", file=stream)
     return EXIT_OK if passed else EXIT_TOLERANCE
-
-
-def _chi_grid(config: RunConfig) -> np.ndarray:
-    lo = float(config.options["chi_min"])
-    hi = float(config.options["chi_max"])
-    n = int(config.options["chi_points"])
-    scale = str(config.options["chi_scale"])
-    if n < 1:
-        raise ParamError("empty grid: chi_points must be at least 1")
-    if lo <= 0 or hi < lo:
-        raise ParamError("need 0 < chi_min <= chi_max")
-    if n == 1:
-        return np.array([lo])
-    if scale == "log":
-        return np.logspace(math.log10(lo), math.log10(hi), n)
-    if scale == "linear":
-        return np.linspace(lo, hi, n)
-    raise ParamError(f"chi_scale must be 'log' or 'linear', got {scale!r}")
 
 
 def run_sweep_chi(config: RunConfig, stream: IO[str]) -> int:
     """Composition of the trapped state across a chi grid, one CSV row per point."""
-    out = _Writer(stream)
-    for line in config.echo_lines():
-        out.line(line)
     p = config.params
     k = int(config.options["k_excitations"])
     if k < 1:
         raise ParamError("k_excitations must be at least 1 for a composition sweep")
-    grid = _chi_grid(config)
+    grid = _grid(config, "chi", str(config.options["chi_scale"]), positive=True)
     coupling = abs(bic.chi(p.replace(g=1.0)))  # chi produced per unit g
 
     def row(chi_value: float) -> tuple[float, ...]:
@@ -304,17 +291,14 @@ def run_sweep_chi(config: RunConfig, stream: IO[str]) -> int:
 
     rows = [row(value) for value in grid]
 
-    out.line("chi,mean_photons,mean_excited,photon_fraction,atom_fraction")
+    print("chi,mean_photons,mean_excited,photon_fraction,atom_fraction", file=stream)
     for values in rows:
-        out.line(",".join(_fmt(v) for v in values))
+        print(",".join(_fmt(v) for v in values), file=stream)
     return EXIT_OK
 
 
 def run_evolve(config: RunConfig, stream: IO[str]) -> int:
     """Master-equation relaxation; trapped-state occupations per snapshot."""
-    out = _Writer(stream)
-    for line in config.echo_lines():
-        out.line(line)
     p = config.params
     initial = str(config.options["initial"])
     k_init = int(config.options["initial_k"])
@@ -329,8 +313,7 @@ def run_evolve(config: RunConfig, stream: IO[str]) -> int:
         vec = np.zeros(sector.dim, dtype=np.complex128)
         # every excitation on the left ensemble (slot J_L), none elsewhere
         vec[sector.indices([[0] * (p.n_chain + 1) + [k_init, 0]])] = 1.0
-        rho0 = dynamics.DensityMatrix.from_vector(
-            space, space.embed(bic.StateVector(sector, vec)))
+        rho0 = dynamics.DensityMatrix.from_pure(space, bic.StateVector(sector, vec))
     elif initial == "bic":
         psi = bic.assemble_bic_state(p, k_init, sector=space.sectors[k_init])
         rho0 = dynamics.DensityMatrix.from_pure(space, psi)
@@ -348,25 +331,22 @@ def run_evolve(config: RunConfig, stream: IO[str]) -> int:
     trapped = [bic.assemble_bic_state(p, i, sector=space.sectors[i])
                for i in range(k_init + 1)]
     prob_cols = [f"P{i}" for i in range(k_init + 1)]
-    out.line("lambda_t," + ",".join(prob_cols) + ",trace,min_eig")
+    print("lambda_t," + ",".join(prob_cols) + ",trace,min_eig", file=stream)
     for t, state, min_eig in zip(trajectory.times, trajectory.states,
                                  trajectory.min_eigenvalues):
         probs = dynamics.trapped_probabilities(state, trapped)
         cells = [t, *probs, state.trace(), min_eig]
-        out.line(",".join(_fmt(v) for v in cells))
-    out.comment(f"steady_state_reached={'true' if trajectory.steady_reached else 'false'}")
+        print(",".join(_fmt(v) for v in cells), file=stream)
+    print(f"# steady_state_reached={_fmt(trajectory.steady_reached)}", file=stream)
     if trajectory.steady_time is not None:
-        out.comment(f"steady_time={_fmt(trajectory.steady_time)}")
-    out.comment(f"max_trace_drift={_fmt(trajectory.diagnostics.max_trace_drift)}")
-    out.comment(f"min_eigenvalue={_fmt(trajectory.diagnostics.min_eigenvalue)}")
+        print(f"# steady_time={_fmt(trajectory.steady_time)}", file=stream)
+    print(f"# max_trace_drift={_fmt(trajectory.diagnostics.max_trace_drift)}", file=stream)
+    print(f"# min_eigenvalue={_fmt(trajectory.diagnostics.min_eigenvalue)}", file=stream)
     return EXIT_OK
 
 
 def run_qfactor(config: RunConfig, stream: IO[str]) -> int:
     """Quality factor of the trapped mode across a detuning grid."""
-    out = _Writer(stream)
-    for line in config.echo_lines():
-        out.line(line)
     p = config.params
     if p.n_chain != 2:
         raise ParamError("qfactor requires the triple-cavity configuration (n_chain=2)")
@@ -375,17 +355,11 @@ def run_qfactor(config: RunConfig, stream: IO[str]) -> int:
     if p.g == 0:
         raise ParamError("qfactor requires g != 0: its closed-form decay rate is 0/0 "
                          "at zero detuning without coupling")
-    n = int(config.options["delta_points"])
-    if n < 1:
-        raise ParamError("empty grid: delta_points must be at least 1")
-    lo = float(config.options["delta_min"])
-    hi = float(config.options["delta_max"])
-    if hi < lo:
-        raise ParamError("need delta_min <= delta_max")
-    grid = np.array([lo]) if n == 1 else np.linspace(lo, hi, n)
+    grid = _grid(config, "delta")
 
     def row(delta_over_gc: float) -> tuple[float, ...]:
-        delta = delta_over_gc * p.gamma_c
+        with np.errstate(over="ignore"):  # linear_matrix rejects an inf delta
+            delta = delta_over_gc * p.gamma_c
         params_here = p.replace(omega_a=p.omega_c - delta)
         q_exact = linear.q_factor(params_here)
         gamma_ap = gamma_approx_quiet(params_here)
@@ -410,20 +384,20 @@ def run_qfactor(config: RunConfig, stream: IO[str]) -> int:
         else:  # recording caught it too: pass it on unchanged
             warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
     if degenerate:
-        print(f"warning: degenerate minimal decay pair at {degenerate} of {n} grid points; "
-              "q_exact there uses the smallest rate", file=sys.stderr)
+        print(f"warning: degenerate minimal decay pair at {degenerate} of {len(grid)} grid "
+              "points; q_exact there uses the smallest rate", file=sys.stderr)
 
-    out.line("delta_over_gc,q_exact,q_approx,rel_err")
+    print("delta_over_gc,q_exact,q_approx,rel_err", file=stream)
     worst = 0.0
     for values in rows:
         worst = max(worst, values[3])
-        out.line(",".join(_fmt(v) for v in values))
-    out.comment(f"max_rel_err_observed={_fmt(worst)}")
+        print(",".join(_fmt(v) for v in values), file=stream)
+    print(f"# max_rel_err_observed={_fmt(worst)}", file=stream)
     max_rel_err = float(config.options["max_rel_err"])
     if max_rel_err >= 0 and worst > max_rel_err:
-        out.comment("status=FAIL")
+        print("# status=FAIL", file=stream)
         return EXIT_TOLERANCE
-    out.comment("status=PASS")
+    print("# status=PASS", file=stream)
     return EXIT_OK
 
 
@@ -471,11 +445,17 @@ def main(argv: Sequence[str] | None = None) -> int:
             key, _, value = item.partition("=")
             raw[key.strip()] = value.strip()
         config = resolve_config(args.experiment, raw, seed_override=args.seed)
-        driver = _DRIVERS[args.experiment]
+        # the run's whole output, written only once its driver has returned:
+        # a run that raises leaves stdout empty and --out untouched
+        buffer = io.StringIO()
+        print(*config.echo_lines(), sep="\n", file=buffer)
+        code = _DRIVERS[args.experiment](config, buffer)
         if args.out:
             with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-                return driver(config, handle)
-        return driver(config, sys.stdout)
+                handle.write(buffer.getvalue())
+        else:
+            sys.stdout.write(buffer.getvalue())
+        return code
     except (ParamError, NoResonantModeError, bic.NoTrappedStateError,
             OSError, UnicodeDecodeError) as exc:  # the last two: an unreadable --config/--out
         print(f"error: {exc}", file=sys.stderr)

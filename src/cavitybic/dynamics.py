@@ -367,6 +367,14 @@ class Trajectory:
 # density matrix, and a finer grid than this is an input error, not a run.
 MAX_SNAPSHOTS = 100_000
 
+# Most steps the RK45 fallback may take.  The fallback runs measured on a
+# 2-core x86 host took 113 (g = 0, gamma_a = 0.05), 462 (n_chain = 2,
+# m_atoms = 1, g = 0.25), 886 ((2, 4), t_end = 200), 2,864 ((2, 4)) and
+# 3,290 ((4, 3)) steps; the cap is 30 times the largest.  A stiff run (a
+# decay rate far above the hopping rate, with the cascade rejected) would
+# otherwise step for minutes.
+MAX_RK45_STEPS = 100_000
+
 # Guards of the cascade propagator; a run that fails one goes to RK45.
 # Most complex coefficients the cascade may hold (64 MiB).  Block K - 1
 # holds d_{K-1}^2 times the number of modes above it: from the top sector
@@ -381,6 +389,9 @@ MAX_EIGENVECTOR_CONDITION = 1e3
 # is too large, leaving it out, which costs at most |S| t_end.
 _CASCADE_TOL = 1e-10
 _EPS = float(np.finfo(float).eps)
+# Below this |lam - mu| (the smallest normal float) numpy's complex division
+# overflows on the reciprocal and returns NaN, even for a zero source.
+_TINY = float(np.finfo(float).tiny)
 # Entries of a source that ``_particular`` works on at once.
 _SLICE = 1 << 12
 # Snapshots the cascade evaluates at once; the steady test may stop a run
@@ -407,7 +418,8 @@ def _particular(source: np.ndarray, lam: np.ndarray, mu: np.ndarray,
     """Overwrite ``source`` with the coefficients source / (lam_f - mu_ab) of
     the modes exp(lam_f t) that it drives into a block with own rates
     ``mu``, and return it.  A coefficient whose rounding would exceed
-    ``_CASCADE_TOL`` is left out when its secular term is that small;
+    ``_CASCADE_TOL`` (or whose denominator is 0 or subnormal) is left out
+    when its secular term is that small;
     otherwise the cascade is rejected.  Works on a few rows at a time."""
     step = max(1, _SLICE // len(lam))
     for start in range(0, len(mu), step):
@@ -415,7 +427,7 @@ def _particular(source: np.ndarray, lam: np.ndarray, mu: np.ndarray,
         denom = lam[None, :] - mu[start:start + step, None]
         size = np.abs(rows)
         inexact = _EPS * size > _CASCADE_TOL * np.abs(denom)
-        inexact |= denom == 0
+        inexact |= np.abs(denom) < _TINY
         bad = inexact & (size * t_end > _CASCADE_TOL)
         if bad.any():
             worst = np.unravel_index(np.argmax(np.where(bad, size, 0.0)), bad.shape)
@@ -526,13 +538,20 @@ class _Cascade:
 
 class _Rk45:
     """Adaptive RK45 on the sparse superoperator of the reached blocks,
-    read out on the snapshot grid from each step's dense output."""
+    read out on the snapshot grid from each step's dense output.
+
+    An overflow or an invalid value while choosing or taking a step raises
+    ``FloatingPointError`` (a NaN step size would otherwise make one step
+    retry forever), and a run that needs more than ``MAX_RK45_STEPS`` steps
+    raises ``IntegrationError``."""
 
     name = "rk45"
 
     def __init__(self, superop: sparse.csr_matrix, y0: np.ndarray, t_end: float,
                  rtol: float, atol: float):
-        self._solver = RK45(lambda _t, y: superop @ y, 0.0, y0, t_end, rtol=rtol, atol=atol)
+        with np.errstate(over="raise", invalid="raise"):
+            self._solver = RK45(lambda _t, y: superop @ y, 0.0, y0, t_end,
+                                rtol=rtol, atol=atol)
 
     @property
     def n_rhs_evaluations(self) -> int:
@@ -541,9 +560,14 @@ class _Rk45:
     def chunks(self, times: np.ndarray):
         """``(ts, ys)`` over ``times[1:]`` in order, one chunk per step that
         passes a snapshot time; as ``_Cascade.chunks``."""
-        solver, next_snap = self._solver, 1
+        solver, next_snap, steps = self._solver, 1, 0
         while next_snap < len(times):
-            message = solver.step()
+            if steps == MAX_RK45_STEPS:
+                raise IntegrationError(f"RK45 reached only t={solver.t:.6g} of {times[-1]:.6g} "
+                                       f"in MAX_RK45_STEPS = {MAX_RK45_STEPS} steps")
+            steps += 1
+            with np.errstate(over="raise", invalid="raise"):
+                message = solver.step()
             if solver.status == "failed":
                 raise IntegrationError(f"integration failed at t={solver.t:.6g}: {message}")
             stop = int(np.searchsorted(times, solver.t, side="right"))

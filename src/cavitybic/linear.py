@@ -62,7 +62,8 @@ def _require_triple_cavity(params: ModelParams) -> None:
 
 
 def linear_matrix(params: ModelParams) -> LinearSystem:
-    """Build and diagonalize the 5x5 amplitude dynamics matrix."""
+    """Build and diagonalize the 5x5 amplitude dynamics matrix; raises
+    ``FloatingPointError`` when an entry overflows a float."""
     _require_triple_cavity(params)
     wc = params.omega_c
     delta = params.delta
@@ -77,6 +78,9 @@ def linear_matrix(params: ModelParams) -> LinearSystem:
         [gm,     0.0,    0.0, d_diag, 0.0],
         [0.0,    gm,     0.0, 0.0,    d_diag],
     ], dtype=np.complex128)
+    if not np.isfinite(a).all():
+        raise FloatingPointError("the amplitude matrix overflows a float at "
+                                 f"delta={delta:.6g}, gamma_c={params.gamma_c:.6g}")
     evals, evecs = linalg.eig(a)
     order = np.lexsort((evals.real, -evals.imag))
     evals = evals[order]

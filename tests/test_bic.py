@@ -274,7 +274,7 @@ def test_trapping_at_off_center_resonant_modes():
             assert abs(abs(overlap) - 1.0) < 1e-12
 
 
-def test_large_ensemble_uses_log_gamma_path():
+def test_routes_agree_at_m25_on_the_log_factorial_path():
     p = triple_cavity(m_atoms=25, g=0.2)
     coeffs = closed_form_coefficients(p, 3)
     assert coeffs.norm() == pytest.approx(1.0)

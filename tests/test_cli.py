@@ -2,11 +2,15 @@ import io
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from cavitybic.cli import main, parse_config_file, resolve_config
+from cavitybic import dynamics
+from cavitybic.cli import MAX_GRID_POINTS, SCHEMAS, main, parse_config_file, resolve_config
 
 
 def run_cli(*args):
@@ -355,3 +359,150 @@ def test_unreadable_config_or_out_path_is_a_validation_error(kind, tmp_path, cap
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("bic", "--set", "k_excitations=5"),  # exit 1 from inside the driver
+    ("bic", "--set", "g=1e308"),  # exit 2
+    ("sweep-chi", "--set", "chi_points=0"),
+    ("qfactor", "--set", "n_chain=4"),
+])
+def test_a_failed_run_writes_nothing(argv, tmp_path, capsys):
+    # the echo is buffered with the rest: a driver that raises leaves stdout
+    # empty and an existing --out file as it was
+    code, out, err = run_captured(capsys, *argv)
+    assert code in (1, 2) and out == "" and len(err.splitlines()) == 1
+    keep = tmp_path / "keep.csv"
+    keep.write_text("precious\n")
+    assert run_captured(capsys, *argv, "--out", str(keep)) == (code, "", err)
+    assert keep.read_text() == "precious\n"
+
+
+def test_a_tolerance_failure_still_writes_everything(tmp_path, capsys):
+    out_path = tmp_path / "q.csv"
+    code, out, _err = run_captured(capsys, "qfactor", "--set", "delta_points=3",
+                                   "--set", "max_rel_err=1e-6", "--out", str(out_path))
+    assert code == 3 and out == ""
+    text = out_path.read_text()
+    assert text.startswith("# experiment=qfactor\n") and text.endswith("# status=FAIL\n")
+
+
+@pytest.mark.parametrize("key, experiment", [("chi_points", "sweep-chi"),
+                                             ("delta_points", "qfactor")])
+def test_grid_above_its_bound_is_rejected(key, experiment, capsys):
+    code, out, err = run_captured(capsys, experiment, "--set", f"{key}={MAX_GRID_POINTS + 1}")
+    assert code == 1 and out == ""
+    assert err.splitlines() == [f"error: bad value for '{key}': must be at most "
+                                f"{MAX_GRID_POINTS}, got {MAX_GRID_POINTS + 1}"]
+
+
+def test_rk45_fallback_beyond_its_step_limit_is_a_numerical_failure(monkeypatch, capsys):
+    # the exceptional-point run above takes a few hundred steps
+    monkeypatch.setattr(dynamics, "MAX_RK45_STEPS", 50)
+    code, out, err = run_captured(capsys, "evolve", "--set", "n_chain=2", "--set", "m_atoms=1",
+                                  "--set", "g=0.25")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("numerical failure: RK45 reached only t=")
+    assert "in MAX_RK45_STEPS = 50 steps" in err
+
+
+def test_rk45_fallback_whose_first_step_overflows_is_a_numerical_failure(capsys):
+    # the cascade rejects this run; RK45's initial step size overflows, and
+    # a NaN step size would make its first step retry forever
+    code, out, err = run_captured(capsys, "evolve", "--set", "gamma_a=1e300",
+                                  "--set", "t_end=20")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("numerical failure: overflow")
+
+
+def test_evolve_with_a_subnormal_cascade_denominator_prints_no_nan(capsys):
+    # gamma_c = 1e-300 puts a decay rate of the cascade in the subnormal
+    # range; numpy's complex division by it returned NaN for a zero source
+    code, out, err = run_captured(capsys, "evolve", "--set", "gamma_c=1e-300",
+                                  "--set", "initial_k=1", "--set", "t_end=20")
+    assert code == 0 and err == ""
+    rows = [line.split(",") for line in out.splitlines()
+            if line and not line.startswith(("#", "lambda"))]
+    assert len(rows) == 11 and all("nan" not in row for row in rows)
+    assert float(rows[-1][2]) == pytest.approx(float(rows[0][2]))  # no loss to speak of
+
+
+def test_negative_atol_is_a_validation_error(capsys):
+    # (4, 3) needs more coefficients than the cascade may hold; RK45 raised
+    # a bare ValueError on the negative atol, which ended in a traceback
+    code, out, err = run_captured(capsys, "evolve", "--set", "n_chain=4", "--set", "m_atoms=3",
+                                  "--set", "atol=-1")
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["error: bad value for 'atol': must be >= 0, got -1.0"]
+
+
+def test_qfactor_whose_detuning_overflows_is_a_numerical_failure(capsys):
+    # delta = delta_over_gc * gamma_c overflows: the eigensolver raised
+    # ValueError on the inf entry, which ended in a traceback
+    code, out, err = run_captured(capsys, "qfactor", "--set", "gamma_c=1e308")
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["numerical failure: the amplitude matrix overflows a float "
+                                "at delta=-inf, gamma_c=1e+308"]
+
+
+# The input contract over the whole config schema: any override a user can
+# type ends in a documented exit code with at most one line of explanation.
+_FLOAT_POOL = [0.0, -0.0, 1e-300, 1e-200, 1e150, 1e300, 1e308, -1e308, -1e150,
+               -3.0, -1.0, 0.01, 0.05, 0.25, 0.5, 1.0, 2.0, 10.0]
+_TIME_POOL = [0.0, -0.0, -1.0, 1e-300, 1e-200, 0.01, 0.5, 2.0, 20.0, 2000.0]
+
+
+def _override_values(experiment):
+    special = {
+        "n_chain": st.integers(2, 5), "m_atoms": st.integers(1, 3),
+        "k_excitations": st.integers(-1, 4), "initial_k": st.integers(-1, 4),
+        "chi_points": st.integers(0, 6), "delta_points": st.integers(0, 6),
+        "seed": st.integers(-1, 3), "q": st.sampled_from(["auto", "0", "1", "2", "3"]),
+        "chi_scale": st.sampled_from(["log", "linear", "bogus"]),
+        "initial": st.sampled_from(["left_excited", "bic", "foo"]),
+        "detect_steady": st.sampled_from(["true", "false"]),
+        "t_end": st.sampled_from(_TIME_POOL), "snapshot_dt": st.sampled_from(_TIME_POOL),
+    }
+    floats = st.sampled_from(_FLOAT_POOL) | st.floats(-10.0, 10.0)
+    return {key: special.get(key, floats) for key in SCHEMAS[experiment]}
+
+
+@st.composite
+def _cli_argv(draw):
+    experiment = draw(st.sampled_from(sorted(SCHEMAS)))
+    values = _override_values(experiment)
+    keys = draw(st.lists(st.sampled_from(sorted(values)), max_size=5, unique=True))
+    # a shorter default horizon keeps a run that never decays to 10 snapshots
+    argv = [experiment, "--set", "t_end=20"] if experiment == "evolve" else [experiment]
+    for key in keys:
+        argv += ["--set", f"{key}={draw(values[key])}"]
+    return argv
+
+
+def _show_on_stderr(message, category, filename, lineno, file=None, line=None):
+    sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+
+@settings(deadline=None, max_examples=250, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_cli_argv())
+def test_any_override_ends_in_a_documented_exit(argv, capsys):
+    capsys.readouterr()
+    with warnings.catch_warnings():  # shown on stderr, as a CLI process shows them
+        warnings.simplefilter("default")
+        warnings.showwarning = _show_on_stderr
+        code, out, err = run_captured(capsys, *argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+    if code == 1:
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    if code in (1, 2):
+        assert out == ""
+    if code == 0:
+        for line in out.splitlines():
+            fields = line.split(",")
+            if argv[0] == "qfactor" and len(fields) == 4:
+                fields = fields[:1] + fields[3:]  # q_exact and q_approx may be inf
+            assert not {"nan", "inf", "-inf"} & set(fields), line
+            assert not line.endswith(("=nan", "=inf")), line
