@@ -43,7 +43,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import linalg
 
 from .model import ModelParams, SectorBasis, enumerate_sector
 from .operators import (build_collective_lowering, build_hamiltonian,
@@ -255,6 +254,18 @@ def _condition_matrices(params: ModelParams, k: int) -> tuple[np.ndarray, np.nda
     return a_left, a_right
 
 
+def _null_space(a: np.ndarray) -> np.ndarray:
+    """Orthonormal kernel basis (columns) of ``a`` by SVD, with scipy's rank
+    rule: singular values above max(a.shape) * eps * s[0] count.
+
+    The stacked conditions (K(K+1) rows, (K+1)(K+2)/2 columns) are wide only
+    at K = 1, where the kernel needs the full V; for every K >= 2 the thin
+    SVD skips building U."""
+    _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
+    rank = int(np.sum(s > max(a.shape) * np.finfo(s.dtype).eps * s[0]))
+    return vh[rank:].conj().T
+
+
 def null_space_coefficients(params: ModelParams, k: int) -> BicCoefficients:
     """Amplitude table recovered as the kernel of the stacked interference
     conditions on the resonant-mode label grid.
@@ -267,7 +278,7 @@ def null_space_coefficients(params: ModelParams, k: int) -> BicCoefficients:
     if k == 0:
         return _normalize(0, params, np.ones((1, 1), dtype=np.complex128))
     a_left, a_right = _condition_matrices(params, k)
-    kernel = linalg.null_space(np.vstack([a_left, a_right]))
+    kernel = _null_space(np.vstack([a_left, a_right]))
     if kernel.shape[1] != 1:
         raise DegenerateNullSpaceError(
             f"stacked trapping conditions have a {kernel.shape[1]}-dimensional kernel")

@@ -110,7 +110,7 @@ SCHEMAS: dict[str, dict[str, tuple[Callable, object]]] = {
 SCHEMAS["qfactor"].pop("delta")  # detuning is the swept variable here
 
 # Float keys that must also be positive (every float key must be finite).
-_POSITIVE_KEYS = ("t_end", "snapshot_dt")
+_POSITIVE_KEYS = ("t_end", "snapshot_dt", "rtol")
 # Keys that must not be negative (RK45 raises on a negative atol).
 _NONNEGATIVE_KEYS = ("seed", "atol")
 

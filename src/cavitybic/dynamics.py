@@ -52,14 +52,21 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from scipy import sparse
-# ``evolve``'s fallback drives RK45 directly.  ``solve_ivp`` stays a module attribute
-# because bench/tracing.py wraps ``dynamics.solve_ivp`` and fails without it.
-from scipy.integrate import RK45, solve_ivp  # noqa: F401
 
 from .bic import StateVector
 from .model import ModelParams, SectorBasis, enumerate_sector
 from .operators import (build_collective_lowering, build_end_annihilation,
                         build_hamiltonian)
+
+
+def __getattr__(name: str):
+    # bench/tracing.py reads ``dynamics.solve_ivp`` when it installs.  The name
+    # is resolved on that access, so that only the RK45 fallback and a traced
+    # run pay for importing ``scipy.integrate``.
+    if name == "solve_ivp":
+        from scipy.integrate import solve_ivp
+        return solve_ivp
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class IntegrationError(RuntimeError):
@@ -549,6 +556,7 @@ class _Rk45:
 
     def __init__(self, superop: sparse.csr_matrix, y0: np.ndarray, t_end: float,
                  rtol: float, atol: float):
+        from scipy.integrate import RK45
         with np.errstate(over="raise", invalid="raise"):
             self._solver = RK45(lambda _t, y: superop @ y, 0.0, y0, t_end,
                                 rtol=rtol, atol=atol)

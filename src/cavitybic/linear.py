@@ -26,7 +26,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
 
 from .model import ModelParams
 
@@ -81,7 +80,7 @@ def linear_matrix(params: ModelParams) -> LinearSystem:
     if not np.isfinite(a).all():
         raise FloatingPointError("the amplitude matrix overflows a float at "
                                  f"delta={delta:.6g}, gamma_c={params.gamma_c:.6g}")
-    evals, evecs = linalg.eig(a)
+    evals, evecs = np.linalg.eig(a)
     order = np.lexsort((evals.real, -evals.imag))
     evals = evals[order]
     evecs = evecs[:, order]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import null_space
 
 from cavitybic import (BasisState, ModelParams, NoTrappedStateError,
                        StateVector, assemble_bic_state, build_hamiltonian, chi,
@@ -11,7 +12,7 @@ from cavitybic import (BasisState, ModelParams, NoTrappedStateError,
                        null_space_coefficients, recursive_coefficients,
                        regime_observables, resonant_mode_index,
                        subradiant_approx, verify_trapping)
-from cavitybic.bic import DegenerateNullSpaceError
+from cavitybic.bic import DegenerateNullSpaceError, _condition_matrices, _null_space
 from conftest import triple_cavity
 from oracles import eigenspace_projection, mode_fock_embedding
 
@@ -89,6 +90,26 @@ def test_routes_agree_across_grid():
 def test_null_space_degenerate_at_zero_coupling():
     with pytest.raises(DegenerateNullSpaceError):
         null_space_coefficients(triple_cavity(g=0.0), 1)
+
+
+@pytest.mark.parametrize("n_chain", [2, 4])
+@pytest.mark.parametrize("g", [0.3, -0.7, 2.0, 0.0])
+def test_null_space_matches_scipy(n_chain, g):
+    # scipy.linalg.null_space (full SVD, same rank rule) as the oracle; K = 1
+    # is the one wide (2 x 3) stacked matrix, where the thin SVD would drop
+    # the kernel
+    for m_atoms in (1, 2, 3, 5, 30):
+        params = (triple_cavity(m_atoms=m_atoms, g=g) if n_chain == 2
+                  else four_chain(m_atoms, g=g))
+        for k in sorted({1, min(2, m_atoms), max(1, m_atoms // 2), m_atoms}):
+            a = np.vstack(_condition_matrices(params, k))
+            ours, oracle = _null_space(a), null_space(a)
+            assert ours.shape == oracle.shape == (a.shape[1], 1 if g else k + 1)
+            if g:
+                assert abs(abs(np.vdot(ours[:, 0], oracle[:, 0])) - 1.0) <= 1e-14
+            else:
+                with pytest.raises(DegenerateNullSpaceError):
+                    null_space_coefficients(params, k)
 
 
 def test_assembled_state_is_unit_norm_with_vacuum_ends():

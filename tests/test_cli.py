@@ -1,4 +1,5 @@
 import io
+import json
 import os
 import subprocess
 import sys
@@ -296,6 +297,37 @@ def test_evolve_at_an_exceptional_point_runs_on_rk45(capsys):
     assert "# steady_state_reached=true" in captured.out.splitlines()
 
 
+# Run in a fresh interpreter, since this one has imported scipy.integrate
+# already; the report is the child's last stdout line.  hasattr is False only
+# on AttributeError.
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+from cavitybic import cli, dynamics
+lazy = ("scipy.integrate", "scipy.linalg", "scipy.optimize")
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main([name]) for name in ("bic", "sweep-chi", "qfactor")]
+    loaded = [name for name in lazy if name in sys.modules]
+    codes.append(cli.main(["evolve", "--set", "n_chain=2", "--set", "m_atoms=1",
+                           "--set", "g=0.25"]))
+integrate_after_rk45 = "scipy.integrate" in sys.modules
+import scipy.integrate
+print(json.dumps({"codes": codes, "loaded": loaded,
+                  "integrate_after_rk45": integrate_after_rk45,
+                  "traced_name": dynamics.solve_ivp is scipy.integrate.solve_ivp,
+                  "other_name": hasattr(dynamics, "no_such_name")}))
+"""
+
+
+def test_only_the_rk45_fallback_imports_scipy_integrate():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report == {"codes": [0, 0, 0, 0], "loaded": [], "integrate_after_rk45": True,
+                      "traced_name": True, "other_name": False}
+
+
 def _qfactor_rows(out):
     return [line.split(",") for line in out.splitlines()
             if line and not line.startswith(("#", "delta"))]
@@ -435,6 +467,16 @@ def test_negative_atol_is_a_validation_error(capsys):
                                   "--set", "atol=-1")
     assert code == 1 and out == ""
     assert err.splitlines() == ["error: bad value for 'atol': must be >= 0, got -1.0"]
+
+
+@pytest.mark.parametrize("rtol", ["-1", "0"])
+def test_nonpositive_rtol_is_a_validation_error(capsys, rtol):
+    # the exceptional point runs on RK45, which warned and clamped such an
+    # rtol; a cascade run ignored it
+    code, out, err = run_captured(capsys, "evolve", "--set", "n_chain=2", "--set", "m_atoms=1",
+                                  "--set", "g=0.25", "--set", f"rtol={rtol}")
+    assert code == 1 and out == ""
+    assert err.splitlines() == [f"error: bad value for 'rtol': must be > 0, got {float(rtol)!r}"]
 
 
 def test_qfactor_whose_detuning_overflows_is_a_numerical_failure(capsys):

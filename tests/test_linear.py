@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eig
 
 from cavitybic import (DensityMatrix, StateVector, evolve, fit_decay_rate,
                        gamma_approx, linear_matrix, polariton_transform,
@@ -41,6 +42,22 @@ def test_decoupled_eigenvalues():
     evals = linear_matrix(p).eigenvalues
     expected = sorted([0.0, math.sqrt(2), -math.sqrt(2), -0.25, -0.25])
     assert np.allclose(sorted(evals.real), expected, atol=1e-12)
+
+
+def test_spectrum_matches_scipy_eig_bit_for_bit():
+    # scipy.linalg.eig as the oracle, sorted and normalised as linear_matrix does
+    for delta in np.linspace(-3, 3, 61):
+        for g, gamma_a in ((10.0, 0.01), (0.5, 0.0), (0.0, 0.01)):
+            system = linear_matrix(quantum_cavity_params(delta=delta, g=g, gamma_a=gamma_a))
+            evals, evecs = eig(system.matrix)
+            order = np.lexsort((evals.real, -evals.imag))
+            evals, evecs = evals[order], evecs[:, order]
+            for j in range(5):
+                v = evecs[:, j]
+                anchor = v[np.argmax(np.abs(v))]
+                evecs[:, j] = v * (abs(anchor) / anchor) / np.linalg.norm(v)
+            assert np.array_equal(system.eigenvalues, evals)
+            assert np.array_equal(system.eigenvectors, evecs)
 
 
 def test_passivity_across_grid():
