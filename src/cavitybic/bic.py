@@ -73,9 +73,6 @@ class BicCoefficients:
     sign_ratio: int
     table: np.ndarray
 
-    def amplitude(self, m: int, n: int) -> complex:
-        return complex(self.table[m, n])
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.table))
 
@@ -307,12 +304,11 @@ def assemble_bic_state(params: ModelParams, k: int,
     if sector is None:
         sector = enumerate_sector(params, k)
     n_chain = params.n_chain
-    # the complete sector is every composition of K into the N + 3 slots; any
-    # photon cap (fock_cutoff) or atom count below K drops some of them
+    # the complete sector is every composition of K into the N + 3 slots; an
+    # atom count below K drops some of them
     full = math.comb(k + n_chain + 2, k)
     if sector.k_excitations != k or sector.dim != full:
-        raise ValueError(f"{sector!r} is not the complete sector K={k} of {full} states "
-                         "(is fock_cutoff below K?)")
+        raise ValueError(f"{sector!r} is not the complete sector K={k} of {full} states")
     occ = sector.occupations
     rows = np.flatnonzero((occ[:, 0] == 0) & (occ[:, n_chain] == 0))
     mid = occ[rows, 1:n_chain]

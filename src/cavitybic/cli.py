@@ -17,14 +17,15 @@ units of the hopping rate (lam = 1 internally).  Every output starts with
 comment lines echoing the fully resolved configuration, so identical
 configs give byte-identical files.
 
-Exit codes: 0 success, 1 validation error, 2 numerical failure,
-3 tolerance violation.  A run that exits 1 or 2 writes nothing to stdout
-or ``--out``.
+Exit codes: 0 success, 1 validation error, 2 numerical failure (any
+other error included), 3 tolerance violation.  A run that exits 1 or 2
+writes nothing to stdout or ``--out`` and exactly one line to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import math
 import sys
@@ -435,34 +436,36 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    # the run's whole output, stderr included, written only once its driver
+    # has returned: a run that raises leaves stdout empty and --out
+    # untouched, and prints its one error line without the warnings before it
+    out, err = io.StringIO(), io.StringIO()
     try:
-        raw: dict[str, str] = {}
-        if args.config:
-            raw.update(parse_config_file(args.config))
-        for item in args.overrides:
-            if "=" not in item:
-                raise ParamError(f"--set expects KEY=VALUE, got {item!r}")
-            key, _, value = item.partition("=")
-            raw[key.strip()] = value.strip()
-        config = resolve_config(args.experiment, raw, seed_override=args.seed)
-        # the run's whole output, written only once its driver has returned:
-        # a run that raises leaves stdout empty and --out untouched
-        buffer = io.StringIO()
-        print(*config.echo_lines(), sep="\n", file=buffer)
-        code = _DRIVERS[args.experiment](config, buffer)
+        with contextlib.redirect_stderr(err):
+            raw: dict[str, str] = {}
+            if args.config:
+                raw.update(parse_config_file(args.config))
+            for item in args.overrides:
+                if "=" not in item:
+                    raise ParamError(f"--set expects KEY=VALUE, got {item!r}")
+                key, _, value = item.partition("=")
+                raw[key.strip()] = value.strip()
+            config = resolve_config(args.experiment, raw, seed_override=args.seed)
+            print(*config.echo_lines(), sep="\n", file=out)
+            code = _DRIVERS[args.experiment](config, out)
         if args.out:
             with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-                handle.write(buffer.getvalue())
-        else:
-            sys.stdout.write(buffer.getvalue())
+                handle.write(out.getvalue())
+        sys.stderr.write(err.getvalue())
+        if not args.out:
+            sys.stdout.write(out.getvalue())
         return code
     except (ParamError, NoResonantModeError, bic.NoTrappedStateError,
             OSError, UnicodeDecodeError) as exc:  # the last two: an unreadable --config/--out
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (dynamics.IntegrationError, bic.DegenerateNullSpaceError,
-            np.linalg.LinAlgError, OverflowError, FloatingPointError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+    except Exception as exc:  # numpy's and scipy's errors, and any other
+        print(f"numerical failure: {' '.join(str(exc).splitlines())}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

@@ -29,11 +29,13 @@ exponentials: its own modes decay at the rates
 mu_ab = -i (E_K,a - conj(E_K',b)), and every mode of the block above,
 carried down by the jumps, drives it at that mode's own rate.  There is
 no step size and no tolerance.  Inputs the eigenbasis cannot represent
-accurately (an ill-conditioned V, a resonance that needs a secular
-t e^{mu t} term, too many coefficients, or a caller's generator that is
-not block lower-triangular) run on an adaptive RK45 integrator of the
-sparse superoperator instead, and the trajectory's diagnostics name the
-path that ran.
+accurately fail one of three guards: an ill-conditioned V, a resonance
+that needs a secular t e^{mu t} term, or too many coefficients.  They run
+on an adaptive RK45 integrator of the sparse superoperator instead, and
+the trajectory's diagnostics name the path that ran.  On either path a
+snapshot whose smallest eigenvalue is below -``POSITIVITY_LIMIT`` aborts
+the run, and the run stops early once max |d rho / dt| stays below
+``STEADY_THRESHOLD`` lam.
 
 Twisted collective spin
 -----------------------
@@ -373,6 +375,11 @@ class Trajectory:
 # Largest snapshot grid ``evolve`` accepts: every snapshot keeps a full
 # density matrix, and a finer grid than this is an input error, not a run.
 MAX_SNAPSHOTS = 100_000
+# ``evolve`` stops at steady state once max |d rho / dt| stays below this
+# many hopping rates lam at two consecutive snapshots.
+STEADY_THRESHOLD = 1e-9
+# ``evolve`` aborts at a snapshot whose smallest eigenvalue is below minus this.
+POSITIVITY_LIMIT = 1e-6
 
 # Most steps the RK45 fallback may take.  The fallback runs measured on a
 # 2-core x86 host took 113 (g = 0, gamma_a = 0.05), 462 (n_chain = 2,
@@ -450,8 +457,9 @@ class _Cascade:
     """Exact propagator on the reached sector blocks, in the eigenbases of
     each sector's H_eff (see the module docstring).  Reads the generator's
     sector blocks of H_eff and of the jumps, as split once by
-    ``LindbladGenerator``, for its structure guards, its dense per-sector
-    H_eff and its jump blocks; the reached ``blocks`` come from ``evolve``."""
+    ``LindbladGenerator``: H_eff is sector-diagonal and every jump maps
+    sector K to K - 1, as ``lindblad_generator`` builds them.  The reached
+    ``blocks`` come from ``evolve``."""
 
     name = "cascade"
     n_rhs_evaluations = 0
@@ -459,13 +467,8 @@ class _Cascade:
     def __init__(self, generator: LindbladGenerator, blocks: list[tuple[int, int]],
                  rho0: np.ndarray, t_end: float):
         space = generator.space
-        if any(j != k for j, k in generator._h_eff_blocks):
-            raise _CascadeRejected("the Hamiltonian couples excitation sectors")
-        jumps = []
-        for rate, jump_blocks in generator._jump_blocks:
-            if any(j != k - 1 for j, k in jump_blocks):
-                raise _CascadeRejected("a jump operator does not map sector K to K - 1")
-            jumps.append((rate, {j: blk.toarray() for (j, _k), blk in jump_blocks.items()}))
+        jumps = [(rate, {j: blk.toarray() for (j, _k), blk in jump_blocks.items()})
+                 for rate, jump_blocks in generator._jump_blocks]
         self.blocks = blocks
         dims = np.diff(space.offsets)
         size = {key: int(dims[key[0]] * dims[key[1]]) for key in blocks}
@@ -592,14 +595,12 @@ def _require_positive_finite(name: str, value: float) -> None:
 
 
 def evolve(params: ModelParams, rho0: DensityMatrix, t_end: float, *,
-           generator: LindbladGenerator | None = None,
            include_atomic_decay: bool = False,
            snapshot_dt: float | None = None,
            rtol: float = 1e-8, atol: float = 1e-12,
-           detect_steady: bool = True, steady_threshold: float | None = None,
-           positivity_limit: float = 1e-6) -> Trajectory:
-    """Evolve the master equation from 0 to ``t_end`` and keep snapshots on
-    a regular grid.
+           detect_steady: bool = True) -> Trajectory:
+    """Evolve the master equation of ``lindblad_generator`` from 0 to
+    ``t_end`` and keep snapshots on a regular grid.
 
     Only the sector blocks that the generator reaches from the nonzero
     blocks of ``rho0`` are propagated.  The reach, the positions of its
@@ -608,7 +609,7 @@ def evolve(params: ModelParams, rho0: DensityMatrix, t_end: float, *,
     them.  The blocks are propagated exactly, as sums
     of exponentials in the eigenbases of each sector's H_eff (the module
     docstring has the construction).  A run that fails one of the cascade's
-    guards is integrated by adaptive RK45 instead, with ``rtol`` and
+    three guards is integrated by adaptive RK45 instead, with ``rtol`` and
     ``atol``, which govern nothing else:
       * a sector's eigenvector matrix has a condition number above
         ``MAX_EIGENVECTOR_CONDITION`` (at or near an exceptional point);
@@ -616,17 +617,15 @@ def evolve(params: ModelParams, rho0: DensityMatrix, t_end: float, *,
         ``_CASCADE_TOL`` while its secular term, at most |S| t_end, is not
         that small (at a resonance lam = mu the exact answer has a
         t e^{mu t} term);
-      * the coefficients would exceed ``MAX_CASCADE_COEFFICIENTS``;
-      * the generator is not block lower-triangular: a jump that does not
-        map sector K to K - 1, or a Hamiltonian that couples sectors.
+      * the coefficients would exceed ``MAX_CASCADE_COEFFICIENTS``.
     ``diagnostics.propagator`` names the path that ran and
     ``diagnostics.fallback_reason`` the guard that failed.
 
     Trace, Hermiticity (symmetrised storage) and positivity are checked at
-    every snapshot; positivity violations beyond ``positivity_limit`` abort
-    the run.  When ``detect_steady`` is on, the run stops once
-    max |d rho / dt| stays below ``steady_threshold`` (default
-    1e-9 * lam) at two consecutive snapshots; on either propagator
+    every snapshot; a smallest eigenvalue below -``POSITIVITY_LIMIT`` raises
+    ``IntegrationError``.  When ``detect_steady`` is on, the run stops once
+    max |d rho / dt| stays below ``STEADY_THRESHOLD`` * lam at two
+    consecutive snapshots; on either propagator
     d rho / dt is that superoperator times the symmetrised snapshot, and
     ``diagnostics.rhs_sup_last`` keeps its last value.  A grid of more than
     ``MAX_SNAPSHOTS`` snapshots raises ``ValueError``.
@@ -639,15 +638,9 @@ def evolve(params: ModelParams, rho0: DensityMatrix, t_end: float, *,
         raise ValueError(f"t_end / snapshot_dt must be at most {MAX_SNAPSHOTS}, "
                          f"got {t_end / snapshot_dt:.3g}")
     space = rho0.space
-    if generator is None:
-        generator = lindblad_generator(params, space.k_max,
-                                       include_atomic_decay=include_atomic_decay,
-                                       space=space)
-    elif generator.space is not space and (generator.space.params != space.params
-                                           or generator.space.offsets != space.offsets):
-        raise ValueError("generator and initial state live on different spaces")
-    if steady_threshold is None:
-        steady_threshold = 1e-9 * params.lam
+    generator = lindblad_generator(params, space.k_max,
+                                   include_atomic_decay=include_atomic_decay, space=space)
+    steady_threshold = STEADY_THRESHOLD * params.lam
     n_snap = max(1, int(math.ceil(t_end / snapshot_dt - 1e-12)))
     times = np.linspace(0.0, t_end, n_snap + 1)
 
@@ -691,7 +684,7 @@ def evolve(params: ModelParams, rho0: DensityMatrix, t_end: float, *,
             diag.max_trace_drift = max(diag.max_trace_drift, drift)
             min_eig = state.min_eigenvalue()
             diag.min_eigenvalue = min(diag.min_eigenvalue, min_eig)
-            if min_eig < -positivity_limit:
+            if min_eig < -POSITIVITY_LIMIT:
                 raise IntegrationError(
                     f"positivity violated at t={t:.6g}: min eigenvalue {min_eig:.3e}")
             diag.max_offblock = max(diag.max_offblock,
@@ -833,14 +826,19 @@ def effective_tc_hamiltonian(params: ModelParams, sector: SectorBasis) -> sparse
     return h_eff.tocsr()
 
 
+# Smallest R^2 of the log-linear fit that ``fit_decay_rate`` accepts.
+MIN_R_SQUARED = 0.9
+
+
 def fit_decay_rate(trajectory, observable: Callable[[DensityMatrix], float] | None = None,
-                   t_min: float | None = None, t_max: float | None = None,
-                   min_r_squared: float = 0.9) -> float:
-    """Least-squares decay rate of log(observable) over a time window.
+                   t_min: float | None = None) -> float:
+    """Least-squares decay rate of log(observable) over the samples at
+    t >= ``t_min`` (all of them by default).
 
     ``trajectory`` is either a :class:`Trajectory` (with ``observable``
     mapping states to positive reals) or a ``(times, values)`` pair.
-    Raises :class:`FitError` on non-decaying or noisy signals.
+    Raises :class:`FitError` on non-decaying signals and on fits with
+    R^2 below ``MIN_R_SQUARED``.
     """
     if isinstance(trajectory, Trajectory):
         if observable is None:
@@ -852,11 +850,7 @@ def fit_decay_rate(trajectory, observable: Callable[[DensityMatrix], float] | No
         times = np.asarray(times, dtype=float)
         values = np.asarray(values, dtype=float)
 
-    mask = np.ones(len(times), dtype=bool)
-    if t_min is not None:
-        mask &= times >= t_min
-    if t_max is not None:
-        mask &= times <= t_max
+    mask = np.ones(len(times), dtype=bool) if t_min is None else times >= t_min
     t = times[mask]
     y = values[mask]
     if len(t) < 3:
@@ -873,6 +867,6 @@ def fit_decay_rate(trajectory, observable: Callable[[DensityMatrix], float] | No
     if ss_tot <= 0:
         raise FitError("signal does not decay over the fit window")
     r_squared = 1.0 - float(residual @ residual) / ss_tot
-    if r_squared < min_r_squared:
+    if r_squared < MIN_R_SQUARED:
         raise FitError(f"signal too noisy for an exponential fit (R^2={r_squared:.3f})")
     return float(-slope)

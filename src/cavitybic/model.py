@@ -50,16 +50,11 @@ class ModelParams:
     q: int                  # resonant chain-mode index, 1 <= q <= n_chain - 1
     gamma_c: float = 0.0    # end-cavity leakage rate
     gamma_a: float = 0.0    # single-atom spontaneous decay rate
-    fock_cutoff: int | None = None  # per-mode photon truncation; None -> sector total
 
     @property
     def delta(self) -> float:
         """Cavity-atom detuning omega_c - omega_a (derived, never stored)."""
         return self.omega_c - self.omega_a
-
-    @property
-    def n_cavities(self) -> int:
-        return self.n_chain + 1
 
     def replace(self, **changes) -> "ModelParams":
         return dataclasses.replace(self, **changes)
@@ -160,8 +155,6 @@ def validate_params(params: ModelParams) -> ModelParams:
     if not 1 <= params.q <= params.n_chain - 1:
         raise ParamError(
             f"q out of range: need 1 <= q <= {params.n_chain - 1}, got {params.q}")
-    if params.fock_cutoff is not None and params.fock_cutoff < 0:
-        raise ParamError("fock_cutoff must be nonnegative")
     return params
 
 
@@ -190,15 +183,12 @@ def sector_occupations(params: ModelParams, k: int) -> np.ndarray:
     """Occupation rows of every basis state with excitation number ``k``,
     laid out and ordered as ``SectorBasis.occupations``.
 
-    Photon occupations are capped at ``fock_cutoff`` (defaulting to ``k``,
-    which is exact because the closed dynamics never raises the total) and
-    atomic occupations at ``m_atoms``.  Sectors beyond capacity, and k < 0,
-    have no rows.
+    Atomic occupations are capped at ``m_atoms``; photon occupations need
+    no cap below ``k``.  Sector k < 0 has no rows.
     """
     if k < 0:
         return np.zeros((0, params.n_chain + 3), dtype=np.int64)
-    photon_cap = params.fock_cutoff if params.fock_cutoff is not None else k
-    caps = [photon_cap] * (params.n_chain + 1) + [params.m_atoms, params.m_atoms]
+    caps = [k] * (params.n_chain + 1) + [params.m_atoms, params.m_atoms]
     # suffixes[t]: rows over the last slots, placed so far, that sum to t
     suffixes = [np.zeros((1 if t == 0 else 0, 0), dtype=np.int64) for t in range(k + 1)]
     for cap in reversed(caps[1:]):

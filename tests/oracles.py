@@ -18,13 +18,12 @@ from cavitybic import (BasisState, build_collective_lowering,
 
 
 def brute_force_sector(params, k):
-    """All basis states of excitation number k, by filtering the full
-    truncated product space."""
+    """All basis states of excitation number k, by filtering the product
+    space of 0 .. k photons per cavity and 0 .. m_atoms per ensemble."""
     if k < 0:
         return []
-    cap = params.fock_cutoff if params.fock_cutoff is not None else k
     n = params.n_chain
-    ranges = [range(cap + 1)] * (n + 1) + [range(params.m_atoms + 1)] * 2
+    ranges = [range(k + 1)] * (n + 1) + [range(params.m_atoms + 1)] * 2
     states = []
     for occ in itertools.product(*ranges):
         if sum(occ) == k:

@@ -150,10 +150,8 @@ def test_assembly_rejects_a_sector_that_is_not_the_full_sector_k():
     p = triple_cavity(m_atoms=2, g=0.3)
     with pytest.raises(ValueError):
         assemble_bic_state(p, 2, sector=enumerate_sector(p, 1))
-    with pytest.raises(ValueError):  # caps the two-photon Fock state away
-        assemble_bic_state(p, 2, sector=enumerate_sector(p.replace(fock_cutoff=1), 2))
-    with pytest.raises(ValueError):
-        assemble_bic_state(p.replace(fock_cutoff=1), 2)
+    with pytest.raises(ValueError):  # sector K = 2 of a longer chain
+        assemble_bic_state(p, 2, sector=enumerate_sector(p.replace(n_chain=4, q=2), 2))
 
 
 def test_trapping_residuals_vanish_on_grid():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cavitybic import dynamics
+from cavitybic import cli, dynamics
 from cavitybic.cli import MAX_GRID_POINTS, SCHEMAS, main, parse_config_file, resolve_config
 
 
@@ -477,6 +477,41 @@ def test_nonpositive_rtol_is_a_validation_error(capsys, rtol):
                                   "--set", "g=0.25", "--set", f"rtol={rtol}")
     assert code == 1 and out == ""
     assert err.splitlines() == [f"error: bad value for 'rtol': must be > 0, got {float(rtol)!r}"]
+
+
+@pytest.mark.parametrize("settings", [("omega_c=1e308",), ("g=1e200", "t_end=1")])
+def test_a_failed_run_prints_one_stderr_line_without_its_warnings(settings):
+    # both runs raise numpy and scipy.sparse RuntimeWarnings on the way to
+    # their error; a separate process shows warnings as a user sees them
+    argv = ["evolve"]
+    for setting in settings:
+        argv += ["--set", setting]
+    code, out, err = run_cli(*argv)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("numerical failure: ")
+
+
+def test_any_other_error_is_a_numerical_failure(monkeypatch, tmp_path, capsys):
+    def broken(config, stream):
+        print("partial output", file=stream)
+        raise RuntimeError("driver broke\non two lines")
+
+    monkeypatch.setitem(cli._DRIVERS, "bic", broken)
+    code, out, err = run_captured(capsys, "bic")
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["numerical failure: driver broke on two lines"]
+    keep = tmp_path / "keep.csv"
+    keep.write_text("precious\n")
+    assert run_captured(capsys, "bic", "--out", str(keep)) == (code, "", err)
+    assert keep.read_text() == "precious\n"
+
+
+def test_evolve_that_loses_positivity_is_a_numerical_failure(monkeypatch, capsys):
+    monkeypatch.setattr(dynamics, "POSITIVITY_LIMIT", -1.0)  # every snapshot fails it
+    code, out, err = run_captured(capsys, "evolve", "--set", "t_end=20")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("numerical failure: positivity violated at t=2: min eigenvalue")
 
 
 def test_qfactor_whose_detuning_overflows_is_a_numerical_failure(capsys):

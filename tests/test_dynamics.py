@@ -6,7 +6,7 @@ from scipy import sparse
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from cavitybic import (DensityMatrix, FitError, LindbladGenerator, ModelParams,
+from cavitybic import (DensityMatrix, FitError, IntegrationError, ModelParams,
                        StateVector, assemble_bic_state, build_collective_lowering,
                        build_end_annihilation, build_hamiltonian, dicke_basis, dynamics,
                        effective_tc_hamiltonian, enumerate_sector, evolve,
@@ -119,7 +119,7 @@ def test_evolve_from_cross_sector_state_matches_dense_oracle(k_low, k_high):
     assert index.size == expected
 
     t_end, dt = 20.0, 1.0
-    traj = evolve(p, rho0, t_end, generator=gen, snapshot_dt=dt,
+    traj = evolve(p, rho0, t_end, include_atomic_decay=True, snapshot_dt=dt,
                   rtol=1e-10, atol=1e-12, detect_steady=False)
     oracle = dense_lindblad_apply(p, space, include_atomic_decay=True)
     dim = space.dim
@@ -150,17 +150,14 @@ def test_evolve_rejects_too_fine_snapshot_grid():
         evolve(p, rho0, 2000.0, snapshot_dt=1e-300)
 
 
-def test_evolve_rejects_generator_built_for_other_params():
-    p = triple_cavity(m_atoms=1, g=0.1, gamma_c=1.0)
-    other = p.replace(g=0.9)
+def test_positivity_loss_aborts_the_run(monkeypatch):
+    # a limit that every state fails: the first snapshot after t = 0 aborts
+    monkeypatch.setattr(dynamics, "POSITIVITY_LIMIT", -1.0)
+    p = triple_cavity(m_atoms=1, gamma_c=1.0)
     space = stack_sectors(p, 1)
-    gen = lindblad_generator(other, 1)
-    assert gen.space.dim == space.dim
     rho0 = DensityMatrix.from_pure(space, left_excited_state(space, 1))
-    with pytest.raises(ValueError, match="different spaces"):
-        evolve(p, rho0, 10.0, generator=gen)
-    # a generator on an equal space built apart is accepted
-    evolve(p, rho0, 10.0, generator=lindblad_generator(p, 1), detect_steady=False)
+    with pytest.raises(IntegrationError, match="positivity violated at t=1: min eigenvalue"):
+        evolve(p, rho0, 10.0, snapshot_dt=1.0)
 
 
 def test_atomic_initial_state_is_frozen_without_coupling():
@@ -472,32 +469,6 @@ def test_exceptional_point_takes_the_rk45_fallback():
     assert traj.diagnostics.rhs_sup_last == np.abs(gen.apply(traj.states[-1].data)).max()
     oracle = _oracle_run(dense_lindblad_apply(p, space), rho0, traj.times)
     for state, ref in zip(traj.states, oracle):
-        assert np.abs(state.data - ref).max() < 1e-7
-
-
-def test_jump_that_keeps_the_sector_takes_the_rk45_fallback():
-    p = triple_cavity(m_atoms=2, g=0.3, gamma_c=0.5)
-    space = stack_sectors(p, 2)
-    base = lindblad_generator(p, 2, space=space)
-    # dephasing by the left-cavity photon number, which maps sector K to K
-    dephasing = np.zeros((space.dim, space.dim), dtype=complex)
-    for k in (1, 2):
-        a_left = build_end_annihilation(p, space.sectors[k], space.sectors[k - 1], "L")
-        block = space.sector_slice(k)
-        dephasing[block, block] = (a_left.conj().T @ a_left).toarray()
-    gen = LindbladGenerator(space, base.hamiltonian, [*base._jumps, (0.3, dephasing)])
-    rho0 = DensityMatrix.from_pure(space, left_excited_state(space, 2))
-    traj = evolve(p, rho0, 20.0, generator=gen, snapshot_dt=1.0, detect_steady=False)
-    assert traj.diagnostics.propagator == "rk45"
-    assert traj.diagnostics.fallback_reason == "a jump operator does not map sector K to K - 1"
-
-    leak = dense_lindblad_apply(p, space)
-
-    def apply(rho):
-        anti = dephasing @ dephasing @ rho + rho @ dephasing @ dephasing
-        return leak(rho) + 0.3 * (dephasing @ rho @ dephasing - 0.5 * anti)
-
-    for state, ref in zip(traj.states, _oracle_run(apply, rho0, traj.times)):
         assert np.abs(state.data - ref).max() < 1e-7
 
 

@@ -91,12 +91,11 @@ def test_sector_ordering_is_lexicographic():
     assert list(sector.states) == sorted(sector.states)
 
 
-def test_negative_and_oversized_sectors_are_empty():
+def test_negative_sectors_are_empty():
     p = triple_cavity(m_atoms=1)
-    assert enumerate_sector(p, -1).dim == 0
-    capped = p.replace(fock_cutoff=1)
-    # capacity is 3 photon slots * 1 + 2 atoms * 1 = 5
-    assert enumerate_sector(capped, 6).dim == 0
+    for k in (-1, -3):
+        sector = enumerate_sector(p, k)
+        assert sector.dim == 0 and sector.occupations.shape == (0, p.n_chain + 3)
 
 
 @settings(deadline=None, max_examples=60)

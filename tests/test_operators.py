@@ -20,8 +20,8 @@ def four_chain(m_atoms=1, g=0.3, omega=0.0):
 
 def test_builders_return_canonical_csr():
     # g = 0 and zero diagonal energies would leave stored zeros if any
-    # builder skipped canonicalisation; the cutoff truncates raised states
-    for p in (four_chain(m_atoms=2, g=0.0), four_chain(m_atoms=2).replace(fock_cutoff=1),
+    # builder skipped canonicalisation; one atom per end caps the ensembles below K
+    for p in (four_chain(m_atoms=2, g=0.0), four_chain(m_atoms=1),
               triple_cavity(m_atoms=3, g=0.4, omega_c=0.2)):
         for k in range(4):
             sector, sector_km1 = enumerate_sector(p, k), enumerate_sector(p, k - 1)
@@ -86,7 +86,7 @@ def test_number_op_eigenvalues():
 
 def test_ladders_match_per_state_reference():
     # reference: lower each state with a dict lookup, one state at a time
-    for p in (four_chain(m_atoms=2).replace(fock_cutoff=2), triple_cavity(m_atoms=3)):
+    for p in (four_chain(m_atoms=2), triple_cavity(m_atoms=3)):
         n = p.n_chain
         for k in range(4):
             sector, sector_km1 = enumerate_sector(p, k), enumerate_sector(p, k - 1)
@@ -125,7 +125,7 @@ def test_ladders_match_per_state_reference():
 
 
 def test_end_annihilation_amplitudes():
-    p = triple_cavity(m_atoms=2, fock_cutoff=2)
+    p = triple_cavity(m_atoms=2)
     sec1, sec2 = enumerate_sector(p, 1), enumerate_sector(p, 2)
     sec0 = enumerate_sector(p, 0)
     a1 = build_end_annihilation(p, sec1, sec0, "L").toarray()
@@ -175,8 +175,8 @@ def test_normal_mode_coefficients_four_chain():
 
 
 def test_normal_mode_commutators():
-    # [B_k, B_k'^+] = delta_{kk'} on states below the photon cutoff
-    p = four_chain(m_atoms=1).replace(fock_cutoff=3)
+    # [B_k, B_k'^+] = delta_{kk'} on sector 1, whose raised states all lie in sector 2
+    p = four_chain(m_atoms=1)
     sec1 = enumerate_sector(p, 1)
     sec2 = enumerate_sector(p, 2)
     sec0 = enumerate_sector(p, 0)
