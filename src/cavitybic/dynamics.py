@@ -28,14 +28,19 @@ V_K E_K V_K^-1, block (K, K') is V_K X(t) V_K'^+ where X(t) is a sum of
 exponentials: its own modes decay at the rates
 mu_ab = -i (E_K,a - conj(E_K',b)), and every mode of the block above,
 carried down by the jumps, drives it at that mode's own rate.  There is
-no step size and no tolerance.  Inputs the eigenbasis cannot represent
+no step size and no tolerance.  A term e^{mu t} below the smallest
+normal float (``_TINY``) in magnitude is an exact zero and is never
+computed, and so is an entry of X(t) below it: a decayed mode costs no
+subnormal arithmetic.  Inputs the eigenbasis cannot represent
 accurately fail one of three guards: an ill-conditioned V, a resonance
 that needs a secular t e^{mu t} term, or too many coefficients.  They run
 on an adaptive RK45 integrator of the sparse superoperator instead, and
 the trajectory's diagnostics name the path that ran.  On either path a
 snapshot whose smallest eigenvalue is below -``POSITIVITY_LIMIT`` aborts
 the run, and the run stops early once max |d rho / dt| stays below
-``STEADY_THRESHOLD`` lam.
+``STEADY_THRESHOLD`` lam.  Both tests run on a chunk of snapshots at once,
+positivity as one stacked ``eigvalsh`` per sector, and a trajectory keeps
+each snapshot as its reached entries alone.
 
 Twisted collective spin
 -----------------------
@@ -50,7 +55,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -150,10 +155,10 @@ class DensityMatrix:
     def min_eigenvalue(self) -> float:
         """Smallest eigenvalue; the smallest over the sector-diagonal blocks'
         spectra when no entry off those blocks is nonzero."""
-        blocks = [self.block(k) for k in range(self.space.k_max + 1)]
-        if sum(map(np.count_nonzero, blocks)) == np.count_nonzero(self.data):
-            return min(float(np.linalg.eigvalsh(blk)[0]) for blk in blocks)
-        return float(np.linalg.eigvalsh(self.data)[0])
+        n = self.space.k_max + 1
+        blocks = [divmod(key, n) for key in range(n * n)]
+        values = self.data.ravel()[_block_index(self.space, blocks)]
+        return _min_eigenvalues(self.space, blocks, values[None])[0]
 
     def block(self, k_row: int, k_col: int | None = None) -> np.ndarray:
         if k_col is None:
@@ -170,6 +175,50 @@ class DensityMatrix:
                     if blk.size:
                         worst = max(worst, float(np.abs(blk).max()))
         return worst
+
+
+def _min_eigenvalues(space: SectorStack, blocks: Sequence[tuple[int, int]],
+                     values: np.ndarray) -> list[float]:
+    """``DensityMatrix.min_eigenvalue`` of each row of ``values``, a Hermitian
+    matrix given by the entries of its sector ``blocks``, laid out as
+    ``_block_index`` lays them out (it is zero elsewhere).  One ``eigvalsh``
+    call per sector serves the rows with no nonzero entry off the
+    sector-diagonal blocks, and one call on the full matrices the others."""
+    dims = np.diff(space.offsets)
+    sizes = [int(dims[j] * dims[k]) for j, k in blocks]
+    start = dict(zip(blocks, np.cumsum([0] + sizes).tolist()))
+    off = np.repeat(np.array([j != k for j, k in blocks], dtype=bool), sizes)
+    full = (values[:, off] != 0).any(axis=1)
+    out = np.zeros(len(values))
+    if full.any():
+        dense = np.zeros((np.count_nonzero(full), space.dim ** 2), dtype=np.complex128)
+        dense[:, _block_index(space, blocks)] = values[full]
+        out[full] = np.linalg.eigvalsh(dense.reshape(-1, space.dim, space.dim))[:, 0]
+    if not full.all():
+        part = values[~full]
+        lows = []
+        for k, d in enumerate(dims):
+            if (k, k) in start:
+                blk = part[:, start[(k, k)]:start[(k, k)] + d * d].reshape(-1, d, d)
+            else:  # a block that is not given is zero
+                blk = np.zeros((len(part), d, d), dtype=np.complex128)
+            lows.append(np.linalg.eigvalsh(blk)[:, 0])
+        out[~full] = [min(map(float, low)) for low in zip(*lows)]
+    return out.tolist()
+
+
+def _transposes(index: np.ndarray, dim: int) -> np.ndarray:
+    """Position in ``index`` of the transpose of each entry of ``index``
+    (positions in the ravelled d x d matrix); ``ValueError`` if one is
+    missing, as for the reach of a ``rho0`` that is not Hermitian."""
+    rows, cols = np.divmod(index, dim)
+    wanted = cols * dim + rows
+    order = np.argsort(index)
+    found = order[np.minimum(np.searchsorted(index, wanted, sorter=order), len(index) - 1)]
+    if not np.array_equal(index[found], wanted):
+        raise ValueError("rho0 must be Hermitian: its nonzero sector blocks are not "
+                         "symmetric")
+    return found
 
 
 def _sector_labels(space: SectorStack) -> np.ndarray:
@@ -356,10 +405,38 @@ class TrajectoryDiagnostics:
     fallback_reason: str = ""  # the cascade guard that sent the run to RK45
 
 
+class TrajectoryStates(Sequence):
+    """The states of a ``Trajectory``, read-only.  The first is the initial
+    state as given.  Every later one is kept as its symmetrised entries at
+    ``index``, the positions in ``rho.ravel()`` of the sector blocks that
+    the run reaches (all other entries are zero), and is rebuilt as a
+    ``DensityMatrix`` each time it is read."""
+
+    def __init__(self, initial: DensityMatrix, index: np.ndarray,
+                 entries: list[np.ndarray]):
+        self.initial = initial
+        self.index = index
+        self.entries = entries  # one row of len(index) entries per later state
+
+    def __len__(self) -> int:
+        return 1 + len(self.entries)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        i = range(len(self))[i]  # negative indices count from the end
+        if i == 0:
+            return self.initial.copy()
+        dim = self.initial.space.dim
+        flat = np.zeros(dim * dim, dtype=np.complex128)
+        flat[self.index] = self.entries[i - 1]
+        return DensityMatrix(self.initial.space, flat.reshape(dim, dim))
+
+
 @dataclass
 class Trajectory:
     times: np.ndarray
-    states: list[DensityMatrix]
+    states: TrajectoryStates
     min_eigenvalues: np.ndarray  # smallest eigenvalue of each stored state
     steady_reached: bool = False
     steady_time: float | None = None
@@ -372,8 +449,8 @@ class Trajectory:
         return iter(zip(self.times, self.states))
 
 
-# Largest snapshot grid ``evolve`` accepts: every snapshot keeps a full
-# density matrix, and a finer grid than this is an input error, not a run.
+# Largest snapshot grid ``evolve`` accepts: every snapshot keeps its
+# reached entries, and a finer grid than this is an input error, not a run.
 MAX_SNAPSHOTS = 100_000
 # ``evolve`` stops at steady state once max |d rho / dt| stays below this
 # many hopping rates lam at two consecutive snapshots.
@@ -406,6 +483,11 @@ _EPS = float(np.finfo(float).eps)
 # Below this |lam - mu| (the smallest normal float) numpy's complex division
 # overflows on the reciprocal and returns NaN, even for a zero source.
 _TINY = float(np.finfo(float).tiny)
+# The cascade sets a term e^{mu t} below ``_TINY`` in magnitude, where
+# Re(mu t) < log _TINY, to an exact zero without computing it: a subnormal
+# operand slows every product it enters, and lies some 300 orders below
+# ``_CASCADE_TOL``.
+_LOG_TINY = math.log(_TINY)
 # Entries of a source that ``_particular`` works on at once.
 _SLICE = 1 << 12
 # Snapshots the cascade evaluates at once; the steady test may stop a run
@@ -532,15 +614,32 @@ class _Cascade:
             chunk = times[start:start + _CHUNK]
             yield chunk, self._evaluate(chunk)
 
-    def _evaluate(self, ts: np.ndarray) -> np.ndarray:
-        expo = {key: np.exp(np.outer(blk.mu, ts)) for key, blk in self._modes.items()}
-        out = [np.zeros((len(ts), 0), dtype=np.complex128)]  # a zero rho0 reaches no block
+    def _eigenbasis(self, ts: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
+        """X(t) of every reached block, row-major over its entries, one column
+        per time of ``ts``.  A term e^{mu t} whose magnitude is below
+        ``_TINY`` (Re(mu t) < log _TINY) is never computed, and an entry of
+        X below ``_TINY`` is set to zero, so X holds no subnormal float."""
+        expo = {}
+        for key, blk in self._modes.items():
+            exponent = np.outer(blk.mu, ts)
+            live = exponent.real >= _LOG_TINY
+            expo[key] = (np.exp(exponent, out=np.zeros_like(exponent), where=live), live)
+        xs = {}
         for key in self.blocks:
             blk = self._modes[key]
-            x = blk.h[:, None] * expo[key]
+            own, live = expo[key]
+            x = np.multiply(blk.h[:, None], own, out=np.zeros_like(own), where=live)
             for src, p in blk.parts:
-                x += p @ expo[src]
-            v_k, v_c = self._eig[key[0]][1], self._eig[key[1]][1]
+                if expo[src][1].any():  # a block whose modes are all dead drives nothing
+                    x += p @ expo[src][0]
+            x[np.abs(x) < _TINY] = 0.0
+            xs[key] = x
+        return xs
+
+    def _evaluate(self, ts: np.ndarray) -> np.ndarray:
+        out = [np.zeros((len(ts), 0), dtype=np.complex128)]  # a zero rho0 reaches no block
+        for (k, k_col), x in self._eigenbasis(ts).items():
+            v_k, v_c = self._eig[k][1], self._eig[k_col][1]
             x = x.T.reshape(len(ts), len(v_k), len(v_c))
             out.append((v_k @ x @ v_c.conj().T).reshape(len(ts), -1))
         return np.hstack(out)
@@ -621,9 +720,21 @@ def evolve(params: ModelParams, rho0: DensityMatrix, t_end: float, *,
     ``diagnostics.propagator`` names the path that ran and
     ``diagnostics.fallback_reason`` the guard that failed.
 
+    On the cascade, a term e^{mu t} or an entry of an eigenbasis block X(t)
+    below ``_TINY`` in magnitude (the smallest normal float) is an exact
+    zero, so decayed modes cost no subnormal arithmetic.
+
     Trace, Hermiticity (symmetrised storage) and positivity are checked at
     every snapshot; a smallest eigenvalue below -``POSITIVITY_LIMIT`` raises
-    ``IntegrationError``.  When ``detect_steady`` is on, the run stops once
+    ``IntegrationError`` at the first such snapshot in time order.
+    Positivity is computed per chunk of snapshots: one stacked ``eigvalsh``
+    per sector over their diagonal blocks, and the full matrix's for a
+    snapshot with a nonzero entry off those blocks, as
+    ``DensityMatrix.min_eigenvalue`` does.  ``trajectory.states`` keeps each
+    snapshot as its symmetrised entries at the reach's positions and builds
+    the ``DensityMatrix`` when it is read.  ``rho0`` must be Hermitian and
+    enumerated for ``params``' ``n_chain`` and ``m_atoms``; otherwise
+    ``ValueError``.  When ``detect_steady`` is on, the run stops once
     max |d rho / dt| stays below ``STEADY_THRESHOLD`` * lam at two
     consecutive snapshots; on either propagator
     d rho / dt is that superoperator times the symmetrised snapshot, and
@@ -638,6 +749,12 @@ def evolve(params: ModelParams, rho0: DensityMatrix, t_end: float, *,
         raise ValueError(f"t_end / snapshot_dt must be at most {MAX_SNAPSHOTS}, "
                          f"got {t_end / snapshot_dt:.3g}")
     space = rho0.space
+    # the sector enumeration reads n_chain and m_atoms alone
+    enumerated = (space.params.n_chain, space.params.m_atoms)
+    if (params.n_chain, params.m_atoms) != enumerated:
+        raise ValueError(f"params have (n_chain, m_atoms) = ({params.n_chain}, "
+                         f"{params.m_atoms}), but rho0's space was enumerated for "
+                         f"{enumerated}")
     generator = lindblad_generator(params, space.k_max,
                                    include_atomic_decay=include_atomic_decay, space=space)
     steady_threshold = STEADY_THRESHOLD * params.lam
@@ -647,6 +764,7 @@ def evolve(params: ModelParams, rho0: DensityMatrix, t_end: float, *,
     # the reach, its positions in rho.ravel() and its superoperator, once per
     # run: the propagator starts from them and the steady test reads them
     blocks, index, superop = generator._superoperator(rho0.data)
+    transposes = _transposes(index, space.dim)
     y0 = rho0.data.ravel()[index]
     try:
         path = _Cascade(generator, blocks, rho0.data, t_end)
@@ -657,44 +775,42 @@ def evolve(params: ModelParams, rho0: DensityMatrix, t_end: float, *,
     dim = space.dim
     label = _sector_labels(space)
     offblock = label[index // dim] != label[index % dim]
+    on_diagonal = np.flatnonzero(index // dim == index % dim)
     trace0 = rho0.trace()
 
-    states = [rho0.copy()]
-    min_eigs = [states[0].min_eigenvalue()]
+    min_eigs = [rho0.min_eigenvalue()]
     diag = TrajectoryDiagnostics(min_eigenvalue=min_eigs[0],
                                  max_offblock=float(np.abs(y0[offblock]).max(initial=0.0)),
                                  propagator=path.name, fallback_reason=fallback_reason)
     kept_times = [0.0]
+    entries: list[np.ndarray] = []
     steady_reached = False
     steady_time: float | None = None
     below_count = 0
 
-    flat = np.zeros(dim * dim, dtype=np.complex128)
     for ts, ys in path.chunks(times):
-        rhos = []
-        for y in ys:
-            flat[index] = y
-            rho = flat.reshape(dim, dim)
-            rhos.append(0.5 * (rho + rho.conj().T))  # symmetrized storage
-        ys_sym = np.array([rho.ravel()[index] for rho in rhos])
+        ys_sym = 0.5 * (ys + ys[:, transposes].conj())  # symmetrized storage
         rhs_sups = np.abs(superop @ ys_sym.T).max(axis=0, initial=0.0)
-        for t, rho, y_sym, rhs_sup in zip(ts, rhos, ys_sym, rhs_sups):
-            state = DensityMatrix(space, rho)
-            drift = abs(state.trace() - trace0)
+        offblocks = np.abs(ys_sym[:, offblock]).max(axis=1, initial=0.0)
+        diagonals = np.zeros((len(ts), dim), dtype=np.complex128)
+        diagonals[:, index[on_diagonal] // dim] = ys_sym[:, on_diagonal]
+        traces = diagonals.sum(axis=1).real  # np.trace of each snapshot, to the bit
+        chunk_min_eigs = _min_eigenvalues(space, blocks, ys_sym)
+        for i, t in enumerate(ts):
+            drift = abs(float(traces[i]) - trace0)
             diag.max_trace_drift = max(diag.max_trace_drift, drift)
-            min_eig = state.min_eigenvalue()
+            min_eig = chunk_min_eigs[i]
             diag.min_eigenvalue = min(diag.min_eigenvalue, min_eig)
             if min_eig < -POSITIVITY_LIMIT:
                 raise IntegrationError(
                     f"positivity violated at t={t:.6g}: min eigenvalue {min_eig:.3e}")
-            diag.max_offblock = max(diag.max_offblock,
-                                    float(np.abs(y_sym[offblock]).max(initial=0.0)))
-            states.append(state)
+            diag.max_offblock = max(diag.max_offblock, float(offblocks[i]))
+            entries.append(ys_sym[i])
             min_eigs.append(min_eig)
             kept_times.append(float(t))
-            diag.rhs_sup_last = float(rhs_sup)
+            diag.rhs_sup_last = float(rhs_sups[i])
             if detect_steady:
-                if rhs_sup < steady_threshold:
+                if rhs_sups[i] < steady_threshold:
                     below_count += 1
                     if below_count >= 2:
                         steady_reached = True
@@ -706,8 +822,8 @@ def evolve(params: ModelParams, rho0: DensityMatrix, t_end: float, *,
             break
     diag.n_rhs_evaluations = path.n_rhs_evaluations
 
-    return Trajectory(np.array(kept_times), states, np.array(min_eigs),
-                      steady_reached, steady_time, diag)
+    return Trajectory(np.array(kept_times), TrajectoryStates(rho0.copy(), index, entries),
+                      np.array(min_eigs), steady_reached, steady_time, diag)
 
 
 def trapped_probabilities(rho: DensityMatrix,

@@ -128,6 +128,9 @@ def test_evolve_from_cross_sector_state_matches_dense_oracle(k_low, k_high):
     assert ref.success and len(traj.states) == len(ref.t) == 21
     for col, state in enumerate(traj.states):
         assert np.abs(state.data - ref.y[:, col].reshape(dim, dim)).max() < 1e-7
+        # a state with coherences between sectors takes the full-matrix eigvalsh
+        low = np.linalg.eigvalsh(state.data)[0]
+        assert traj.min_eigenvalues[col] == state.min_eigenvalue() == low
     assert traj.diagnostics.max_offblock > 0.1  # the ground-beta1 coherence
 
 
@@ -158,6 +161,56 @@ def test_positivity_loss_aborts_the_run(monkeypatch):
     rho0 = DensityMatrix.from_pure(space, left_excited_state(space, 1))
     with pytest.raises(IntegrationError, match="positivity violated at t=1: min eigenvalue"):
         evolve(p, rho0, 10.0, snapshot_dt=1.0)
+
+
+def test_positivity_judges_no_snapshot_after_the_steady_stop(monkeypatch):
+    p = triple_cavity(m_atoms=2, g=0.1, gamma_c=1.0)
+    space = stack_sectors(p, 2)
+    rho0 = DensityMatrix.from_pure(space, left_excited_state(space, 2))
+    ref = evolve(p, rho0, 2000.0, snapshot_dt=2.0)
+    last = len(ref.times) - 1  # the snapshot that stopped the run
+    # the stop falls inside a chunk, whose later snapshots are computed too
+    assert ref.steady_reached and last % dynamics._CHUNK != 0
+    real = dynamics._min_eigenvalues
+
+    def bad_from(first_bad):
+        seen = 0  # snapshots judged so far, the initial state first
+
+        def patched(space, blocks, values):
+            nonlocal seen
+            out = real(space, blocks, values)
+            rows = range(seen, seen + len(out))
+            seen += len(out)
+            return [-1.0 if i >= first_bad else value for i, value in zip(rows, out)]
+        return patched
+
+    monkeypatch.setattr(dynamics, "_min_eigenvalues", bad_from(last + 1))
+    after = evolve(p, rho0, 2000.0, snapshot_dt=2.0)
+    assert np.array_equal(after.min_eigenvalues, ref.min_eigenvalues)
+    monkeypatch.setattr(dynamics, "_min_eigenvalues", bad_from(last))
+    with pytest.raises(IntegrationError, match=f"violated at t={ref.times[-1]:.6g}: min"):
+        evolve(p, rho0, 2000.0, snapshot_dt=2.0)
+
+
+@pytest.mark.parametrize("change", [dict(m_atoms=3), dict(n_chain=4)])
+def test_evolve_rejects_params_the_space_was_not_enumerated_for(change):
+    p = triple_cavity(m_atoms=2, g=0.3, gamma_c=1.0)
+    space = stack_sectors(p, 1)
+    beta = assemble_bic_state(p, 1, sector=space.sectors[1])
+    rho0 = DensityMatrix.from_pure(space, beta)
+    traj = evolve(p, rho0, 20.0, snapshot_dt=1.0, detect_steady=False)
+    assert trapped_probabilities(traj.states[-1], [beta])[0] == pytest.approx(1.0, abs=1e-9)
+    with pytest.raises(ValueError, match="enumerated for"):
+        evolve(p.replace(**change), rho0, 20.0, snapshot_dt=1.0, detect_steady=False)
+
+
+def test_evolve_rejects_a_rho0_that_is_not_hermitian():
+    p = triple_cavity(m_atoms=1, gamma_c=1.0)
+    space = stack_sectors(p, 1)
+    data = DensityMatrix.from_pure(space, left_excited_state(space, 1)).data
+    data[0, 1] = 0.5  # a (0, 1) block without its (1, 0) mirror
+    with pytest.raises(ValueError, match="must be Hermitian"):
+        evolve(p, DensityMatrix(space, data), 10.0, snapshot_dt=1.0)
 
 
 def test_atomic_initial_state_is_frozen_without_coupling():
@@ -191,6 +244,75 @@ def test_trajectory_records_min_eigenvalue_of_each_state(relaxation_run):
     for value, state in zip(traj.min_eigenvalues, traj.states):
         assert value == state.min_eigenvalue()
     assert traj.diagnostics.min_eigenvalue == traj.min_eigenvalues.min()
+
+
+def test_trajectory_keeps_each_snapshot_as_its_reached_entries():
+    p = triple_cavity(m_atoms=3, g=0.1, gamma_c=1.0)
+    space = stack_sectors(p, 3)
+    rho0 = DensityMatrix.from_pure(space, left_excited_state(space, 3))
+    traj = evolve(p, rho0, 40.0, snapshot_dt=2.0, detect_steady=False)
+    states = traj.states
+    assert len(states) == len(traj.times) == 21
+    assert np.array_equal(states[-1].data, list(states)[-1].data)
+    assert np.array_equal(states[-21].data, rho0.data) and states[0].data is not rho0.data
+    with pytest.raises(IndexError):
+        states[21]
+    # a later snapshot holds the 1,476 entries of the reached blocks, not 3,136
+    assert space.dim ** 2 == 3136 and states.index.size == 1476
+    assert [row.shape for row in states.entries] == [(1476,)] * 20
+
+    # each state is what the full symmetrised snapshot used to be, to the bit
+    gen = lindblad_generator(p, 3, space=space)
+    blocks, index, _matrix = gen._superoperator(rho0.data)
+    flat = np.zeros(space.dim ** 2, dtype=complex)
+    full = [rho0.data]
+    for _ts, ys in dynamics._Cascade(gen, blocks, rho0.data, 40.0).chunks(traj.times):
+        for y in ys:
+            flat[index] = y
+            rho = flat.reshape(space.dim, space.dim)
+            full.append(0.5 * (rho + rho.conj().T))
+    assert all(np.array_equal(state.data, ref) for state, ref in zip(states, full))
+    assert [t for t, _state in traj] == list(traj.times)
+    purity = lambda rho: float(np.real(np.vdot(rho.data, rho.data)))  # noqa: E731
+    assert np.array_equal(traj.observable(purity),
+                          [purity(DensityMatrix(space, ref)) for ref in full])
+    assert traj.diagnostics.max_trace_drift == max(abs(np.trace(ref).real - rho0.trace())
+                                                   for ref in full[1:])
+
+
+def test_cascade_leaves_no_subnormal_and_matches_plain_exponentials(relaxation_run):
+    p, space = relaxation_run.params, relaxation_run.space
+    rho0 = DensityMatrix.from_pure(space, left_excited_state(space, 2))
+    gen = lindblad_generator(p, 2, space=space)
+    blocks, _index, _matrix = gen._superoperator(rho0.data)
+    cascade = dynamics._Cascade(gen, blocks, rho0.data, 2000.0)
+    ts = np.linspace(1000.0, 2000.0, 16)
+    tiny = np.finfo(float).tiny
+
+    def subnormal(x):
+        return np.count_nonzero((x != 0) & (np.abs(x) < tiny))
+
+    # the plain evaluation: every exponential computed, every term kept
+    expo = {key: np.exp(np.outer(blk.mu, ts)) for key, blk in cascade._modes.items()}
+    size = np.abs(np.concatenate([e.ravel() for e in expo.values()]))
+    assert np.mean(size < tiny) > 0.5  # most modes have decayed
+    plain_xs, plain = [], []
+    for key in cascade.blocks:
+        blk = cascade._modes[key]
+        x = blk.h[:, None] * expo[key]
+        for src, coeff in blk.parts:
+            x += coeff @ expo[src]
+        plain_xs.append(x)
+        v_k, v_c = cascade._eig[key[0]][1], cascade._eig[key[1]][1]
+        x = x.T.reshape(len(ts), len(v_k), len(v_c))
+        plain.append((v_k @ x @ v_c.conj().T).reshape(len(ts), -1))
+    assert subnormal(size) > 0 and sum(map(subnormal, plain_xs)) > 0
+
+    xs = cascade._eigenbasis(ts)
+    assert list(xs) == cascade.blocks and sum(map(subnormal, xs.values())) == 0
+    ys = cascade._evaluate(ts)
+    assert subnormal(ys) == 0
+    assert np.abs(ys - np.hstack(plain)).max() <= 1e-300
 
 
 def test_trapped_probabilities_projectors():
