@@ -220,13 +220,13 @@ def _grid(config: RunConfig, name: str, scale: str = "linear", *,
                          f"{MAX_GRID_POINTS}, got {n}")
     if hi < lo or (positive and lo <= 0):
         raise ParamError(f"need {'0 < ' if positive else ''}{name}_min <= {name}_max")
+    if scale not in ("log", "linear"):
+        raise ParamError(f"{name}_scale must be 'log' or 'linear', got {scale!r}")
     if n == 1:
         return np.array([lo])
     if scale == "log":
         return np.logspace(math.log10(lo), math.log10(hi), n)
-    if scale == "linear":
-        return np.linspace(lo, hi, n)
-    raise ParamError(f"{name}_scale must be 'log' or 'linear', got {scale!r}")
+    return np.linspace(lo, hi, n)
 
 
 def run_bic(config: RunConfig, stream: IO[str]) -> int:

@@ -18,9 +18,13 @@ The state space is the direct sum of excitation sectors 0 .. K_max.  The
 Hamiltonian is block diagonal and every jump operator maps sector K to
 K - 1, so the generator feeds a block (K, K') of rho only into the blocks
 (K, K') and (K - 1, K' - 1) (a weak U(1) symmetry, Buca & Prosen,
-NJP 14, 073007 (2012)).  Only the blocks that the generator reaches from
-the nonzero blocks of the initial state are ever nonzero; for a
-sector-diagonal start these are the diagonal blocks alone.
+NJP 14, 073007 (2012)).  The operators are built and held as those sector
+blocks alone, the Hamiltonian's (K, K) and each jump's (K - 1, K), never
+as matrices on the whole stacked space.  Only the blocks that the
+generator reaches from the nonzero blocks of the initial state are ever
+nonzero: with a jump, the blocks (K - j, K' - j), 0 <= j <= min(K, K'),
+of every nonzero start block (K, K'); for a sector-diagonal start these
+are the diagonal blocks alone.
 
 ``evolve`` propagates those blocks exactly.  With the non-Hermitian
 H_eff = H - (i/2) sum gamma c+ c diagonalised per sector, H_eff,K =
@@ -241,93 +245,83 @@ def _block_index(space: SectorStack, blocks: Sequence[tuple[int, int]]) -> np.nd
     return np.concatenate([np.zeros(0, dtype=np.int64), *index])
 
 
-def _split(space: SectorStack, op: sparse.csr_matrix) -> dict[tuple[int, int], sparse.csr_matrix]:
-    """The sector blocks (J, K) of a stacked-space operator that hold a nonzero."""
-    op = op.copy()
-    op.eliminate_zeros()
-    coo = op.tocoo()
-    return {(j, k): op[space.sector_slice(j), space.sector_slice(k)]
-            for j, k in _block_keys(space, coo.row, coo.col)}
-
-
 def _adjoint(blocks: dict) -> dict:
     """Sector blocks of the adjoint: block (K, J) is block (J, K)+."""
     return {(k, j): blk.conj().T for (j, k), blk in blocks.items()}
 
 
-def _scaled(factor: complex, blocks: dict) -> dict:
-    """Sector blocks of ``factor`` times the operator, without the entries
-    (and blocks) that the product rounds to zero."""
+def _nonzero(blocks: dict) -> dict:
+    """The sector blocks that hold a nonzero, their stored zeros removed in
+    place."""
     out = {}
     for key, blk in blocks.items():
-        blk = factor * blk
         blk.eliminate_zeros()
         if blk.nnz:
             out[key] = blk
     return out
 
 
+def _scaled(factor: complex, blocks: dict) -> dict:
+    """Sector blocks of ``factor`` times the operator, without the entries
+    (and blocks) that the product rounds to zero."""
+    return _nonzero({key: factor * blk for key, blk in blocks.items()})
+
+
 class LindbladGenerator:
     """Right-hand side of the master equation on a sector stack.
 
-    Holds the rotating-frame Hamiltonian and the jump operators as sparse
-    CSR matrices.  With H_eff = H - (i/2) sum gamma c+ c the generator is
+    Holds every operator as its sector blocks, sparse CSR with no stored
+    zero and no empty block: ``hamiltonian`` maps (K, K) to the
+    rotating-frame H_K, and each jump is ``(rate, {(K - 1, K): block})``.
+    With H_eff = H - (i/2) sum gamma c+ c, formed sector by sector as
+    H_eff,K = H_K - (i/2) sum gamma c_K+ c_K, the generator is
     L rho = -i H_eff rho + i rho H_eff+ + sum gamma c rho c+, a sum of
-    terms A rho B.  H_eff and each jump are split into their nonzero sector
-    blocks once, here; every term's blocks are those blocks scaled or
+    terms A rho B.  Every term's blocks are those blocks scaled or
     adjoined, and ``evolve``'s cascade reads the same blocks.
     ``superoperator`` vectorises the terms row-major,
     vec(A rho B) = (A kron B^T) vec(rho), on the sector blocks that a given
     state reaches.
     """
 
-    def __init__(self, space: SectorStack, hamiltonian,
-                 jumps: Iterable[tuple[float, object]]):
+    def __init__(self, space: SectorStack, hamiltonian: dict,
+                 jumps: Iterable[tuple[float, dict]]):
         self.space = space
-        self.hamiltonian = sparse.csr_matrix(hamiltonian, dtype=np.complex128)
-        self._jumps = [(float(rate), sparse.csr_matrix(op, dtype=np.complex128))
-                       for rate, op in jumps]
-        h_eff = self.hamiltonian
-        for rate, op in self._jumps:
-            h_eff = h_eff - (0.5j * rate) * (op.conj().T @ op)
-        self._h_eff_blocks = _split(space, h_eff)
-        self._jump_blocks = [(rate, _split(space, op)) for rate, op in self._jumps]
+        self._jumps = [(float(rate), _nonzero(blocks)) for rate, blocks in jumps]
+        h_eff = {}
+        for (k, k_col), blk in hamiltonian.items():
+            for rate, blocks in self._jumps:
+                if (k - 1, k) in blocks:
+                    c = blocks[(k - 1, k)]
+                    blk = blk - (0.5j * rate) * (c.conj().T @ c)
+            h_eff[(k, k_col)] = blk
+        self._h_eff_blocks = _nonzero(h_eff)
         eye = {(k, k): sparse.identity(sec.dim, dtype=np.complex128, format="csr")
                for k, sec in enumerate(space.sectors)}
         # one (blocks of A, blocks of B) pair per term A rho B
         self._terms = [(_scaled(-1j, self._h_eff_blocks), eye),
                        (eye, _scaled(1j, _adjoint(self._h_eff_blocks)))]
         self._terms += [(_scaled(rate, blocks), _adjoint(blocks))
-                        for rate, blocks in self._jump_blocks]
+                        for rate, blocks in self._jumps]
 
     def _reach(self, blocks: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
         """Sorted sector blocks (K, K') that the generator reaches from
-        ``blocks``, ``blocks`` included; a state supported on them stays so."""
-        found = set(blocks)
-        todo = list(found)
-        while todo:
-            k, k_col = todo.pop()
-            for a_blocks, b_blocks in self._terms:
-                for j, ka in a_blocks:
-                    if ka != k:
-                        continue
-                    for kb, j_col in b_blocks:
-                        if kb == k_col and (j, j_col) not in found:
-                            found.add((j, j_col))
-                            todo.append((j, j_col))
-        return sorted(found)
+        ``blocks``, ``blocks`` included; a state supported on them stays so.
+        H_eff keeps a block in place and the jumps carry (K, K') to
+        (K - 1, K' - 1), down to a block of sector 0: every jump that
+        ``lindblad_generator`` builds has a nonzero block (K - 1, K) for
+        each K >= 1."""
+        if not self._jumps:
+            return sorted(set(blocks))
+        return sorted({(k - j, k_col - j) for k, k_col in blocks
+                       for j in range(min(k, k_col) + 1)})
 
-    def superoperator(self, rho: np.ndarray) -> tuple[np.ndarray, sparse.csr_matrix]:
-        """``(index, matrix)`` for the sector blocks reached from the nonzero
-        blocks of ``rho``: ``index`` holds their positions in ``rho.ravel()``
-        (block by block, row-major within a block), and
-        ``apply(rho).ravel()[index] == matrix @ rho.ravel()[index]`` while
-        ``apply(rho)`` is zero elsewhere."""
-        return self._superoperator(rho)[1:]
-
-    def _superoperator(self, rho: np.ndarray):
-        """``(blocks, index, matrix)``: ``superoperator(rho)`` with the
-        sorted list of the reached sector blocks in front."""
+    def superoperator(self, rho: np.ndarray) -> tuple[list[tuple[int, int]], np.ndarray,
+                                                      sparse.csr_matrix]:
+        """``(blocks, index, matrix)`` for the sorted sector ``blocks``
+        reached from the nonzero blocks of ``rho``: ``index`` holds their
+        positions in ``rho.ravel()`` (block by block, row-major within a
+        block), and ``apply(rho).ravel()[index] == matrix @ rho.ravel()[index]``
+        while ``apply(rho)`` is zero elsewhere."""
         space, dim = self.space, self.space.dim
         if rho.shape != (dim, dim):
             raise ValueError("density matrix does not match the generator's space")
@@ -354,44 +348,34 @@ class LindbladGenerator:
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """d rho / dt for a d x d matrix; builds ``superoperator(rho)`` on
         every call, where ``evolve`` builds it once per run."""
-        index, matrix = self.superoperator(rho)
+        _blocks, index, matrix = self.superoperator(rho)
         out = np.zeros(rho.size, dtype=np.complex128)
         out[index] = matrix @ rho.ravel()[index]
         return out.reshape(rho.shape)
 
 
-def lindblad_generator(params: ModelParams, k_max: int,
-                       include_atomic_decay: bool = False,
-                       space: SectorStack | None = None) -> LindbladGenerator:
-    """Build the master-equation generator for sectors 0 .. k_max.
+def lindblad_generator(params: ModelParams, space: SectorStack,
+                       include_atomic_decay: bool = False) -> LindbladGenerator:
+    """Build the master-equation generator on the sectors of ``space``, as
+    sector blocks straight from ``operators``: H_K - omega_c K on (K, K),
+    the frame rotating at omega_c, and each jump's (K - 1, K).
 
     End-cavity leakage at rate gamma_c is always included; collective
     atomic damping at rate gamma_a is added when requested.
     """
-    if space is None:
-        space = stack_sectors(params, k_max)
     sectors = space.sectors
-    # rotating frame: subtract omega_c times the excitation number
-    h = sparse.block_diag(
-        [build_hamiltonian(params, sec, sectors[k - 1] if k else None)
-         - params.omega_c * k * sparse.identity(sec.dim) for k, sec in enumerate(sectors)],
-        format="csr", dtype=np.complex128)
-
-    def stacked_lowering(builder, side: str) -> sparse.csr_matrix:
-        # the blocks (K - 1, K) lie one sector right of the diagonal: pad the
-        # diagonal with an empty 0 x d_0 block in front and d_Kmax x 0 behind
-        ops = [builder(params, sectors[k], sectors[k - 1], side) for k in range(1, len(sectors))]
-        empty = [sparse.csr_matrix((0, sectors[0].dim)), sparse.csr_matrix((sectors[-1].dim, 0))]
-        return sparse.block_diag([empty[0], *ops, empty[1]], format="csr", dtype=np.complex128)
-
-    jumps: list[tuple[float, sparse.csr_matrix]] = []
+    hamiltonian = {(k, k): build_hamiltonian(params, sec, sectors[k - 1] if k else None)
+                   - params.omega_c * k * sparse.identity(sec.dim)
+                   for k, sec in enumerate(sectors)}
+    lowerings = []
     if params.gamma_c > 0:
-        for side in ("L", "R"):
-            jumps.append((params.gamma_c, stacked_lowering(build_end_annihilation, side)))
+        lowerings.append((params.gamma_c, build_end_annihilation))
     if include_atomic_decay and params.gamma_a > 0:
-        for side in ("L", "R"):
-            jumps.append((params.gamma_a, stacked_lowering(build_collective_lowering, side)))
-    return LindbladGenerator(space, h, jumps)
+        lowerings.append((params.gamma_a, build_collective_lowering))
+    jumps = [(rate, {(k - 1, k): builder(params, sectors[k], sectors[k - 1], side)
+                     for k in range(1, len(sectors))})
+             for rate, builder in lowerings for side in ("L", "R")]
+    return LindbladGenerator(space, hamiltonian, jumps)
 
 
 @dataclass
@@ -537,11 +521,9 @@ def _particular(source: np.ndarray, lam: np.ndarray, mu: np.ndarray,
 
 class _Cascade:
     """Exact propagator on the reached sector blocks, in the eigenbases of
-    each sector's H_eff (see the module docstring).  Reads the generator's
-    sector blocks of H_eff and of the jumps, as split once by
-    ``LindbladGenerator``: H_eff is sector-diagonal and every jump maps
-    sector K to K - 1, as ``lindblad_generator`` builds them.  The reached
-    ``blocks`` come from ``evolve``."""
+    each sector's H_eff (see the module docstring).  Reads the sector
+    blocks that ``LindbladGenerator`` holds: H_eff's (K, K) and each
+    jump's (K - 1, K).  The reached ``blocks`` come from ``evolve``."""
 
     name = "cascade"
     n_rhs_evaluations = 0
@@ -550,7 +532,7 @@ class _Cascade:
                  rho0: np.ndarray, t_end: float):
         space = generator.space
         jumps = [(rate, {j: blk.toarray() for (j, _k), blk in jump_blocks.items()})
-                 for rate, jump_blocks in generator._jump_blocks]
+                 for rate, jump_blocks in generator._jumps]
         self.blocks = blocks
         dims = np.diff(space.offsets)
         size = {key: int(dims[key[0]] * dims[key[1]]) for key in blocks}
@@ -704,12 +686,12 @@ def evolve(params: ModelParams, rho0: DensityMatrix, t_end: float, *,
     Only the sector blocks that the generator reaches from the nonzero
     blocks of ``rho0`` are propagated.  The reach, the positions of its
     entries and its sparse superoperator are computed once per run, from
-    the generator's one sector-block split, and both propagators start from
-    them.  The blocks are propagated exactly, as sums
-    of exponentials in the eigenbases of each sector's H_eff (the module
-    docstring has the construction).  A run that fails one of the cascade's
-    three guards is integrated by adaptive RK45 instead, with ``rtol`` and
-    ``atol``, which govern nothing else:
+    the generator's sector blocks, and both propagators start from them.
+    The blocks are propagated exactly, as sums of exponentials in the
+    eigenbases of each sector's H_eff (the module docstring has the
+    construction).  A run that fails one of the cascade's three guards is
+    integrated by adaptive RK45 instead, with ``rtol`` and ``atol``, which
+    govern nothing else:
       * a sector's eigenvector matrix has a condition number above
         ``MAX_EIGENVECTOR_CONDITION`` (at or near an exceptional point);
       * a particular coefficient S / (lam - mu) would round by more than
@@ -755,15 +737,14 @@ def evolve(params: ModelParams, rho0: DensityMatrix, t_end: float, *,
         raise ValueError(f"params have (n_chain, m_atoms) = ({params.n_chain}, "
                          f"{params.m_atoms}), but rho0's space was enumerated for "
                          f"{enumerated}")
-    generator = lindblad_generator(params, space.k_max,
-                                   include_atomic_decay=include_atomic_decay, space=space)
+    generator = lindblad_generator(params, space, include_atomic_decay)
     steady_threshold = STEADY_THRESHOLD * params.lam
     n_snap = max(1, int(math.ceil(t_end / snapshot_dt - 1e-12)))
     times = np.linspace(0.0, t_end, n_snap + 1)
 
     # the reach, its positions in rho.ravel() and its superoperator, once per
     # run: the propagator starts from them and the steady test reads them
-    blocks, index, superop = generator._superoperator(rho0.data)
+    blocks, index, superop = generator.superoperator(rho0.data)
     transposes = _transposes(index, space.dim)
     y0 = rho0.data.ravel()[index]
     try:

@@ -14,7 +14,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from cavitybic import cli, dynamics
+from cavitybic import ModelParams, cli, dynamics
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -51,3 +51,23 @@ def test_traced_decay_fit_passes_its_checks(bench, tmp_path):
     assert not hasattr(dynamics.evolve, "__wrapped__")
     assert not hasattr(dynamics.DensityMatrix.min_eigenvalue, "__wrapped__")
     assert cli._DRIVERS["evolve"] is cli.run_evolve
+
+
+def test_traced_generator_apply_counts_its_flops(bench):
+    # the tracer's flop counter reads the generator's jumps
+    p = ModelParams(n_chain=2, m_atoms=2, omega_c=0.0, omega_a=0.0, g=0.3, lam=1.0, q=1,
+                    gamma_c=0.7, gamma_a=0.2)
+    space = dynamics.stack_sectors(p, 2)
+    generator = dynamics.lindblad_generator(p, space, include_atomic_decay=True)
+    rho = dynamics.DensityMatrix.ground(space).data
+    tracer = bench.tracing.Tracer()
+    try:
+        tracer.install()
+        with tracer.operation("apply"):
+            generator.apply(rho)
+    finally:
+        tracer.uninstall()
+    applies = [i for i, span in enumerate(tracer.spans) if span[0] == "dynamics.apply"]
+    assert len(applies) == 1
+    assert tracer.values[applies[0]] == (2 + 4 * 4) * 8.0 * space.dim ** 3
+    assert not hasattr(dynamics.LindbladGenerator.apply, "__wrapped__")

@@ -398,6 +398,7 @@ def test_unreadable_config_or_out_path_is_a_validation_error(kind, tmp_path, cap
     ("bic", "--set", "g=1e308"),  # exit 2
     ("sweep-chi", "--set", "chi_points=0"),
     ("qfactor", "--set", "n_chain=4"),
+    ("sweep-chi", "--set", "chi_points=1", "--set", "chi_scale=bogus"),
 ])
 def test_a_failed_run_writes_nothing(argv, tmp_path, capsys):
     # the echo is buffered with the rest: a driver that raises leaves stdout

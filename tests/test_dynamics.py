@@ -1,8 +1,8 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
-from scipy import sparse
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
@@ -20,7 +20,7 @@ from oracles import atomic_reduced_density, dense_lindblad_apply
 def test_generator_annihilates_ground_state():
     p = triple_cavity(m_atoms=2, g=0.2, gamma_c=0.7)
     space = stack_sectors(p, 2)
-    gen = lindblad_generator(p, 2, space=space)
+    gen = lindblad_generator(p, space)
     rho = DensityMatrix.ground(space)
     assert np.abs(gen.apply(rho.data)).max() < 1e-14
 
@@ -28,7 +28,7 @@ def test_generator_annihilates_ground_state():
 def test_generator_annihilates_trapped_state():
     p = triple_cavity(m_atoms=2, g=0.3, gamma_c=1.0)
     space = stack_sectors(p, 2)
-    gen = lindblad_generator(p, 2, space=space)
+    gen = lindblad_generator(p, space)
     psi = assemble_bic_state(p, 2, sector=space.sectors[2])
     rho = DensityMatrix.from_pure(space, psi)
     assert np.abs(gen.apply(rho.data)).max() < 1e-10
@@ -37,7 +37,7 @@ def test_generator_annihilates_trapped_state():
 def test_generator_preserves_trace():
     p = triple_cavity(m_atoms=2, g=0.2, gamma_c=0.5, gamma_a=0.1)
     space = stack_sectors(p, 2)
-    gen = lindblad_generator(p, 2, include_atomic_decay=True, space=space)
+    gen = lindblad_generator(p, space, include_atomic_decay=True)
     rng = np.random.default_rng(3)
     x = rng.normal(size=(space.dim, space.dim)) + 1j * rng.normal(size=(space.dim, space.dim))
     rho = x @ x.conj().T
@@ -48,10 +48,10 @@ def test_generator_preserves_trace():
 def test_sparse_apply_matches_dense_oracle():
     p = triple_cavity(m_atoms=2, g=0.3, gamma_c=0.7, gamma_a=0.2, delta=0.1, omega_c=0.4)
     space = stack_sectors(p, 2)
-    gen = lindblad_generator(p, 2, include_atomic_decay=True, space=space)
+    gen = lindblad_generator(p, space, include_atomic_decay=True)
     rng = np.random.default_rng(11)
     rho = rng.normal(size=(space.dim, space.dim)) + 1j * rng.normal(size=(space.dim, space.dim))
-    index, _matrix = gen.superoperator(rho)
+    _blocks, index, _matrix = gen.superoperator(rho)
     assert index.size == space.dim ** 2  # a full-space rho reaches every block
     oracle = dense_lindblad_apply(p, space, include_atomic_decay=True)
     assert np.abs(gen.apply(rho) - oracle(rho)).max() < 1e-13
@@ -60,9 +60,9 @@ def test_sparse_apply_matches_dense_oracle():
 def test_diagonal_start_integrates_only_diagonal_blocks():
     p = triple_cavity(m_atoms=3, g=0.1, gamma_c=1.0)
     space = stack_sectors(p, 3)
-    gen = lindblad_generator(p, 3, space=space)
+    gen = lindblad_generator(p, space)
     rho0 = DensityMatrix.from_pure(space, left_excited_state(space, 3))
-    index, matrix = gen.superoperator(rho0.data)
+    _blocks, index, matrix = gen.superoperator(rho0.data)
     assert index.size == sum(sec.dim ** 2 for sec in space.sectors) == 1476
     assert space.dim ** 2 == 3136
     assert matrix.shape == (1476, 1476)
@@ -74,33 +74,78 @@ def test_generator_blocks_are_the_sector_operators(n_chain, m_atoms):
     p = ModelParams(n_chain=n_chain, m_atoms=m_atoms, omega_c=0.4, omega_a=0.3, g=-0.7,
                     lam=1.0, q=1, gamma_c=0.7, gamma_a=0.2)
     space = stack_sectors(p, m_atoms)
-    gen = lindblad_generator(p, m_atoms, include_atomic_decay=True, space=space)
-    sectors, sl = space.sectors, space.sector_slice
+    gen = lindblad_generator(p, space, include_atomic_decay=True)
+    sectors = space.sectors
 
-    def same(blk, ref):
-        # canonical complex CSR with no stored zero, entry for entry the builder's
+    def canonical(blk):
+        # complex CSR in canonical form with no stored zero
         assert blk.format == "csr" and blk.dtype == np.complex128
         assert blk.has_canonical_format and np.count_nonzero(blk.data) == blk.nnz
-        assert np.array_equal(blk.indptr, ref.indptr)
-        assert np.array_equal(blk.indices, ref.indices)
-        assert np.array_equal(blk.data, ref.data)
 
-    # the sector blocks each operator should hold, all others empty
-    wanted = [{(k, k): build_hamiltonian(p, sec, sectors[k - 1] if k else None)
-               - p.omega_c * k * sparse.identity(sec.dim) for k, sec in enumerate(sectors)}]
-    for builder in (build_end_annihilation, build_collective_lowering):
-        for side in ("L", "R"):
-            wanted.append({(k - 1, k): builder(p, sectors[k], sectors[k - 1], side)
-                           for k in range(1, len(sectors))})
-    assert [rate for rate, _op in gen._jumps] == [p.gamma_c] * 2 + [p.gamma_a] * 2
-    for op, blocks in zip([gen.hamiltonian] + [op for _rate, op in gen._jumps], wanted):
-        assert op.has_canonical_format and np.count_nonzero(op.data) == op.nnz
-        for j in range(len(sectors)):
-            for k in range(len(sectors)):
-                if (j, k) in blocks:
-                    same(op[sl(j), sl(k)], blocks[(j, k)])
-                else:
-                    assert op[sl(j), sl(k)].nnz == 0
+    # each jump holds the builder's (K - 1, K) maps, entry for entry, and no other block
+    lowerings = [(rate, builder, side)
+                 for rate, builder in ((p.gamma_c, build_end_annihilation),
+                                       (p.gamma_a, build_collective_lowering))
+                 for side in ("L", "R")]
+    assert [rate for rate, _blocks in gen._jumps] == [rate for rate, _b, _s in lowerings]
+    maps = []
+    for (_rate, blocks), (rate, builder, side) in zip(gen._jumps, lowerings):
+        wanted = {(k - 1, k): builder(p, sectors[k], sectors[k - 1], side)
+                  for k in range(1, len(sectors))}
+        assert list(blocks) == list(wanted)
+        for key, blk in blocks.items():
+            canonical(blk)
+            assert np.array_equal(blk.indptr, wanted[key].indptr)
+            assert np.array_equal(blk.indices, wanted[key].indices)
+            assert np.array_equal(blk.data, wanted[key].data)
+        maps.append((rate, wanted))
+
+    # H_eff,K = H_K - omega_c K - (i/2) sum gamma c+ c, one block per sector
+    assert list(gen._h_eff_blocks) == [(k, k) for k in range(len(sectors))]
+    for k, sec in enumerate(sectors):
+        blk = gen._h_eff_blocks[(k, k)]
+        canonical(blk)
+        ref = (build_hamiltonian(p, sec, sectors[k - 1] if k else None).toarray()
+               - p.omega_c * k * np.eye(sec.dim))
+        for rate, wanted in maps:
+            if k:
+                c = wanted[(k - 1, k)].toarray()
+                ref = ref - 0.5j * rate * (c.conj().T @ c)
+        assert np.abs(blk.toarray() - ref).max() <= 1e-15
+
+
+@pytest.mark.parametrize("gamma_c, gamma_a", [(0.0, 0.0), (0.7, 0.0), (0.0, 0.2), (0.7, 0.2)])
+@pytest.mark.parametrize("n_chain", [2, 3])
+def test_reach_is_the_support_of_the_dense_oracle_orbit(n_chain, gamma_c, gamma_a):
+    # rho, L rho, L^2 rho, ... from a random rho on one block (K, K') cover
+    # exactly the blocks that ``superoperator`` finds: (K - j, K' - j) with a
+    # jump, (K, K') alone without
+    p = ModelParams(n_chain=n_chain, m_atoms=2, omega_c=0.4, omega_a=0.3, g=-0.7, lam=1.0,
+                    q=1, gamma_c=gamma_c, gamma_a=gamma_a)
+    space = stack_sectors(p, 2)
+    gen = lindblad_generator(p, space, include_atomic_decay=True)
+    oracle = dense_lindblad_apply(p, space, include_atomic_decay=True)
+    sl, n = space.sector_slice, space.k_max + 1
+    rng = np.random.default_rng(17)
+
+    def support(x):
+        return {(j, k) for j in range(n) for k in range(n) if np.any(x[sl(j), sl(k)] != 0)}
+
+    for k, k_col in itertools.product(range(n), repeat=2):
+        rho = np.zeros((space.dim, space.dim), dtype=complex)
+        shape = rho[sl(k), sl(k_col)].shape
+        rho[sl(k), sl(k_col)] = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        found, x = support(rho), rho
+        for _power in range(2 * n):
+            x = oracle(x)
+            x /= np.abs(x).max(initial=1.0)
+            found |= support(x)
+        blocks, _index, _matrix = gen.superoperator(rho)
+        assert blocks == sorted(found)
+        if gamma_c or gamma_a:
+            assert len(blocks) == min(k, k_col) + 1
+        else:
+            assert blocks == [(k, k_col)]
 
 
 @pytest.mark.parametrize("k_low, k_high", [(0, 1), (1, 2)])
@@ -112,8 +157,8 @@ def test_evolve_from_cross_sector_state_matches_dense_oracle(k_low, k_high):
     low, high = (space.embed(assemble_bic_state(p, k, sector=space.sectors[k]))
                  for k in (k_low, k_high))
     rho0 = DensityMatrix.from_vector(space, (low + high) / math.sqrt(2.0))
-    gen = lindblad_generator(p, 2, include_atomic_decay=True, space=space)
-    index, _matrix = gen.superoperator(rho0.data)
+    gen = lindblad_generator(p, space, include_atomic_decay=True)
+    _blocks, index, _matrix = gen.superoperator(rho0.data)
     d0, d1, d2 = (sec.dim for sec in space.sectors)
     expected = (d0 + d1) ** 2 if k_high == 1 else space.dim ** 2 - 2 * d0 * d2
     assert index.size == expected
@@ -262,8 +307,8 @@ def test_trajectory_keeps_each_snapshot_as_its_reached_entries():
     assert [row.shape for row in states.entries] == [(1476,)] * 20
 
     # each state is what the full symmetrised snapshot used to be, to the bit
-    gen = lindblad_generator(p, 3, space=space)
-    blocks, index, _matrix = gen._superoperator(rho0.data)
+    gen = lindblad_generator(p, space)
+    blocks, index, _matrix = gen.superoperator(rho0.data)
     flat = np.zeros(space.dim ** 2, dtype=complex)
     full = [rho0.data]
     for _ts, ys in dynamics._Cascade(gen, blocks, rho0.data, 40.0).chunks(traj.times):
@@ -283,8 +328,8 @@ def test_trajectory_keeps_each_snapshot_as_its_reached_entries():
 def test_cascade_leaves_no_subnormal_and_matches_plain_exponentials(relaxation_run):
     p, space = relaxation_run.params, relaxation_run.space
     rho0 = DensityMatrix.from_pure(space, left_excited_state(space, 2))
-    gen = lindblad_generator(p, 2, space=space)
-    blocks, _index, _matrix = gen._superoperator(rho0.data)
+    gen = lindblad_generator(p, space)
+    blocks, _index, _matrix = gen.superoperator(rho0.data)
     cascade = dynamics._Cascade(gen, blocks, rho0.data, 2000.0)
     ts = np.linspace(1000.0, 2000.0, 16)
     tiny = np.finfo(float).tiny
@@ -534,7 +579,7 @@ def test_cascade_matches_tight_rk45(n_chain, m_atoms, gamma_a, delta, monkeypatc
     rk45 = _tight_rk45(monkeypatch, *args, **kwargs)
     assert _max_gap(cascade, rk45) < 1e-9
     # the steady test's d rho / dt is the generator's, on either propagator
-    gen = lindblad_generator(p, k, include_atomic_decay=True, space=space)
+    gen = lindblad_generator(p, space, include_atomic_decay=True)
     rhs = np.abs(gen.apply(cascade.states[-1].data)).max()
     assert cascade.diagnostics.rhs_sup_last == pytest.approx(rhs, rel=1e-9)
     assert rk45.diagnostics.rhs_sup_last == np.abs(gen.apply(rk45.states[-1].data)).max()
@@ -562,7 +607,7 @@ def test_cross_sector_start_runs_on_the_cascade(k_low, k_high, monkeypatch):
     cascade = evolve(*args, **kwargs)
     assert cascade.diagnostics.propagator == "cascade"
     assert cascade.diagnostics.max_offblock > 0.1
-    gen = lindblad_generator(p, 2, include_atomic_decay=True, space=space)
+    gen = lindblad_generator(p, space, include_atomic_decay=True)
     rhs = np.abs(gen.apply(cascade.states[-1].data)).max()
     assert cascade.diagnostics.rhs_sup_last == pytest.approx(rhs, rel=1e-9)
     rk45 = _tight_rk45(monkeypatch, *args, **kwargs)
@@ -587,7 +632,7 @@ def test_exceptional_point_takes_the_rk45_fallback():
     assert traj.diagnostics.propagator == "rk45"
     assert traj.diagnostics.fallback_reason.startswith("sector 1: H_eff eigenvectors")
     assert traj.diagnostics.n_rhs_evaluations > 0
-    gen = lindblad_generator(p, 1, space=space)
+    gen = lindblad_generator(p, space)
     assert traj.diagnostics.rhs_sup_last == np.abs(gen.apply(traj.states[-1].data)).max()
     oracle = _oracle_run(dense_lindblad_apply(p, space), rho0, traj.times)
     for state, ref in zip(traj.states, oracle):
