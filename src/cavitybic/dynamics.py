@@ -245,11 +245,6 @@ def _block_index(space: SectorStack, blocks: Sequence[tuple[int, int]]) -> np.nd
     return np.concatenate([np.zeros(0, dtype=np.int64), *index])
 
 
-def _adjoint(blocks: dict) -> dict:
-    """Sector blocks of the adjoint: block (K, J) is block (J, K)+."""
-    return {(k, j): blk.conj().T for (j, k), blk in blocks.items()}
-
-
 def _nonzero(blocks: dict) -> dict:
     """The sector blocks that hold a nonzero, their stored zeros removed in
     place."""
@@ -261,26 +256,21 @@ def _nonzero(blocks: dict) -> dict:
     return out
 
 
-def _scaled(factor: complex, blocks: dict) -> dict:
-    """Sector blocks of ``factor`` times the operator, without the entries
-    (and blocks) that the product rounds to zero."""
-    return _nonzero({key: factor * blk for key, blk in blocks.items()})
-
-
 class LindbladGenerator:
     """Right-hand side of the master equation on a sector stack.
 
-    Holds every operator as its sector blocks, sparse CSR with no stored
-    zero and no empty block: ``hamiltonian`` maps (K, K) to the
-    rotating-frame H_K, and each jump is ``(rate, {(K - 1, K): block})``.
-    With H_eff = H - (i/2) sum gamma c+ c, formed sector by sector as
-    H_eff,K = H_K - (i/2) sum gamma c_K+ c_K, the generator is
-    L rho = -i H_eff rho + i rho H_eff+ + sum gamma c rho c+, a sum of
-    terms A rho B.  Every term's blocks are those blocks scaled or
-    adjoined, and ``evolve``'s cascade reads the same blocks.
-    ``superoperator`` vectorises the terms row-major,
+    Takes every operator as its sector blocks: ``hamiltonian`` maps (K, K)
+    to the rotating-frame H_K, and each jump is
+    ``(rate, {(K - 1, K): block})``.  It holds H_eff = H - (i/2) sum gamma
+    c+ c, formed sector by sector as H_eff,K = H_K - (i/2) sum gamma
+    c_K+ c_K, and the jumps, once each, as sparse CSR blocks with no stored
+    zero and no empty block; ``evolve``'s cascade reads the same blocks.
+    The generator is L rho = -i H_eff rho + i rho H_eff+ + sum gamma c rho
+    c+, and ``superoperator`` vectorises it row-major,
     vec(A rho B) = (A kron B^T) vec(rho), on the sector blocks that a given
-    state reaches.
+    state reaches: a block (K, K') feeds -i H_eff,K kron I and
+    I kron i conj(H_eff,K') into itself and gamma c_K kron conj(c_K') into
+    (K - 1, K' - 1), with c_K the jump's block (K - 1, K).
     """
 
     def __init__(self, space: SectorStack, hamiltonian: dict,
@@ -295,13 +285,6 @@ class LindbladGenerator:
                     blk = blk - (0.5j * rate) * (c.conj().T @ c)
             h_eff[(k, k_col)] = blk
         self._h_eff_blocks = _nonzero(h_eff)
-        eye = {(k, k): sparse.identity(sec.dim, dtype=np.complex128, format="csr")
-               for k, sec in enumerate(space.sectors)}
-        # one (blocks of A, blocks of B) pair per term A rho B
-        self._terms = [(_scaled(-1j, self._h_eff_blocks), eye),
-                       (eye, _scaled(1j, _adjoint(self._h_eff_blocks)))]
-        self._terms += [(_scaled(rate, blocks), _adjoint(blocks))
-                        for rate, blocks in self._jumps]
 
     def _reach(self, blocks: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
         """Sorted sector blocks (K, K') that the generator reaches from
@@ -331,14 +314,27 @@ class LindbladGenerator:
         start = dict(zip(blocks, np.cumsum([0] + sizes).tolist()))
         empty = np.zeros(0, dtype=np.int64)
         rows, cols, vals = [empty], [empty], [empty.astype(np.complex128)]
-        for a_blocks, b_blocks in self._terms:
-            for (j, k), a_blk in a_blocks.items():
-                for (k_col, j_col), b_blk in b_blocks.items():
-                    if (k, k_col) in start:  # then (j, j_col) is reached too
-                        term = sparse.kron(a_blk, b_blk.T, format="coo")
-                        rows.append(term.row + start[(j, j_col)])
-                        cols.append(term.col + start[(k, k_col)])
-                        vals.append(term.data)
+        h_eff = self._h_eff_blocks
+
+        def eye(k):
+            return sparse.identity(dims[k], dtype=np.complex128, format="csr")
+
+        for k, k_col in blocks:
+            # (block written, A, B) of each term A rho B that reads block (K, K')
+            terms = []
+            if (k, k) in h_eff:
+                terms.append(((k, k_col), -1j * h_eff[(k, k)], eye(k_col)))
+            if (k_col, k_col) in h_eff:
+                terms.append(((k, k_col), eye(k), 1j * h_eff[(k_col, k_col)].conj()))
+            terms += [((k - 1, k_col - 1), rate * jump[(k - 1, k)],
+                       jump[(k_col - 1, k_col)].conj())
+                      for rate, jump in self._jumps
+                      if (k - 1, k) in jump and (k_col - 1, k_col) in jump]
+            for into, a, b in terms:
+                term = sparse.kron(a, b, format="coo")
+                rows.append(term.row + start[into])
+                cols.append(term.col + start[(k, k_col)])
+                vals.append(term.data)
         size = sum(sizes)
         matrix = sparse.csr_matrix(
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),

@@ -36,11 +36,10 @@ class DegenerateDecayWarning(RuntimeWarning):
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """Coefficient matrix and its spectrum, over (a_L, a_R, b_1, d_L, d_R)."""
+    """Coefficient matrix and its eigenvalues, over (a_L, a_R, b_1, d_L, d_R)."""
 
     matrix: np.ndarray
-    eigenvalues: np.ndarray   # sorted: descending imaginary part, then ascending real
-    eigenvectors: np.ndarray  # columns, matching eigenvalue order
+    eigenvalues: np.ndarray  # sorted: descending imaginary part, then ascending real
 
 
 @dataclass(frozen=True)
@@ -61,8 +60,9 @@ def _require_triple_cavity(params: ModelParams) -> None:
 
 
 def linear_matrix(params: ModelParams) -> LinearSystem:
-    """Build and diagonalize the 5x5 amplitude dynamics matrix; raises
-    ``FloatingPointError`` when an entry overflows a float."""
+    """Build the 5x5 amplitude dynamics matrix and its eigenvalues (no
+    eigenvectors); raises ``FloatingPointError`` when an entry overflows a
+    float."""
     _require_triple_cavity(params)
     wc = params.omega_c
     delta = params.delta
@@ -80,15 +80,8 @@ def linear_matrix(params: ModelParams) -> LinearSystem:
     if not np.isfinite(a).all():
         raise FloatingPointError("the amplitude matrix overflows a float at "
                                  f"delta={delta:.6g}, gamma_c={params.gamma_c:.6g}")
-    evals, evecs = np.linalg.eig(a)
-    order = np.lexsort((evals.real, -evals.imag))
-    evals = evals[order]
-    evecs = evecs[:, order]
-    for j in range(evecs.shape[1]):
-        v = evecs[:, j]
-        anchor = v[np.argmax(np.abs(v))]
-        evecs[:, j] = v * (abs(anchor) / anchor) / np.linalg.norm(v)
-    return LinearSystem(matrix=a, eigenvalues=evals, eigenvectors=evecs)
+    evals = np.linalg.eigvals(a)
+    return LinearSystem(matrix=a, eigenvalues=evals[np.lexsort((evals.real, -evals.imag))])
 
 
 def trapped_mode_decay(params: ModelParams) -> float:
