@@ -9,10 +9,11 @@ The reduced density matrix evolves under
                  [+ sum_{mu} (gamma_a / 2) (2 J_mu- rho J_mu+ - {J_mu+ J_mu-, rho})]
 
 with the optional collective atomic damping enabled on request.  Evolution
-is carried out in the frame rotating at omega_c (the total excitation
-number is subtracted from the Hamiltonian block by block), which removes
-the fast carrier phase without changing any populations or any
-fixed-excitation expectation values.
+runs in the frame rotating at omega_c with the atoms' ground energy
+removed: omega_c K - omega_a M is subtracted block by block, leaving
+-delta per excited atom on the diagonal.  That removes the fast carrier
+phase, and the digits a large omega_c would cost, without changing any
+populations or fixed-excitation expectation values.
 
 The state space is the direct sum of excitation sectors 0 .. K_max.  The
 Hamiltonian is block diagonal and every jump operator maps sector K to
@@ -260,17 +261,15 @@ class LindbladGenerator:
     """Right-hand side of the master equation on a sector stack.
 
     Takes every operator as its sector blocks: ``hamiltonian`` maps (K, K)
-    to the rotating-frame H_K, and each jump is
-    ``(rate, {(K - 1, K): block})``.  It holds H_eff = H - (i/2) sum gamma
-    c+ c, formed sector by sector as H_eff,K = H_K - (i/2) sum gamma
-    c_K+ c_K, and the jumps, once each, as sparse CSR blocks with no stored
-    zero and no empty block; ``evolve``'s cascade reads the same blocks.
-    The generator is L rho = -i H_eff rho + i rho H_eff+ + sum gamma c rho
-    c+, and ``superoperator`` vectorises it row-major,
-    vec(A rho B) = (A kron B^T) vec(rho), on the sector blocks that a given
-    state reaches: a block (K, K') feeds -i H_eff,K kron I and
+    to the rotating-frame H_K, and each jump is ``(rate, {(K - 1, K): c_K})``.
+    Holds H_eff,K = H_K - (i/2) sum gamma c_K+ c_K and the jumps once each,
+    sparse CSR with no stored zero and no empty block; ``evolve``'s cascade
+    reads the same blocks.  The generator is L rho = -i H_eff rho +
+    i rho H_eff+ + sum gamma c rho c+, and ``superoperator`` vectorises it
+    row-major, vec(A rho B) = (A kron B^T) vec(rho), on the sector blocks
+    that a given state reaches: a block (K, K') feeds -i H_eff,K kron I and
     I kron i conj(H_eff,K') into itself and gamma c_K kron conj(c_K') into
-    (K - 1, K' - 1), with c_K the jump's block (K - 1, K).
+    (K - 1, K' - 1).
     """
 
     def __init__(self, space: SectorStack, hamiltonian: dict,
@@ -315,17 +314,15 @@ class LindbladGenerator:
         empty = np.zeros(0, dtype=np.int64)
         rows, cols, vals = [empty], [empty], [empty.astype(np.complex128)]
         h_eff = self._h_eff_blocks
-
-        def eye(k):
-            return sparse.identity(dims[k], dtype=np.complex128, format="csr")
-
         for k, k_col in blocks:
+            eye, eye_col = (sparse.identity(dims[j], dtype=np.complex128, format="csr")
+                            for j in (k, k_col))
             # (block written, A, B) of each term A rho B that reads block (K, K')
             terms = []
             if (k, k) in h_eff:
-                terms.append(((k, k_col), -1j * h_eff[(k, k)], eye(k_col)))
+                terms.append(((k, k_col), -1j * h_eff[(k, k)], eye_col))
             if (k_col, k_col) in h_eff:
-                terms.append(((k, k_col), eye(k), 1j * h_eff[(k_col, k_col)].conj()))
+                terms.append(((k, k_col), eye, 1j * h_eff[(k_col, k_col)].conj()))
             terms += [((k - 1, k_col - 1), rate * jump[(k - 1, k)],
                        jump[(k_col - 1, k_col)].conj())
                       for rate, jump in self._jumps
@@ -353,15 +350,18 @@ class LindbladGenerator:
 def lindblad_generator(params: ModelParams, space: SectorStack,
                        include_atomic_decay: bool = False) -> LindbladGenerator:
     """Build the master-equation generator on the sectors of ``space``, as
-    sector blocks straight from ``operators``: H_K - omega_c K on (K, K),
-    the frame rotating at omega_c, and each jump's (K - 1, K).
+    sector blocks straight from ``operators``: each jump's (K - 1, K) and
+    H_K - (omega_c K - omega_a M) on (K, K), the module docstring's frame,
+    which leaves no offset for the eigen-solves to lose digits to and no
+    block for sector 0.
 
     End-cavity leakage at rate gamma_c is always included; collective
     atomic damping at rate gamma_a is added when requested.
     """
     sectors = space.sectors
     hamiltonian = {(k, k): build_hamiltonian(params, sec, sectors[k - 1] if k else None)
-                   - params.omega_c * k * sparse.identity(sec.dim)
+                   - (params.omega_c * k - params.omega_a * params.m_atoms)
+                   * sparse.identity(sec.dim)
                    for k, sec in enumerate(sectors)}
     lowerings = []
     if params.gamma_c > 0:

@@ -87,12 +87,15 @@ def linear_matrix(params: ModelParams) -> LinearSystem:
 def trapped_mode_decay(params: ModelParams) -> float:
     """Amplitude decay rate Gamma of the least damped (trapped) mode.
 
-    Rates below the eigensolver's resolution (machine epsilon at the matrix
-    scale) are reported as exactly zero.  Warns when the two least damped
+    The matrix is solved in the frame rotating at omega_c (``linear_matrix``
+    at omega_c = 0 and omega_a = -delta): that shifts every eigenvalue by
+    -omega_c and no decay rate, and keeps a large omega_c from costing the
+    rates digits.  Rates below the eigensolver's resolution (machine
+    epsilon at the matrix scale) are reported as exactly zero.  Warns when the two least damped
     eigenvalues are degenerate in their imaginary parts; the smaller rate
     is returned.
     """
-    system = linear_matrix(params)
+    system = linear_matrix(params.replace(omega_c=0.0, omega_a=-params.delta))
     ims = -system.eigenvalues.imag
     gamma = abs(float(ims[0]))
     noise_floor = 1e-14 * max(1.0, float(np.abs(system.matrix).max()))

@@ -127,7 +127,7 @@ def build_hamiltonian(params: ModelParams, sector: SectorBasis,
     x = sum(terms[1:], terms[0])
     diag = (params.omega_c * occ[:, :n + 1].sum(axis=1)
             + params.omega_a * (occ[:, n + 1:].sum(axis=1) - params.m_atoms))
-    return _canonical(sparse.diags(diag) + x + x.conj().T)
+    return _canonical(sparse.diags(diag, dtype=np.float64) + x + x.conj().T)
 
 
 def build_number_op(params: ModelParams, sector: SectorBasis) -> sparse.csr_matrix:

@@ -198,6 +198,37 @@ def test_evolve_without_leakage_never_steadies(tmp_path):
     assert "# steady_state_reached=false" in out_path.read_text().splitlines()
 
 
+def _csv_columns(text):
+    # the table of a run's output, as one array per header name
+    lines = [line for line in text.splitlines() if line and not line.startswith("#")]
+    rows = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+    return dict(zip(lines[0].split(","), rows.T))
+
+
+def _runs_at_omega_c(capsys, *argv):
+    tables = []
+    for omega_c in ("0", "1e8"):
+        code, out, _err = run_captured(capsys, *argv, "--set", f"omega_c={omega_c}")
+        assert code == 0
+        tables.append(_csv_columns(out))
+    return tables
+
+
+def test_evolve_at_a_large_cavity_frequency_keeps_its_populations(capsys):
+    # the frame leaves only -delta per excited atom on the diagonal, so a
+    # carrier of 1e8 costs the populations no digits
+    at_zero, at_large = _runs_at_omega_c(capsys, "evolve", "--set", "t_end=400",
+                                         "--set", "detect_steady=false")
+    for name in ("P0", "P1", "P2"):
+        assert np.abs(at_large[name] - at_zero[name]).max() <= 1e-12
+
+
+def test_qfactor_at_a_large_cavity_frequency_keeps_its_quality_factor(capsys):
+    at_zero, at_large = _runs_at_omega_c(capsys, "qfactor", "--set", "delta_points=61")
+    rel = np.abs(at_large["q_exact"] - at_zero["q_exact"]) / at_zero["q_exact"]
+    assert rel.max() <= 1e-7
+
+
 def test_config_file_plus_overrides(tmp_path, capsys):
     config = tmp_path / "run.cfg"
     config.write_text("# comment line\nm_atoms=2\nk_excitations=1\ng=0.2\n")

@@ -45,9 +45,13 @@ def test_generator_preserves_trace():
     assert abs(np.trace(gen.apply(rho))) < 1e-12
 
 
-def test_sparse_apply_matches_dense_oracle():
-    p = triple_cavity(m_atoms=2, g=0.3, gamma_c=0.7, gamma_a=0.2, delta=0.1, omega_c=0.4)
-    space = stack_sectors(p, 2)
+@pytest.mark.parametrize("gamma_c, gamma_a", [(0.0, 0.0), (0.7, 0.0), (0.0, 0.2), (0.7, 0.2)])
+@pytest.mark.parametrize("n_chain, m_atoms", [(2, 1), (2, 2), (3, 2), (4, 1)])
+def test_sparse_apply_matches_dense_oracle(n_chain, m_atoms, gamma_c, gamma_a):
+    # rotating frame omega_c != 0 and detuning delta != 0
+    p = ModelParams(n_chain=n_chain, m_atoms=m_atoms, omega_c=0.4, omega_a=0.3, g=0.3,
+                    lam=1.0, q=1, gamma_c=gamma_c, gamma_a=gamma_a)
+    space = stack_sectors(p, m_atoms)
     gen = lindblad_generator(p, space, include_atomic_decay=True)
     rng = np.random.default_rng(11)
     rho = rng.normal(size=(space.dim, space.dim)) + 1j * rng.normal(size=(space.dim, space.dim))
@@ -100,17 +104,17 @@ def test_generator_blocks_are_the_sector_operators(n_chain, m_atoms):
             assert np.array_equal(blk.data, wanted[key].data)
         maps.append((rate, wanted))
 
-    # H_eff,K = H_K - omega_c K - (i/2) sum gamma c+ c, one block per sector
-    assert list(gen._h_eff_blocks) == [(k, k) for k in range(len(sectors))]
-    for k, sec in enumerate(sectors):
+    # H_eff,K = H_K - (omega_c K - omega_a M) - (i/2) sum gamma c+ c, one block
+    # per sector but the vacuum's, which that frame makes zero
+    assert list(gen._h_eff_blocks) == [(k, k) for k in range(1, len(sectors))]
+    for k, sec in enumerate(sectors[1:], start=1):
         blk = gen._h_eff_blocks[(k, k)]
         canonical(blk)
-        ref = (build_hamiltonian(p, sec, sectors[k - 1] if k else None).toarray()
-               - p.omega_c * k * np.eye(sec.dim))
+        ref = (build_hamiltonian(p, sec, sectors[k - 1]).toarray()
+               - (p.omega_c * k - p.omega_a * p.m_atoms) * np.eye(sec.dim))
         for rate, wanted in maps:
-            if k:
-                c = wanted[(k - 1, k)].toarray()
-                ref = ref - 0.5j * rate * (c.conj().T @ c)
+            c = wanted[(k - 1, k)].toarray()
+            ref = ref - 0.5j * rate * (c.conj().T @ c)
         assert np.abs(blk.toarray() - ref).max() <= 1e-15
 
 

@@ -1,12 +1,15 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 from scipy.linalg import eig
+from scipy.optimize import linear_sum_assignment
 
 from cavitybic import (DensityMatrix, StateVector, evolve, fit_decay_rate,
-                       gamma_approx, linear_matrix, polariton_transform,
-                       q_factor, stack_sectors, trapped_mode_decay)
+                       gamma_approx, lindblad_generator, linear_matrix,
+                       polariton_transform, q_factor, stack_sectors,
+                       trapped_mode_decay)
 from conftest import triple_cavity
 
 
@@ -52,6 +55,24 @@ def test_spectrum_matches_scipy_eig_bit_for_bit():
             evals = eig(system.matrix)[0]
             assert np.array_equal(system.eigenvalues,
                                   evals[np.lexsort((evals.real, -evals.imag))])
+
+
+@pytest.mark.parametrize("m_atoms", [1, 2, 3, 5])
+def test_linear_model_is_the_one_excitation_sector(m_atoms):
+    # the amplitude matrix in the frame rotating at omega_c is the
+    # master equation's H_eff on sector 1 (a_L, b_1, a_R and one excited
+    # atom on either side) in another basis order: the same eigenvalues,
+    # matched by nearest pair since near-ties sort apart
+    grid = itertools.product((0.1, 0.7, 3.0, 10.0), (0.0, 0.3, -1.1), (0.0, 0.01, 0.2),
+                             (0.0, 0.4))
+    for g, delta, gamma_a, omega_c in grid:
+        p = triple_cavity(m_atoms=m_atoms, g=g, gamma_c=1.0, gamma_a=gamma_a, delta=delta,
+                          omega_c=omega_c)
+        linear = linear_matrix(p.replace(omega_c=0.0, omega_a=-p.delta)).eigenvalues
+        gen = lindblad_generator(p, stack_sectors(p, 1), include_atomic_decay=True)
+        sector = np.linalg.eigvals(gen._h_eff_blocks[(1, 1)].toarray())
+        rows, cols = linear_sum_assignment(np.abs(linear[:, None] - sector[None, :]))
+        assert np.abs(linear[rows] - sector[cols]).max() < 1e-12
 
 
 def test_passivity_across_grid():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -258,3 +259,19 @@ def test_hamiltonian_from_a_given_lower_sector_is_identical():
         own, given = build_hamiltonian(p, sector), build_hamiltonian(p, sector, below)
         for attr in ("indptr", "indices", "data"):
             assert getattr(own, attr).tobytes() == getattr(given, attr).tobytes()
+
+
+@pytest.mark.parametrize("omega_c, omega_a", [(0, 0), (2, 1)])
+def test_integer_frequencies_build_the_float_hamiltonian(omega_c, omega_a):
+    # ints are valid frequencies: the diagonal is float64 either way, and
+    # scipy.sparse is handed no int64 diagonal to warn about
+    as_int = four_chain(m_atoms=2, g=0.7).replace(omega_c=omega_c, omega_a=omega_a)
+    as_float = as_int.replace(omega_c=float(omega_c), omega_a=float(omega_a))
+    for k in range(4):
+        sector = enumerate_sector(as_float, k)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            own = build_hamiltonian(as_int, sector)
+        ref = build_hamiltonian(as_float, sector)
+        for attr in ("indptr", "indices", "data"):
+            assert getattr(own, attr).tobytes() == getattr(ref, attr).tobytes()
