@@ -60,9 +60,8 @@ def _require_triple_cavity(params: ModelParams) -> None:
 
 
 def linear_matrix(params: ModelParams) -> LinearSystem:
-    """Build the 5x5 amplitude dynamics matrix and its eigenvalues (no
-    eigenvectors); raises ``FloatingPointError`` when an entry overflows a
-    float."""
+    """Build the 5x5 amplitude dynamics matrix and its sorted eigenvalues;
+    raises ``FloatingPointError`` when an entry overflows a float."""
     _require_triple_cavity(params)
     wc = params.omega_c
     delta = params.delta
@@ -91,9 +90,9 @@ def trapped_mode_decay(params: ModelParams) -> float:
     at omega_c = 0 and omega_a = -delta): that shifts every eigenvalue by
     -omega_c and no decay rate, and keeps a large omega_c from costing the
     rates digits.  Rates below the eigensolver's resolution (machine
-    epsilon at the matrix scale) are reported as exactly zero.  Warns when the two least damped
-    eigenvalues are degenerate in their imaginary parts; the smaller rate
-    is returned.
+    epsilon at the matrix scale) are reported as exactly zero.  Warns when
+    the two least damped eigenvalues are degenerate in their imaginary
+    parts; the smaller rate is returned.
     """
     system = linear_matrix(params.replace(omega_c=0.0, omega_a=-params.delta))
     ims = -system.eigenvalues.imag
