@@ -36,7 +36,7 @@ from typing import Callable, IO, Sequence
 import numpy as np
 
 from . import bic, dynamics, linear
-from .model import (ModelParams, NoResonantModeError, ParamError,
+from .model import (MAX_SECTOR_ENTRIES, ModelParams, NoResonantModeError, ParamError,
                     enumerate_sector, resonant_mode_index, validate_params)
 
 EXIT_OK = 0
@@ -119,6 +119,15 @@ _NONNEGATIVE_KEYS = ("seed", "atol")
 # or an eigensolve, and the grid itself is allocated whole.
 MAX_GRID_POINTS = 100_000
 
+# Upper bounds on n_chain and m_atoms, from the occupation-table bound: a
+# longer chain's one-excitation sector (N + 3 states of N + 3 slots) and the
+# (M + 1)^2 joint states of two larger ensembles would each exceed
+# MAX_SECTOR_ENTRIES.  Checked before q=auto scans the chain's modes, whose
+# cost grows with n_chain, and before any closed-form table, whose
+# log-factorial table grows with m_atoms.
+MAX_N_CHAIN = math.isqrt(MAX_SECTOR_ENTRIES) - 3
+MAX_M_ATOMS = math.isqrt(MAX_SECTOR_ENTRIES) - 1
+
 # q=auto accepts a chain mode no farther from omega_a than the bare cavity
 # (|delta|) plus this slack for the rounding of the mode frequencies.
 _RESONANCE_SLACK = 1e-9
@@ -179,6 +188,10 @@ def resolve_config(experiment: str, raw_values: dict[str, str],
     for key in _NONNEGATIVE_KEYS:
         if key in options and options[key] < 0:
             raise ParamError(f"bad value for {key!r}: must be >= 0, got {options[key]!r}")
+    for key, bound in (("n_chain", MAX_N_CHAIN), ("m_atoms", MAX_M_ATOMS)):
+        if options[key] > bound:
+            raise ParamError(f"bad value for {key!r}: must be at most {bound}, "
+                             f"got {options[key]!r}")
 
     delta = float(options.get("delta", 0.0))
     omega_c = float(options["omega_c"])

@@ -47,6 +47,10 @@ the run, and the run stops early once max |d rho / dt| stays below
 positivity as one stacked ``eigvalsh`` per sector, and a trajectory keeps
 each snapshot as its reached entries alone.
 
+Importing this module loads no scipy module.  ``scipy.sparse`` is imported
+by each function that builds an operator or the superoperator, and
+``scipy.integrate`` by the RK45 fallback alone.
+
 Twisted collective spin
 -----------------------
 For the triple-cavity configuration the two ensembles combine into total
@@ -61,14 +65,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from collections.abc import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from .bic import StateVector
 from .model import ModelParams, SectorBasis, enumerate_sector
 from .operators import (build_collective_lowering, build_end_annihilation,
                         build_hamiltonian)
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 
 def __getattr__(name: str):
@@ -304,6 +311,7 @@ class LindbladGenerator:
         positions in ``rho.ravel()`` (block by block, row-major within a
         block), and ``apply(rho).ravel()[index] == matrix @ rho.ravel()[index]``
         while ``apply(rho)`` is zero elsewhere."""
+        from scipy import sparse
         space, dim = self.space, self.space.dim
         if rho.shape != (dim, dim):
             raise ValueError("density matrix does not match the generator's space")
@@ -358,6 +366,7 @@ def lindblad_generator(params: ModelParams, space: SectorStack,
     End-cavity leakage at rate gamma_c is always included; collective
     atomic damping at rate gamma_a is added when requested.
     """
+    from scipy import sparse
     sectors = space.sectors
     hamiltonian = {(k, k): build_hamiltonian(params, sec, sectors[k - 1] if k else None)
                    - (params.omega_c * k - params.omega_a * params.m_atoms)
@@ -526,6 +535,7 @@ class _Cascade:
 
     def __init__(self, generator: LindbladGenerator, blocks: list[tuple[int, int]],
                  rho0: np.ndarray, t_end: float):
+        from scipy import sparse
         space = generator.space
         jumps = [(rate, {j: blk.toarray() for (j, _k), blk in jump_blocks.items()})
                  for rate, jump_blocks in generator._jumps]
@@ -898,6 +908,7 @@ def effective_tc_hamiltonian(params: ModelParams, sector: SectorBasis) -> sparse
     The two far-detuned symmetric modes are dropped, which makes the total
     spin s a constant of motion.
     """
+    from scipy import sparse
     if params.n_chain != 2:
         raise ValueError("effective exchange model requires the triple-cavity "
                          "configuration (n_chain=2)")

@@ -24,6 +24,12 @@ from typing import NamedTuple
 import numpy as np
 
 
+# Upper bound on the entries of one occupation table (states times the
+# n_chain + 3 slots), 32 MiB of int64: about 7 times the largest benchmarked
+# sector, (N, M, K) = (12, 6, 6) with 38,760 x 15 = 581,400 entries.
+MAX_SECTOR_ENTRIES = 2 ** 22
+
+
 class ParamError(ValueError):
     """A model parameter violates one of its invariants."""
 
@@ -179,15 +185,32 @@ def resonant_mode_index(params: ModelParams, tol: float | None = None) -> int:
     return best_k
 
 
+def sector_dim(params: ModelParams, k: int) -> int:
+    """Number of basis states with excitation number ``k``, in closed form:
+    the compositions of ``k`` into the n_chain + 3 slots, less those with
+    more than ``m_atoms`` on an atomic slot (inclusion-exclusion)."""
+    slots, over = params.n_chain + 3, params.m_atoms + 1
+    return sum((-1) ** j * math.comb(2, j) * math.comb(k - j * over + slots - 1, slots - 1)
+               for j in range(3) if k >= j * over)
+
+
 def sector_occupations(params: ModelParams, k: int) -> np.ndarray:
     """Occupation rows of every basis state with excitation number ``k``,
     laid out and ordered as ``SectorBasis.occupations``.
 
     Atomic occupations are capped at ``m_atoms``; photon occupations need
-    no cap below ``k``.  Sector k < 0 has no rows.
+    no cap below ``k``.  Sector k < 0 has no rows.  Raises
+    :class:`ParamError`, before allocating, for a table of more than
+    ``MAX_SECTOR_ENTRIES`` entries.
     """
     if k < 0:
         return np.zeros((0, params.n_chain + 3), dtype=np.int64)
+    # the photons alone fill C(k + N, N) >= 2^min(k, N) rows: that test refuses
+    # a huge sector before any large binomial is computed
+    if (min(k, params.n_chain) >= MAX_SECTOR_ENTRIES.bit_length()
+            or sector_dim(params, k) * (params.n_chain + 3) > MAX_SECTOR_ENTRIES):
+        raise ParamError(f"sector K={k} needs more than MAX_SECTOR_ENTRIES = "
+                         f"{MAX_SECTOR_ENTRIES} occupation entries")
     caps = [k] * (params.n_chain + 1) + [params.m_atoms, params.m_atoms]
     # suffixes[t]: rows over the last slots, placed so far, that sum to t
     suffixes = [np.zeros((1 if t == 0 else 0, 0), dtype=np.int64) for t in range(k + 1)]

@@ -24,16 +24,23 @@ Conventions
   independent verification path in the test suite.
 - All builders are pure functions of immutable inputs, so identical inputs
   give bitwise identical operators.
+- ``scipy.sparse`` is imported inside each function that builds a matrix,
+  not with the module: importing the package loads no scipy module, and a
+  caller that builds no operator (the ``sweep-chi`` and ``qfactor`` runs)
+  never pays for it.
 """
 
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from .model import ModelParams, SectorBasis, enumerate_sector
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 _SIDES = ("L", "R")
 
@@ -74,6 +81,7 @@ def _check_side(side: str) -> None:
 
 
 def _canonical(matrix) -> sparse.csr_matrix:
+    from scipy import sparse
     m = sparse.csr_matrix(matrix, dtype=np.complex128)
     m.sum_duplicates()
     m.eliminate_zeros()
@@ -87,6 +95,7 @@ def _lower(params: ModelParams, sector_k: SectorBasis, sector_km1: SectorBasis,
 
     Amplitude sqrt(n) on photon slots and sqrt(n (M - n + 1)) on atom slots.
     """
+    from scipy import sparse
     occ = sector_k.occupations
     present = occ[:, slot] > 0
     lowered = occ[present]
@@ -114,6 +123,7 @@ def build_hamiltonian(params: ModelParams, sector: SectorBasis,
     the sector K - 1 basis the exchange terms pass through, is enumerated
     when not given.
     """
+    from scipy import sparse
     n = params.n_chain
     occ = sector.occupations
     if sector_km1 is None:
@@ -132,6 +142,7 @@ def build_hamiltonian(params: ModelParams, sector: SectorBasis,
 
 def build_number_op(params: ModelParams, sector: SectorBasis) -> sparse.csr_matrix:
     """Total excitation-number operator (diagonal on any sector)."""
+    from scipy import sparse
     return _canonical(sparse.diags(sector.occupations.sum(axis=1), dtype=np.complex128))
 
 

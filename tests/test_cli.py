@@ -11,7 +11,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cavitybic import cli, dynamics
-from cavitybic.cli import MAX_GRID_POINTS, SCHEMAS, main, parse_config_file, resolve_config
+from cavitybic.cli import (MAX_GRID_POINTS, MAX_M_ATOMS, MAX_N_CHAIN, SCHEMAS, main,
+                          parse_config_file, resolve_config)
+from cavitybic.model import MAX_SECTOR_ENTRIES
 
 
 def run_cli(*args):
@@ -328,35 +330,43 @@ def test_evolve_at_an_exceptional_point_runs_on_rk45(capsys):
     assert "# steady_state_reached=true" in captured.out.splitlines()
 
 
-# Run in a fresh interpreter, since this one has imported scipy.integrate
-# already; the report is the child's last stdout line.  hasattr is False only
-# on AttributeError.
+# Run in a fresh interpreter, since this one has imported scipy already; the
+# report is the child's last stdout line.  Each entry of "loaded" lists the
+# scipy modules named in ``probed`` that are loaded at that point.  hasattr is
+# False only on AttributeError.
 _IMPORT_PROBE = """
 import contextlib, io, json, sys
 from cavitybic import cli, dynamics
-lazy = ("scipy.integrate", "scipy.linalg", "scipy.optimize")
-with contextlib.redirect_stdout(io.StringIO()):
-    codes = [cli.main([name]) for name in ("bic", "sweep-chi", "qfactor")]
-    loaded = [name for name in lazy if name in sys.modules]
-    codes.append(cli.main(["evolve", "--set", "n_chain=2", "--set", "m_atoms=1",
-                           "--set", "g=0.25"]))
-integrate_after_rk45 = "scipy.integrate" in sys.modules
+probed = ("scipy", "scipy.sparse", "scipy.integrate", "scipy.linalg", "scipy.optimize")
+loaded = {"import": [name for name in probed if name in sys.modules]}
+codes = {}
+runs = {"sweep-chi qfactor": [["sweep-chi"], ["qfactor"]],
+        "bic cascade": [["bic"], ["evolve"]],
+        "rk45": [["evolve", "--set", "n_chain=2", "--set", "m_atoms=1", "--set", "g=0.25"]]}
+for stage, argvs in runs.items():
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes[stage] = [cli.main(argv) for argv in argvs]
+    loaded[stage] = [name for name in probed if name in sys.modules]
 import scipy.integrate
 print(json.dumps({"codes": codes, "loaded": loaded,
-                  "integrate_after_rk45": integrate_after_rk45,
                   "traced_name": dynamics.solve_ivp is scipy.integrate.solve_ivp,
                   "other_name": hasattr(dynamics, "no_such_name")}))
 """
 
 
-def test_only_the_rk45_fallback_imports_scipy_integrate():
+def test_each_run_imports_only_the_scipy_it_uses():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
-    assert report == {"codes": [0, 0, 0, 0], "loaded": [], "integrate_after_rk45": True,
-                      "traced_name": True, "other_name": False}
+    # scipy.integrate brings scipy.linalg and scipy.optimize along
+    assert "scipy.integrate" in report["loaded"].pop("rk45")
+    assert report == {
+        "codes": {"sweep-chi qfactor": [0, 0], "bic cascade": [0, 0], "rk45": [0]},
+        "loaded": {"import": [], "sweep-chi qfactor": [],
+                   "bic cascade": ["scipy", "scipy.sparse"]},
+        "traced_name": True, "other_name": False}
 
 
 def _qfactor_rows(out):
@@ -430,6 +440,9 @@ def test_unreadable_config_or_out_path_is_a_validation_error(kind, tmp_path, cap
     ("sweep-chi", "--set", "chi_points=0"),
     ("qfactor", "--set", "n_chain=4"),
     ("sweep-chi", "--set", "chi_points=1", "--set", "chi_scale=bogus"),
+    ("sweep-chi", "--set", f"n_chain={MAX_N_CHAIN + 1}"),
+    ("sweep-chi", "--set", f"m_atoms={MAX_M_ATOMS + 1}"),
+    ("bic", "--set", "n_chain=200"),  # a sector table just above MAX_SECTOR_ENTRIES
 ])
 def test_a_failed_run_writes_nothing(argv, tmp_path, capsys):
     # the echo is buffered with the rest: a driver that raises leaves stdout
@@ -458,6 +471,29 @@ def test_grid_above_its_bound_is_rejected(key, experiment, capsys):
     assert code == 1 and out == ""
     assert err.splitlines() == [f"error: bad value for '{key}': must be at most "
                                 f"{MAX_GRID_POINTS}, got {MAX_GRID_POINTS + 1}"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("sweep-chi", "--set", f"n_chain={MAX_N_CHAIN + 1}"),
+     f"bad value for 'n_chain': must be at most {MAX_N_CHAIN}, got {MAX_N_CHAIN + 1}"),
+    (("sweep-chi", "--set", f"m_atoms={MAX_M_ATOMS + 1}"),
+     f"bad value for 'm_atoms': must be at most {MAX_M_ATOMS}, got {MAX_M_ATOMS + 1}"),
+    (("bic", "--set", "n_chain=200"),  # K = 2: 20,706 states of 203 slots
+     f"sector K=2 needs more than MAX_SECTOR_ENTRIES = {MAX_SECTOR_ENTRIES} occupation entries"),
+])
+def test_a_model_above_its_size_bounds_is_a_validation_error(argv, message, capsys):
+    code, out, err = run_captured(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.splitlines() == [f"error: {message}"]
+
+
+def test_a_model_at_its_size_bounds_is_resolved():
+    # resolve_config builds no table; q is given, since an odd chain has no
+    # mode at zero detuning for q=auto to find
+    config = resolve_config("sweep-chi", {"n_chain": str(MAX_N_CHAIN), "q": "1"})
+    assert config.params.n_chain == MAX_N_CHAIN
+    config = resolve_config("sweep-chi", {"m_atoms": str(MAX_M_ATOMS)})
+    assert config.params.m_atoms == MAX_M_ATOMS
 
 
 def test_rk45_fallback_beyond_its_step_limit_is_a_numerical_failure(monkeypatch, capsys):

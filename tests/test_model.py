@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -6,6 +7,8 @@ from hypothesis import strategies as st
 
 from cavitybic import (BasisState, ModelParams, NoResonantModeError, ParamError,
                        enumerate_sector, resonant_mode_index, validate_params)
+from cavitybic import model
+from cavitybic.model import MAX_SECTOR_ENTRIES, sector_dim
 from conftest import triple_cavity
 from oracles import brute_force_sector
 
@@ -70,6 +73,36 @@ def test_sector_sizes():
     assert enumerate_sector(triple_cavity(), 0).dim == 1
     assert enumerate_sector(triple_cavity(m_atoms=1), 1).dim == 5
     assert enumerate_sector(triple_cavity(m_atoms=2), 2).dim == 15
+
+
+def test_sector_dim_counts_every_sector():
+    # k up to 8 passes both atomic caps (k > 2 m_atoms) on every chain
+    for n_chain, m_atoms, k in itertools.product(range(2, 6), range(1, 4), range(-1, 9)):
+        p = triple_cavity(m_atoms=m_atoms).replace(n_chain=n_chain)
+        assert sector_dim(p, k) == enumerate_sector(p, k).dim
+
+
+def test_sector_above_its_entry_bound_is_refused_before_allocating():
+    # K = 2 at n_chain = 200: 20,706 states of 203 slots; at n_chain = 199:
+    # 20,503 states of 202 slots, accepted without building the table
+    over, under = (triple_cavity().replace(n_chain=n) for n in (200, 199))
+    assert sector_dim(under, 2) * 202 <= MAX_SECTOR_ENTRIES < sector_dim(over, 2) * 203
+    with pytest.raises(ParamError, match="^sector K=2 needs more than MAX_SECTOR_ENTRIES"):
+        enumerate_sector(over, 2)
+    # refused from the photons alone: C(2 * 10**6 + 2, 10**6 + 2) takes tens of seconds
+    huge = triple_cavity().replace(n_chain=10**6)
+    with pytest.raises(ParamError, match="MAX_SECTOR_ENTRIES"):
+        enumerate_sector(huge, 10**6)
+
+
+def test_sector_at_its_entry_bound_is_built(monkeypatch):
+    p = triple_cavity(m_atoms=2)
+    entries = 15 * 5  # sector K = 2: 15 states of 5 slots
+    monkeypatch.setattr(model, "MAX_SECTOR_ENTRIES", entries)
+    assert enumerate_sector(p, 2).occupations.size == entries
+    monkeypatch.setattr(model, "MAX_SECTOR_ENTRIES", entries - 1)
+    with pytest.raises(ParamError, match="MAX_SECTOR_ENTRIES = 74 "):
+        enumerate_sector(p, 2)
 
 
 def test_sector_excitation_numbers_and_round_trip():
