@@ -44,9 +44,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import ModelParams, SectorBasis, enumerate_sector
-from .operators import (build_collective_lowering, build_hamiltonian,
-                        build_normal_mode, coupling_lambda, mode_weights)
+from .model import ModelParams, SectorBasis, enumerate_sector, sector_dim
+from .operators import apply_hamiltonian, coupling_lambda, lowering_maps, mode_weights
 
 
 class NoTrappedStateError(ValueError):
@@ -327,23 +326,34 @@ def verify_trapping(params: ModelParams, psi: StateVector,
 
     Reports ||(H - (K - M) omega_a) psi|| and the norms of the two
     interference conditions applied to psi; judgement is left to the caller.
+    Every operator is applied to psi through the lowering maps of sector K,
+    without a matrix.  ``psi`` must live on the complete sector K of
+    ``params``; ``ValueError`` otherwise.
     """
-    if k is None:
-        k = psi.sector.k_excitations
     sector = psi.sector
+    if k is None:
+        k = sector.k_excitations
+    expected = sector_dim(params, k)
+    if (k != sector.k_excitations or sector.dim != expected
+            or sector.occupations.shape[1] != params.n_chain + 3):
+        raise ValueError(f"{sector!r} is not the complete sector K={k} "
+                         f"of {expected} states")
     sector_km1 = enumerate_sector(params, k - 1)
     v = psi.amplitudes
+    maps = lowering_maps(params, sector, sector_km1)
+    lowered = [m.apply(v) for m in maps]
 
-    h = build_hamiltonian(params, sector, sector_km1)
     energy = (k - params.m_atoms) * params.omega_a
-    eigen_residual = float(np.linalg.norm(h @ v - energy * v))
+    hv = apply_hamiltonian(params, sector, maps, v, lowered)
+    eigen_residual = float(np.linalg.norm(hv - energy * v))
 
-    bq = build_normal_mode(params, sector, sector_km1, params.q)
+    n_chain = params.n_chain
+    bq = sum(w * lowered[slot]
+             for slot, w in enumerate(mode_weights(n_chain, params.q), start=1))
     residuals = {}
-    for side in ("L", "R"):
-        j_low = build_collective_lowering(params, sector, sector_km1, side)
-        op = params.g * j_low + coupling_lambda(params, params.q, side) * bq
-        residuals[side] = float(np.linalg.norm(op @ v))
+    for side, atoms in (("L", n_chain + 1), ("R", n_chain + 2)):
+        condition = params.g * lowered[atoms] + coupling_lambda(params, params.q, side) * bq
+        residuals[side] = float(np.linalg.norm(condition))
     return TrappingReport(eigen_residual, residuals["L"], residuals["R"])
 
 

@@ -114,13 +114,23 @@ class SectorBasis:
                      for occ in self.occupations.tolist())
 
     def indices(self, rows: np.ndarray) -> np.ndarray:
-        """Basis indices of the occupation ``rows`` (shape (r, n_chain + 3));
-        raises ``ValueError`` unless every row is a state of this sector."""
-        rows = np.asarray(rows, dtype=np.int64)
-        found = np.searchsorted(_rank_keys(self.occupations), _rank_keys(rows))
+        """Basis indices of the occupation ``rows`` (integers, shape
+        (r, n_chain + 3)); raises ``ValueError`` unless every row is a state
+        of this sector."""
+        rows = np.asarray(rows)
+        k = self.k_excitations
+        # no state of sector K has an entry outside 0 .. K; inside it, the
+        # narrowest unsigned type that holds K keeps every entry exact
+        if (rows.shape[1:] != self.occupations.shape[1:]
+                or rows.size and (rows.min() < 0 or rows.max() > k)):
+            raise ValueError(f"sector K={k} lacks a requested state")
+        key_type = np.dtype(np.min_scalar_type(max(k, 0))).newbyteorder(">")
+        table = np.ascontiguousarray(self.occupations, dtype=key_type)
+        query = np.ascontiguousarray(rows, dtype=key_type)
+        found = np.searchsorted(_rank_keys(table), _rank_keys(query))
         if len(found) and (found.max() >= self.dim
-                           or not np.array_equal(self.occupations[found], rows)):
-            raise ValueError(f"sector K={self.k_excitations} lacks a requested state")
+                           or not np.array_equal(table[found], query)):
+            raise ValueError(f"sector K={k} lacks a requested state")
         return found
 
     def index_of(self, state: BasisState) -> int:
@@ -132,11 +142,10 @@ class SectorBasis:
         return f"SectorBasis(k={self.k_excitations}, dim={self.dim})"
 
 
-def _rank_keys(occupations: np.ndarray) -> np.ndarray:
-    """One opaque key per occupation row whose bytewise order is the rows'
-    lexicographic order (big-endian, nonnegative entries), so the search
-    needs no mixed-radix rank that could overflow."""
-    rows = np.ascontiguousarray(occupations, dtype=">i8")
+def _rank_keys(rows: np.ndarray) -> np.ndarray:
+    """One opaque key per row of a contiguous array of big-endian unsigned
+    entries, whose bytewise order is the rows' lexicographic order, so the
+    search needs no mixed-radix rank that could overflow."""
     return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
 
 

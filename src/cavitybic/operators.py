@@ -1,15 +1,19 @@
-"""Sparse matrix representations of the interior Hamiltonian and ladder maps.
+"""Lowering maps of the sector occupations, and the interior Hamiltonian and
+ladder operators built from them.
 
 Conventions
 -----------
 - A sector state is a row of ``SectorBasis.occupations`` (end cavities,
-  middle cavities, excited-atom counts of the two ensembles).  A ladder
-  lowers every row of sector K at once and finds the results in sector
-  K - 1 with one ``SectorBasis.indices`` call.
-- Every operator is a complex ``scipy.sparse.csr_matrix`` in canonical form
-  (sorted indices, no duplicates, no stored zeros).  Ladder operators map
-  sector K to sector K - 1; all of them come from one lowering primitive,
-  ``_lower``, and their adjoints are ``.conj().T``.
+  middle cavities, excited-atom counts of the two ensembles).  A lowering
+  map lowers every row of sector K in one slot and finds the results in
+  sector K - 1; ``lowering_maps`` does so for many slots with one
+  ``SectorBasis.indices`` call.
+- Ladder operators map sector K to sector K - 1; all of them come from one
+  lowering primitive, ``lowering_maps``.  A ``LoweringMap`` applies itself
+  and its adjoint to a vector without a matrix (``apply_hamiltonian`` does
+  the same for H), and turns into a complex ``scipy.sparse.csr_matrix`` in
+  canonical form (sorted indices, no duplicates, no stored zeros), whose
+  adjoint is ``.conj().T``.
 - Photon ladder action:  a |n> = sqrt(n) |n - 1>.
 - Collective (symmetric-subspace) ladder action for an ensemble of M atoms
   with n excited:  J- |n> = sqrt(n (M - n + 1)) |n - 1>,
@@ -24,16 +28,17 @@ Conventions
   independent verification path in the test suite.
 - All builders are pure functions of immutable inputs, so identical inputs
   give bitwise identical operators.
-- ``scipy.sparse`` is imported inside each function that builds a matrix,
-  not with the module: importing the package loads no scipy module, and a
-  caller that builds no operator (the ``sweep-chi`` and ``qfactor`` runs)
-  never pays for it.
+- ``scipy.sparse`` is imported only where a matrix is built:
+  ``LoweringMap.matrix``, ``build_hamiltonian``, ``build_number_op`` and
+  the ladder builders (``build_end_annihilation``,
+  ``build_collective_lowering``, ``build_normal_mode``).  Importing the
+  package, computing lowering maps and applying them load no scipy module.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
@@ -88,29 +93,90 @@ def _canonical(matrix) -> sparse.csr_matrix:
     return m
 
 
-def _lower(params: ModelParams, sector_k: SectorBasis, sector_km1: SectorBasis,
-           slot: int) -> sparse.csr_matrix:
-    """Annihilation map of one occupation slot from ``sector_k`` to
-    ``sector_km1``.
+class LoweringMap(NamedTuple):
+    """Annihilation map of one occupation slot from sector K to sector K - 1,
+    as its nonzero entries: column ``cols[i]`` of sector K goes to row
+    ``rows[i]`` of sector K - 1 with amplitude ``amp[i]`` (real).  A state
+    has one lowered image per slot and the image fixes the state, so every
+    row and every column holds at most one entry.  ``shape`` is
+    (dim K - 1, dim K)."""
+
+    cols: np.ndarray
+    rows: np.ndarray
+    amp: np.ndarray
+    shape: tuple[int, int]
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """The map applied to ``v`` over sector K: a scatter into sector K - 1."""
+        out = np.zeros(self.shape[0], dtype=np.result_type(v, self.amp))
+        out[self.rows] = self.amp * v[self.cols]
+        return out
+
+    def apply_adjoint(self, w: np.ndarray) -> np.ndarray:
+        """The raising map (the adjoint) applied to ``w`` over sector K - 1:
+        a gather into sector K."""
+        out = np.zeros(self.shape[1], dtype=np.result_type(w, self.amp))
+        out[self.cols] = self.amp * w[self.rows]
+        return out
+
+    def matrix(self) -> sparse.csr_matrix:
+        """The map as a canonical CSR matrix."""
+        from scipy import sparse
+        # at most one entry per column; the CSC constructor narrows the index type
+        indptr = np.zeros(self.shape[1] + 1, dtype=np.int64)
+        indptr[self.cols + 1] = 1
+        np.cumsum(indptr, out=indptr)
+        return _canonical(sparse.csc_matrix((self.amp, self.rows, indptr), shape=self.shape))
+
+
+def lowering_maps(params: ModelParams, sector_k: SectorBasis, sector_km1: SectorBasis,
+                  slots: Sequence[int] | None = None) -> list[LoweringMap]:
+    """Lowering map of each of ``slots`` (default: every slot), from
+    ``sector_k`` to ``sector_km1``.
 
     Amplitude sqrt(n) on photon slots and sqrt(n (M - n + 1)) on atom slots.
+    The lowered rows of all slots are found in ``sector_km1`` by one
+    ``SectorBasis.indices`` call, so its search keys are built once.
     """
-    from scipy import sparse
     occ = sector_k.occupations
-    present = occ[:, slot] > 0
-    lowered = occ[present]
-    lowered[:, slot] -= 1
+    if slots is None:
+        slots = range(occ.shape[1])
+    cols = [np.flatnonzero(occ[:, slot]) for slot in slots]
+    # the lowered rows of slots[i] are lowered[bounds[i]:bounds[i + 1]]
+    bounds = np.cumsum([0, *map(len, cols)]).tolist()
+    blocks = list(zip(slots, cols, bounds[:-1], bounds[1:]))
+    # every entry is at most K, so the lowered rows are kept in the narrowest
+    # unsigned type: a fraction of the int64 table's memory
+    lowered = occ.astype(np.min_scalar_type(sector_k.k_excitations))[np.concatenate(cols)]
+    for slot, _, start, end in blocks:
+        lowered[start:end, slot] -= 1
     try:
         rows = sector_km1.indices(lowered)
     except ValueError:
         raise ValueError("target sector does not contain every lowered state") from None
-    n = occ[present, slot]
-    if slot > params.n_chain:
-        n = n * (params.m_atoms - n + 1)
-    # at most one entry per column; the CSC constructor narrows the index type
-    indptr = np.concatenate(([0], np.cumsum(present)))
-    return _canonical(sparse.csc_matrix((np.sqrt(n), rows, indptr),
-                                       shape=(sector_km1.dim, sector_k.dim)))
+    maps = []
+    for slot, c, start, end in blocks:
+        n = occ[c, slot]
+        if slot > params.n_chain:
+            n = n * (params.m_atoms - n + 1)
+        maps.append(LoweringMap(c, rows[start:end], np.sqrt(n), (sector_km1.dim, sector_k.dim)))
+    return maps
+
+
+def _exchanges(params: ModelParams) -> list[tuple[float, int, int]]:
+    """(amplitude, raised slot, lowered slot) of every exchange term A+ B:
+    atoms with their end cavity at rate g, neighbouring cavities at rate lam."""
+    n = params.n_chain
+    return [(params.g, 0, n + 1), (params.g, n, n + 2),
+            (params.lam, 0, 1), (params.lam, n, n - 1),
+            *((params.lam, i, i + 1) for i in range(1, n - 1))]
+
+
+def _free_energies(params: ModelParams, sector: SectorBasis) -> np.ndarray:
+    """Diagonal of the Hamiltonian: cavity and atomic energies of each state."""
+    n, occ = params.n_chain, sector.occupations
+    return (params.omega_c * occ[:, :n + 1].sum(axis=1)
+            + params.omega_a * (occ[:, n + 1:].sum(axis=1) - params.m_atoms))
 
 
 def build_hamiltonian(params: ModelParams, sector: SectorBasis,
@@ -124,20 +190,32 @@ def build_hamiltonian(params: ModelParams, sector: SectorBasis,
     when not given.
     """
     from scipy import sparse
-    n = params.n_chain
-    occ = sector.occupations
     if sector_km1 is None:
         sector_km1 = enumerate_sector(params, sector.k_excitations - 1)
-    lower = [_lower(params, sector, sector_km1, slot) for slot in range(n + 3)]
-    # (amplitude, raised slot, lowered slot)
-    exchanges = [(params.g, 0, n + 1), (params.g, n, n + 2),
-                 (params.lam, 0, 1), (params.lam, n, n - 1),
-                 *((params.lam, i, i + 1) for i in range(1, n - 1))]
-    terms = [(amp * lower[up].T) @ lower[down] for amp, up, down in exchanges]
+    lower = [m.matrix() for m in lowering_maps(params, sector, sector_km1)]
+    terms = [(amp * lower[up].T) @ lower[down] for amp, up, down in _exchanges(params)]
     x = sum(terms[1:], terms[0])
-    diag = (params.omega_c * occ[:, :n + 1].sum(axis=1)
-            + params.omega_a * (occ[:, n + 1:].sum(axis=1) - params.m_atoms))
-    return _canonical(sparse.diags(diag, dtype=np.float64) + x + x.conj().T)
+    return _canonical(sparse.diags(_free_energies(params, sector), dtype=np.float64)
+                      + x + x.conj().T)
+
+
+def apply_hamiltonian(params: ModelParams, sector: SectorBasis, maps: Sequence[LoweringMap],
+                      v: np.ndarray, lowered: Sequence[np.ndarray]) -> np.ndarray:
+    """H v without a matrix, the same sum as ``build_hamiltonian``:
+    diag v + sum amp (A+ (B v) + B+ (A v)) over the exchange terms A+ B.
+
+    ``maps`` are the lowering maps of every slot of ``sector`` and
+    ``lowered[slot]`` is ``maps[slot].apply(v)``.  The terms raised through
+    one slot are summed in sector K - 1 first, so each slot raises once.
+    """
+    into = [np.zeros_like(w) for w in lowered]
+    for amp, up, down in _exchanges(params):
+        into[up] += amp * lowered[down]
+        into[down] += amp * lowered[up]
+    hv = _free_energies(params, sector) * v
+    for m, w in zip(maps, into):
+        hv += m.apply_adjoint(w)
+    return hv
 
 
 def build_number_op(params: ModelParams, sector: SectorBasis) -> sparse.csr_matrix:
@@ -150,19 +228,21 @@ def build_end_annihilation(params: ModelParams, sector_k: SectorBasis,
                            sector_km1: SectorBasis, side: str) -> sparse.csr_matrix:
     """Annihilation operator of an end cavity, mapping sector K to K - 1."""
     _check_side(side)
-    return _lower(params, sector_k, sector_km1, 0 if side == "L" else params.n_chain)
+    slot = 0 if side == "L" else params.n_chain
+    return lowering_maps(params, sector_k, sector_km1, [slot])[0].matrix()
 
 
 def build_collective_lowering(params: ModelParams, sector_k: SectorBasis,
                               sector_km1: SectorBasis, side: str) -> sparse.csr_matrix:
     """Collective atomic lowering operator J- of one ensemble, K -> K - 1."""
     _check_side(side)
-    return _lower(params, sector_k, sector_km1, params.n_chain + (1 if side == "L" else 2))
+    slot = params.n_chain + (1 if side == "L" else 2)
+    return lowering_maps(params, sector_k, sector_km1, [slot])[0].matrix()
 
 
 def build_normal_mode(params: ModelParams, sector_k: SectorBasis,
                       sector_km1: SectorBasis, k_index: int) -> sparse.csr_matrix:
     """Normal-mode annihilation operator B_k as a sparse map K -> K - 1."""
-    terms = [w * _lower(params, sector_k, sector_km1, slot)
-             for slot, w in enumerate(mode_weights(params.n_chain, k_index), start=1)]
+    maps = lowering_maps(params, sector_k, sector_km1, range(1, params.n_chain))
+    terms = [w * m.matrix() for m, w in zip(maps, mode_weights(params.n_chain, k_index))]
     return _canonical(sum(terms[1:], terms[0]))

@@ -7,14 +7,17 @@ from hypothesis import strategies as st
 from scipy.linalg import null_space
 
 from cavitybic import (BasisState, ModelParams, NoTrappedStateError,
-                       StateVector, assemble_bic_state, build_hamiltonian, chi,
-                       closed_form_coefficients, enumerate_sector, fock_approx,
+                       StateVector, assemble_bic_state,
+                       build_collective_lowering, build_hamiltonian,
+                       build_normal_mode, chi, closed_form_coefficients,
+                       coupling_lambda, enumerate_sector, fock_approx,
                        null_space_coefficients, recursive_coefficients,
                        regime_observables, resonant_mode_index,
                        subradiant_approx, verify_trapping)
 from cavitybic.bic import DegenerateNullSpaceError, _condition_matrices, _null_space
 from conftest import triple_cavity
-from oracles import eigenspace_projection, mode_fock_embedding
+from oracles import (eigenspace_projection, hamiltonian_normal_mode_picture,
+                     mode_fock_embedding)
 
 
 def four_chain(m_atoms, g=0.3):
@@ -173,6 +176,46 @@ def test_random_vector_has_large_residuals():
     psi = StateVector(sector, v / np.linalg.norm(v))
     report = verify_trapping(p, psi, 2)
     assert report.max_residual > 0.05  # order of the hopping rate
+
+
+@pytest.mark.parametrize("n_chain, m_atoms, k, g, omega_c, omega_a", [
+    (2, 2, 0, 0.3, 0.0, 0.0),    # K = 0: every residual is 0, the conditions map to no state
+    (2, 3, 3, 0.3, 0.5, -0.2),   # K = M, detuned
+    (4, 2, 2, 0.0, 0.7, 0.7),    # g = 0
+    (4, 2, 3, 1.3, 0.2, 0.9),    # K > M: the atomic caps cut the sector
+    (5, 2, 2, -0.7, 0.4, 1.1),   # odd chain, detuned
+])
+def test_matrix_free_residuals_match_dense_operators(n_chain, m_atoms, k, g, omega_c, omega_a):
+    # references: H in the normal-mode picture, the conditions from the CSR ladders
+    q = n_chain // 2
+    p = ModelParams(n_chain=n_chain, m_atoms=m_atoms, omega_c=omega_c, omega_a=omega_a,
+                    g=g, lam=1.0, q=q)
+    sector, below = enumerate_sector(p, k), enumerate_sector(p, k - 1)
+    shifted = (hamiltonian_normal_mode_picture(p, sector, below)
+               - (k - m_atoms) * omega_a * np.eye(sector.dim))
+    bq = build_normal_mode(p, sector, below, q).toarray()
+    conditions = [g * build_collective_lowering(p, sector, below, side).toarray()
+                  + coupling_lambda(p, q, side) * bq for side in ("L", "R")]
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        v = rng.normal(size=sector.dim) + 1j * rng.normal(size=sector.dim)
+        expected = [np.linalg.norm(op @ v) for op in (shifted, *conditions)]
+        assert verify_trapping(p, StateVector(sector, v)) == pytest.approx(
+            expected, rel=1e-12, abs=0)
+
+
+def test_trapping_check_rejects_a_state_off_the_full_sector_k():
+    p = triple_cavity(m_atoms=2, g=0.3)
+    psi = assemble_bic_state(p, 2)
+    with pytest.raises(ValueError, match="is not the complete sector K=1 "):
+        verify_trapping(p, psi, 1)
+    with pytest.raises(ValueError, match="is not the complete sector K=2 of 28 states"):
+        verify_trapping(p.replace(n_chain=4, q=2), psi)
+    with pytest.raises(ValueError, match="is not the complete sector K=0 of 1 states"):
+        verify_trapping(p.replace(n_chain=4, q=2), assemble_bic_state(p, 0))  # same dim
+    capped = enumerate_sector(p.replace(m_atoms=1), 2)  # 13 of the 15 states
+    with pytest.raises(ValueError, match="is not the complete sector K=2 of 15 states"):
+        verify_trapping(p, StateVector(capped, np.ones(capped.dim)))
 
 
 def test_detuning_grows_eigen_residual_linearly():

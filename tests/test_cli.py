@@ -341,7 +341,8 @@ probed = ("scipy", "scipy.sparse", "scipy.integrate", "scipy.linalg", "scipy.opt
 loaded = {"import": [name for name in probed if name in sys.modules]}
 codes = {}
 runs = {"sweep-chi qfactor": [["sweep-chi"], ["qfactor"]],
-        "bic cascade": [["bic"], ["evolve"]],
+        "bic": [["bic"]],
+        "cascade": [["evolve"]],
         "rk45": [["evolve", "--set", "n_chain=2", "--set", "m_atoms=1", "--set", "g=0.25"]]}
 for stage, argvs in runs.items():
     with contextlib.redirect_stdout(io.StringIO()):
@@ -363,9 +364,9 @@ def test_each_run_imports_only_the_scipy_it_uses():
     # scipy.integrate brings scipy.linalg and scipy.optimize along
     assert "scipy.integrate" in report["loaded"].pop("rk45")
     assert report == {
-        "codes": {"sweep-chi qfactor": [0, 0], "bic cascade": [0, 0], "rk45": [0]},
-        "loaded": {"import": [], "sweep-chi qfactor": [],
-                   "bic cascade": ["scipy", "scipy.sparse"]},
+        "codes": {"sweep-chi qfactor": [0, 0], "bic": [0], "cascade": [0], "rk45": [0]},
+        "loaded": {"import": [], "sweep-chi qfactor": [], "bic": [],
+                   "cascade": ["scipy", "scipy.sparse"]},
         "traced_name": True, "other_name": False}
 
 

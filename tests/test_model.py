@@ -119,6 +119,16 @@ def test_index_of_an_absent_state_raises_value_error():
         sector.index_of(BasisState(0, (3,), 0, 0, 0))  # three photons in sector K = 2
 
 
+def test_indices_read_narrow_rows_and_reject_entries_outside_the_sector():
+    # the search keys hold each entry in the narrowest unsigned type that
+    # holds K, one byte here: 258 and -1 would wrap onto it
+    sector = enumerate_sector(triple_cavity(m_atoms=2), 2)
+    assert sector.indices(sector.occupations.astype("u1")).tolist() == list(range(sector.dim))
+    for row in ([258, 0, 0, 0, 0], [3, -1, 0, 0, 0], [2, 0, 0, 0]):
+        with pytest.raises(ValueError, match="lacks a requested state"):
+            sector.indices([row])
+
+
 def test_sector_ordering_is_lexicographic():
     sector = enumerate_sector(triple_cavity(m_atoms=2), 2)
     assert list(sector.states) == sorted(sector.states)
