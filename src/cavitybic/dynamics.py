@@ -20,8 +20,8 @@ Hamiltonian is block diagonal and every jump operator maps sector K to
 K - 1, so the generator feeds a block (K, K') of rho only into the blocks
 (K, K') and (K - 1, K' - 1) (a weak U(1) symmetry, Buca & Prosen,
 NJP 14, 073007 (2012)).  The operators are built and held as those sector
-blocks alone, the Hamiltonian's (K, K) and each jump's (K - 1, K), never
-as matrices on the whole stacked space.  Only the blocks that the
+blocks alone, dense: H_eff's (K, K) and each jump's (K - 1, K), never as
+matrices on the whole stacked space.  Only the blocks that the
 generator reaches from the nonzero blocks of the initial state are ever
 nonzero: with a jump, the blocks (K - j, K' - j), 0 <= j <= min(K, K'),
 of every nonzero start block (K, K'); for a sector-diagonal start these
@@ -47,8 +47,9 @@ the run, and the run stops early once max |d rho / dt| stays below
 positivity as one stacked ``eigvalsh`` per sector, and a trajectory keeps
 each snapshot as its reached entries alone.
 
-Importing this module loads no scipy module.  ``scipy.sparse`` is imported
-by each function that builds an operator or the superoperator, and
+Importing this module loads no scipy module, and neither does building
+the generator's blocks.  ``scipy.sparse`` is imported where the sparse
+superoperator is built (and by ``effective_tc_hamiltonian``), and
 ``scipy.integrate`` by the RK45 fallback alone.
 
 Twisted collective spin
@@ -71,8 +72,7 @@ import numpy as np
 
 from .bic import StateVector
 from .model import ModelParams, SectorBasis, enumerate_sector
-from .operators import (build_collective_lowering, build_end_annihilation,
-                        build_hamiltonian)
+from .operators import _hamiltonian_entries, lowering_maps
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -253,25 +253,14 @@ def _block_index(space: SectorStack, blocks: Sequence[tuple[int, int]]) -> np.nd
     return np.concatenate([np.zeros(0, dtype=np.int64), *index])
 
 
-def _nonzero(blocks: dict) -> dict:
-    """The sector blocks that hold a nonzero, their stored zeros removed in
-    place."""
-    out = {}
-    for key, blk in blocks.items():
-        blk.eliminate_zeros()
-        if blk.nnz:
-            out[key] = blk
-    return out
-
-
 class LindbladGenerator:
     """Right-hand side of the master equation on a sector stack.
 
-    Takes every operator as its sector blocks: ``hamiltonian`` maps (K, K)
-    to the rotating-frame H_K, and each jump is ``(rate, {(K - 1, K): c_K})``.
-    Holds H_eff,K = H_K - (i/2) sum gamma c_K+ c_K and the jumps once each,
-    sparse CSR with no stored zero and no empty block; ``evolve``'s cascade
-    reads the same blocks.  The generator is L rho = -i H_eff rho +
+    Holds every operator as dense sector blocks, as ``lindblad_generator``
+    builds them: ``h_eff`` maps (K, K) to H_eff,K = H_K - (i/2) sum gamma
+    c_K+ c_K in the rotating frame, for every sector of ``space``, and each
+    jump is ``(rate, {(K - 1, K): c_K})`` for every K >= 1.  ``evolve``'s
+    cascade reads the same blocks.  The generator is L rho = -i H_eff rho +
     i rho H_eff+ + sum gamma c rho c+, and ``superoperator`` vectorises it
     row-major, vec(A rho B) = (A kron B^T) vec(rho), on the sector blocks
     that a given state reaches: a block (K, K') feeds -i H_eff,K kron I and
@@ -279,18 +268,11 @@ class LindbladGenerator:
     (K - 1, K' - 1).
     """
 
-    def __init__(self, space: SectorStack, hamiltonian: dict,
+    def __init__(self, space: SectorStack, h_eff: dict,
                  jumps: Iterable[tuple[float, dict]]):
         self.space = space
-        self._jumps = [(float(rate), _nonzero(blocks)) for rate, blocks in jumps]
-        h_eff = {}
-        for (k, k_col), blk in hamiltonian.items():
-            for rate, blocks in self._jumps:
-                if (k - 1, k) in blocks:
-                    c = blocks[(k - 1, k)]
-                    blk = blk - (0.5j * rate) * (c.conj().T @ c)
-            h_eff[(k, k_col)] = blk
-        self._h_eff_blocks = _nonzero(h_eff)
+        self._h_eff_blocks = h_eff
+        self._jumps = [(float(rate), blocks) for rate, blocks in jumps]
 
     def _reach(self, blocks: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
         """Sorted sector blocks (K, K') that the generator reaches from
@@ -325,12 +307,10 @@ class LindbladGenerator:
         for k, k_col in blocks:
             eye, eye_col = (sparse.identity(dims[j], dtype=np.complex128, format="csr")
                             for j in (k, k_col))
-            # (block written, A, B) of each term A rho B that reads block (K, K')
-            terms = []
-            if (k, k) in h_eff:
-                terms.append(((k, k_col), -1j * h_eff[(k, k)], eye_col))
-            if (k_col, k_col) in h_eff:
-                terms.append(((k, k_col), eye, 1j * h_eff[(k_col, k_col)].conj()))
+            # (block written, A, B) of each term A rho B that reads block (K, K');
+            # ``kron`` keeps the nonzero entries of a dense A or B alone
+            terms = [((k, k_col), -1j * h_eff[(k, k)], eye_col),
+                     ((k, k_col), eye, 1j * h_eff[(k_col, k_col)].conj())]
             terms += [((k - 1, k_col - 1), rate * jump[(k - 1, k)],
                        jump[(k_col - 1, k_col)].conj())
                       for rate, jump in self._jumps
@@ -357,30 +337,39 @@ class LindbladGenerator:
 
 def lindblad_generator(params: ModelParams, space: SectorStack,
                        include_atomic_decay: bool = False) -> LindbladGenerator:
-    """Build the master-equation generator on the sectors of ``space``, as
-    sector blocks straight from ``operators``: each jump's (K - 1, K) and
-    H_K - (omega_c K - omega_a M) on (K, K), the module docstring's frame,
-    which leaves no offset for the eigen-solves to lose digits to and no
-    block for sector 0.
+    """Build the master-equation generator on the sectors of ``space`` as
+    dense sector blocks, from one ``operators.lowering_maps`` call per
+    sector K >= 1.  Each jump's (K - 1, K) block is its slot's map, and
+    H_eff,K is H_K's entries (``operators._hamiltonian_entries``) less
+    omega_c K - omega_a M on the diagonal, the module docstring's frame,
+    less (i/2) gamma amp^2 at each entry of each jump: c+ c is diagonal,
+    since a map holds at most one entry per row and column.  The frame
+    leaves no offset for the eigen-solves to lose digits to, and makes
+    H_eff,0 zero.
 
     End-cavity leakage at rate gamma_c is always included; collective
     atomic damping at rate gamma_a is added when requested.
     """
-    from scipy import sparse
-    sectors = space.sectors
-    hamiltonian = {(k, k): build_hamiltonian(params, sec, sectors[k - 1] if k else None)
-                   - (params.omega_c * k - params.omega_a * params.m_atoms)
-                   * sparse.identity(sec.dim)
-                   for k, sec in enumerate(sectors)}
-    lowerings = []
-    if params.gamma_c > 0:
-        lowerings.append((params.gamma_c, build_end_annihilation))
-    if include_atomic_decay and params.gamma_a > 0:
-        lowerings.append((params.gamma_a, build_collective_lowering))
-    jumps = [(rate, {(k - 1, k): builder(params, sectors[k], sectors[k - 1], side)
-                     for k in range(1, len(sectors))})
-             for rate, builder in lowerings for side in ("L", "R")]
-    return LindbladGenerator(space, hamiltonian, jumps)
+    n, sectors = params.n_chain, space.sectors
+    # (rate, slot) of each jump
+    slots = [(params.gamma_c, slot) for slot in (0, n) if params.gamma_c > 0]
+    slots += [(params.gamma_a, slot) for slot in (n + 1, n + 2)
+              if include_atomic_decay and params.gamma_a > 0]
+    h_eff = {(0, 0): np.zeros((1, 1), dtype=np.complex128)}
+    jumps = [(rate, {}) for rate, _slot in slots]
+    for k in range(1, len(sectors)):
+        maps = lowering_maps(params, sectors[k], sectors[k - 1])
+        rows, cols, values = _hamiltonian_entries(params, sectors[k], maps)
+        blk = np.zeros((sectors[k].dim,) * 2, dtype=np.complex128)
+        blk[rows, cols] = values
+        blk[np.diag_indices(len(blk))] -= params.omega_c * k - params.omega_a * params.m_atoms
+        for (rate, slot), (_rate, blocks) in zip(slots, jumps):
+            m = maps[slot]
+            blocks[(k - 1, k)] = c = np.zeros(m.shape, dtype=np.complex128)
+            c[m.rows, m.cols] = m.amp
+            blk[m.cols, m.cols] -= (0.5j * rate) * (m.amp * m.amp)
+        h_eff[(k, k)] = blk
+    return LindbladGenerator(space, h_eff, jumps)
 
 
 @dataclass
@@ -526,18 +515,18 @@ def _particular(source: np.ndarray, lam: np.ndarray, mu: np.ndarray,
 
 class _Cascade:
     """Exact propagator on the reached sector blocks, in the eigenbases of
-    each sector's H_eff (see the module docstring).  Reads the sector
-    blocks that ``LindbladGenerator`` holds: H_eff's (K, K) and each
-    jump's (K - 1, K).  The reached ``blocks`` come from ``evolve``."""
+    each sector's H_eff (see the module docstring).  Reads the dense sector
+    blocks that ``LindbladGenerator`` holds, as they are: H_eff's (K, K)
+    and each jump's (K - 1, K).  The reached ``blocks`` come from
+    ``evolve``."""
 
     name = "cascade"
     n_rhs_evaluations = 0
 
     def __init__(self, generator: LindbladGenerator, blocks: list[tuple[int, int]],
                  rho0: np.ndarray, t_end: float):
-        from scipy import sparse
         space = generator.space
-        jumps = [(rate, {j: blk.toarray() for (j, _k), blk in jump_blocks.items()})
+        jumps = [(rate, {j: blk for (j, _k), blk in jump_blocks.items()})
                  for rate, jump_blocks in generator._jumps]
         self.blocks = blocks
         dims = np.diff(space.offsets)
@@ -559,9 +548,7 @@ class _Cascade:
 
         self._eig = {}
         for k in sorted({k for key in blocks for k in key}):
-            # a sector whose H_eff block is zero has no stored block
-            zero = sparse.csr_matrix((dims[k], dims[k]), dtype=np.complex128)
-            energies, vecs = np.linalg.eig(generator._h_eff_blocks.get((k, k), zero).toarray())
+            energies, vecs = np.linalg.eig(generator._h_eff_blocks[(k, k)])
             cond = np.linalg.cond(vecs)
             if not cond <= MAX_EIGENVECTOR_CONDITION:
                 raise _CascadeRejected(f"sector {k}: H_eff eigenvectors have condition "
@@ -912,13 +899,12 @@ def effective_tc_hamiltonian(params: ModelParams, sector: SectorBasis) -> sparse
     if params.n_chain != 2:
         raise ValueError("effective exchange model requires the triple-cavity "
                          "configuration (n_chain=2)")
-    k = sector.k_excitations
-    sector_km1 = enumerate_sector(params, k - 1)
-    a_left = build_end_annihilation(params, sector, sector_km1, "L")
-    a_right = build_end_annihilation(params, sector, sector_km1, "R")
+    n = params.n_chain
+    sector_km1 = enumerate_sector(params, sector.k_excitations - 1)
+    a_left, a_right, j_left, j_right = (
+        m.matrix() for m in lowering_maps(params, sector, sector_km1, [0, n, n + 1, n + 2]))
     a_minus = (1.0 / math.sqrt(2.0)) * (a_left - a_right)
-    s_minus = (build_collective_lowering(params, sector, sector_km1, "L")
-               - build_collective_lowering(params, sector, sector_km1, "R"))
+    s_minus = j_left - j_right
     sz = sparse.diags(sector.occupations[:, -2:].sum(axis=1) - params.m_atoms,
                             dtype=np.complex128)
 
@@ -941,8 +927,9 @@ def fit_decay_rate(trajectory, observable: Callable[[DensityMatrix], float] | No
 
     ``trajectory`` is either a :class:`Trajectory` (with ``observable``
     mapping states to positive reals) or a ``(times, values)`` pair.
-    Raises :class:`FitError` on non-decaying signals and on fits with
-    R^2 below ``MIN_R_SQUARED``.
+    Raises :class:`FitError` on a non-finite sample, on non-decaying
+    signals and on fits with R^2 below ``MIN_R_SQUARED``, and
+    ``ValueError`` on times that are not finite or not one per sample.
     """
     if isinstance(trajectory, Trajectory):
         if observable is None:
@@ -953,6 +940,13 @@ def fit_decay_rate(trajectory, observable: Callable[[DensityMatrix], float] | No
         times, values = trajectory
         times = np.asarray(times, dtype=float)
         values = np.asarray(values, dtype=float)
+    if times.shape != values.shape:
+        raise ValueError(f"need one time per sample, got {times.shape} times and "
+                         f"{values.shape} samples")
+    if not np.isfinite(times).all():
+        raise ValueError("times must be finite")
+    if not np.isfinite(values).all():
+        raise FitError("observable must be finite at every sample")
 
     mask = np.ones(len(times), dtype=bool) if t_min is None else times >= t_min
     t = times[mask]

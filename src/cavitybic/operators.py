@@ -28,11 +28,16 @@ Conventions
   independent verification path in the test suite.
 - All builders are pure functions of immutable inputs, so identical inputs
   give bitwise identical operators.
+- The Hamiltonian has one construction, ``_hamiltonian_entries``: its
+  nonzero entries from the lowering maps, with no scipy.
+  ``build_hamiltonian`` turns them into CSR, and
+  ``dynamics.lindblad_generator`` into dense sector blocks.
 - ``scipy.sparse`` is imported only where a matrix is built:
   ``LoweringMap.matrix``, ``build_hamiltonian``, ``build_number_op`` and
   the ladder builders (``build_end_annihilation``,
   ``build_collective_lowering``, ``build_normal_mode``).  Importing the
-  package, computing lowering maps and applying them load no scipy module.
+  package, computing lowering maps or Hamiltonian entries and applying the
+  maps load no scipy module.
 """
 
 from __future__ import annotations
@@ -179,24 +184,52 @@ def _free_energies(params: ModelParams, sector: SectorBasis) -> np.ndarray:
             + params.omega_a * (occ[:, n + 1:].sum(axis=1) - params.m_atoms))
 
 
+def _hamiltonian_entries(params: ModelParams, sector: SectorBasis,
+                         maps: Sequence[LoweringMap]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cols, values) of the nonzero entries of the interior
+    Hamiltonian on ``sector``, from the lowering maps of every slot: the
+    free energies on the diagonal, then each exchange term amp A+ B and its
+    adjoint.  Entry (i, j) of A+ B joins column i of A and column j of B at
+    their common row of sector K - 1, with value (amp a_up) a_down.  A map
+    holds at most one entry per row, and each term moves one excitation
+    between its own pair of slots, so no two entries share a position."""
+    diag = np.arange(sector.dim)
+    entries = [(diag, diag, _free_energies(params, sector))]
+    for amp, up, down in _exchanges(params):
+        a_up, a_down = maps[up], maps[down]
+        # position of A's entry at each row of sector K - 1 that B reaches, -1 if none
+        at = np.full(a_up.shape[0], -1)
+        at[a_up.rows] = np.arange(len(a_up.rows))
+        at = at[a_down.rows]
+        both = at >= 0
+        at = at[both]
+        i, j = a_up.cols[at], a_down.cols[both]
+        v = (amp * a_up.amp[at]) * a_down.amp[both]
+        entries += [(i, j, v), (j, i, v)]
+    rows, cols, values = map(np.concatenate, zip(*entries))
+    # drop zeros (-0.0 too), as canonical CSR does, so that a dense block
+    # holds +0.0 wherever H is zero
+    nonzero = values != 0
+    return rows[nonzero], cols[nonzero], values[nonzero]
+
+
 def build_hamiltonian(params: ModelParams, sector: SectorBasis,
                       sector_km1: SectorBasis | None = None) -> sparse.csr_matrix:
     """Interior Hamiltonian (cavity energies, atomic energies, hopping and
     atom-field exchange) restricted to one excitation sector.
 
-    Built as diag(omega n) + X + X^dagger with X the sum of the exchange
-    terms (amplitude A+) @ B, so H is exactly Hermitian.  ``sector_km1``,
-    the sector K - 1 basis the exchange terms pass through, is enumerated
-    when not given.
+    Built from ``_hamiltonian_entries``: diag(omega n) + X + X^dagger with X
+    the sum of the exchange terms amp A+ B, so H is exactly Hermitian.
+    ``sector_km1``, the sector K - 1 basis the exchange terms pass through,
+    is enumerated when not given.
     """
     from scipy import sparse
     if sector_km1 is None:
         sector_km1 = enumerate_sector(params, sector.k_excitations - 1)
-    lower = [m.matrix() for m in lowering_maps(params, sector, sector_km1)]
-    terms = [(amp * lower[up].T) @ lower[down] for amp, up, down in _exchanges(params)]
-    x = sum(terms[1:], terms[0])
-    return _canonical(sparse.diags(_free_energies(params, sector), dtype=np.float64)
-                      + x + x.conj().T)
+    rows, cols, values = _hamiltonian_entries(params, sector,
+                                              lowering_maps(params, sector, sector_km1))
+    return _canonical(sparse.coo_matrix((values, (rows, cols)),
+                                        shape=(sector.dim, sector.dim)))
 
 
 def apply_hamiltonian(params: ModelParams, sector: SectorBasis, maps: Sequence[LoweringMap],

@@ -10,7 +10,7 @@ from cavitybic import (DensityMatrix, FitError, IntegrationError, ModelParams,
                        StateVector, assemble_bic_state, build_collective_lowering,
                        build_end_annihilation, build_hamiltonian, dicke_basis, dynamics,
                        effective_tc_hamiltonian, enumerate_sector, evolve,
-                       fit_decay_rate, lindblad_generator, stack_sectors,
+                       fit_decay_rate, lindblad_generator, operators, stack_sectors,
                        steady_state_prediction, trapped_probabilities,
                        twisted_spin_ops)
 from conftest import left_excited_state, triple_cavity
@@ -81,12 +81,8 @@ def test_generator_blocks_are_the_sector_operators(n_chain, m_atoms):
     gen = lindblad_generator(p, space, include_atomic_decay=True)
     sectors = space.sectors
 
-    def canonical(blk):
-        # complex CSR in canonical form with no stored zero
-        assert blk.format == "csr" and blk.dtype == np.complex128
-        assert blk.has_canonical_format and np.count_nonzero(blk.data) == blk.nnz
-
-    # each jump holds the builder's (K - 1, K) maps, entry for entry, and no other block
+    # each jump holds the builder's (K - 1, K) maps as dense blocks, entry
+    # for entry, and no other block
     lowerings = [(rate, builder, side)
                  for rate, builder in ((p.gamma_c, build_end_annihilation),
                                        (p.gamma_a, build_collective_lowering))
@@ -94,28 +90,44 @@ def test_generator_blocks_are_the_sector_operators(n_chain, m_atoms):
     assert [rate for rate, _blocks in gen._jumps] == [rate for rate, _b, _s in lowerings]
     maps = []
     for (_rate, blocks), (rate, builder, side) in zip(gen._jumps, lowerings):
-        wanted = {(k - 1, k): builder(p, sectors[k], sectors[k - 1], side)
+        wanted = {(k - 1, k): builder(p, sectors[k], sectors[k - 1], side).toarray()
                   for k in range(1, len(sectors))}
         assert list(blocks) == list(wanted)
         for key, blk in blocks.items():
-            canonical(blk)
-            assert np.array_equal(blk.indptr, wanted[key].indptr)
-            assert np.array_equal(blk.indices, wanted[key].indices)
-            assert np.array_equal(blk.data, wanted[key].data)
+            assert isinstance(blk, np.ndarray) and blk.dtype == np.complex128
+            assert np.array_equal(blk, wanted[key])
         maps.append((rate, wanted))
 
-    # H_eff,K = H_K - (omega_c K - omega_a M) - (i/2) sum gamma c+ c, one block
-    # per sector but the vacuum's, which that frame makes zero
-    assert list(gen._h_eff_blocks) == [(k, k) for k in range(1, len(sectors))]
+    # H_eff,K = H_K - (omega_c K - omega_a M) - (i/2) sum gamma c+ c, dense,
+    # one block per sector; that frame makes the vacuum's zero
+    assert list(gen._h_eff_blocks) == [(k, k) for k in range(len(sectors))]
+    assert np.array_equal(gen._h_eff_blocks[(0, 0)], np.zeros((1, 1)))
     for k, sec in enumerate(sectors[1:], start=1):
         blk = gen._h_eff_blocks[(k, k)]
-        canonical(blk)
+        assert isinstance(blk, np.ndarray) and blk.dtype == np.complex128
         ref = (build_hamiltonian(p, sec, sectors[k - 1]).toarray()
                - (p.omega_c * k - p.omega_a * p.m_atoms) * np.eye(sec.dim))
         for rate, wanted in maps:
-            c = wanted[(k - 1, k)].toarray()
+            c = wanted[(k - 1, k)]
             ref = ref - 0.5j * rate * (c.conj().T @ c)
-        assert np.abs(blk.toarray() - ref).max() <= 1e-15
+        assert np.array_equal(blk, ref)
+
+
+@pytest.mark.parametrize("include_atomic_decay", [False, True])
+def test_generator_lowers_each_sector_once(monkeypatch, include_atomic_decay):
+    # one lowering_maps call per sector K >= 1 serves H_eff and every jump
+    calls, original = [], operators.lowering_maps
+
+    def counted(params, sector_k, sector_km1, slots=None):
+        calls.append(sector_k.k_excitations)
+        return original(params, sector_k, sector_km1, slots)
+
+    monkeypatch.setattr(operators, "lowering_maps", counted)
+    monkeypatch.setattr(dynamics, "lowering_maps", counted, raising=False)
+    p = triple_cavity(m_atoms=3, g=0.2, gamma_c=0.7, gamma_a=0.1)
+    gen = lindblad_generator(p, stack_sectors(p, 3), include_atomic_decay=include_atomic_decay)
+    assert calls == [1, 2, 3]
+    assert len(gen._jumps) == (4 if include_atomic_decay else 2)
 
 
 @pytest.mark.parametrize("gamma_c, gamma_a", [(0.0, 0.0), (0.7, 0.0), (0.0, 0.2), (0.7, 0.2)])
@@ -484,6 +496,19 @@ def test_fit_decay_rate_synthetic():
     t = np.linspace(0.0, 10.0, 200)
     rate = fit_decay_rate((t, np.exp(-0.3 * t)))
     assert rate == pytest.approx(0.3, abs=1e-6)
+
+
+def test_fit_decay_rate_rejects_bad_samples():
+    t = np.linspace(0.0, 10.0, 50)
+    y = np.exp(-0.3 * t)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(FitError, match="finite"):
+            fit_decay_rate((t, np.where(t == t[7], bad, y)))
+        with pytest.raises(ValueError, match="times must be finite"):
+            fit_decay_rate((np.where(t == t[7], bad, t), y))
+    with pytest.raises(ValueError, match="one time per sample"):
+        fit_decay_rate((t[:-1], y))
+    assert fit_decay_rate((t, y)) == pytest.approx(0.3, abs=1e-12)
 
 
 def test_fit_decay_rate_flags_bad_signals():
