@@ -24,8 +24,9 @@ from .dynamics import (DensityMatrix, DickeState, FitError, IntegrationError,
                        lindblad_generator, stack_sectors,
                        steady_state_prediction, trapped_probabilities,
                        twisted_spin_ops)
-from .linear import (LinearSystem, PolaritonModes, gamma_approx, linear_matrix,
-                     polariton_transform, q_factor, trapped_mode_decay)
+from .linear import (LinearSystem, PolaritonModes, closed_form_decay, decay_rates,
+                     gamma_approx, linear_matrix, polariton_transform, q_factor,
+                     trapped_mode_decay)
 
 __version__ = "0.1.0"
 
@@ -59,7 +60,9 @@ __all__ = [
     "build_number_op",
     "chi",
     "closed_form_coefficients",
+    "closed_form_decay",
     "coupling_lambda",
+    "decay_rates",
     "dicke_basis",
     "effective_tc_hamiltonian",
     "enumerate_sector",

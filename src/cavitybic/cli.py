@@ -29,7 +29,6 @@ import contextlib
 import io
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 from typing import Callable, IO, Sequence
 
@@ -370,42 +369,31 @@ def run_qfactor(config: RunConfig, stream: IO[str]) -> int:
         raise ParamError("qfactor requires g != 0: its closed-form decay rate is 0/0 "
                          "at zero detuning without coupling")
     grid = _grid(config, "delta")
-
-    def row(delta_over_gc: float) -> tuple[float, ...]:
-        with np.errstate(over="ignore"):  # linear_matrix rejects an inf delta
-            delta = delta_over_gc * p.gamma_c
-        params_here = p.replace(omega_a=p.omega_c - delta)
-        q_exact = linear.q_factor(params_here)
-        gamma_ap = gamma_approx_quiet(params_here)
-        if math.isnan(gamma_ap):  # 0/0 or inf/inf: g^2 underflows or delta^2 overflows
-            raise FloatingPointError("the closed-form decay rate is undefined at "
-                                     f"delta_over_gc={_fmt(delta_over_gc)}")
-        q_approx = math.inf if gamma_ap == 0 else params_here.gamma_c / gamma_ap
-        if math.isinf(q_exact):  # the limit of |Q - q| / Q: 0 only if q is unbounded too
-            rel_err = 0.0 if math.isinf(q_approx) else 1.0
-        else:
-            rel_err = abs(q_exact - q_approx) / q_exact if q_exact > 0 else math.inf
-        return (delta_over_gc, q_exact, q_approx, rel_err)
-
-    # one stderr line for the whole grid, not one warning per degenerate point
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", linear.DegenerateDecayWarning)
-        rows = [row(value) for value in grid]
-    degenerate = 0
-    for w in caught:
-        if issubclass(w.category, linear.DegenerateDecayWarning):
-            degenerate += 1
-        else:  # recording caught it too: pass it on unchanged
-            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
-    if degenerate:
-        print(f"warning: degenerate minimal decay pair at {degenerate} of {len(grid)} grid "
+    with np.errstate(over="ignore"):  # the matrix check rejects an inf delta
+        delta = grid * p.gamma_c + 0.0  # + 0.0 turns -0 into 0 for the error message
+    gamma_ap = linear.closed_form_decay(p, delta)
+    # a grid fails at its first failing point, where the matrix check comes
+    # first: the exact rates run up to the first undefined closed form
+    undefined = np.flatnonzero(np.isnan(gamma_ap))  # 0/0 or inf/inf
+    stop = undefined[0] + 1 if len(undefined) else len(grid)
+    gamma, degenerate = linear.decay_rates(p, delta[:stop])
+    if len(undefined):
+        raise FloatingPointError("the closed-form decay rate is undefined at "
+                                 f"delta_over_gc={_fmt(grid[undefined[0]])}")
+    with np.errstate(all="ignore"):
+        q_exact = np.where(gamma == 0.0, math.inf, p.gamma_c / gamma)
+        q_approx = np.where(gamma_ap == 0, math.inf, p.gamma_c / gamma_ap)
+        # where Q is unbounded, the limit of |Q - q| / Q: 0 only if q is unbounded too
+        rel_err = np.where(np.isinf(q_exact), np.where(np.isinf(q_approx), 0.0, 1.0),
+                           np.where(q_exact > 0, np.abs(q_exact - q_approx) / q_exact, math.inf))
+    if degenerate.any():
+        print(f"warning: degenerate minimal decay pair at {degenerate.sum()} of {len(grid)} grid "
               "points; q_exact there uses the smallest rate", file=sys.stderr)
 
     print("delta_over_gc,q_exact,q_approx,rel_err", file=stream)
-    worst = 0.0
-    for values in rows:
-        worst = max(worst, values[3])
+    for values in zip(grid, q_exact, q_approx, rel_err):
         print(",".join(_fmt(v) for v in values), file=stream)
+    worst = rel_err.max()
     print(f"# max_rel_err_observed={_fmt(worst)}", file=stream)
     max_rel_err = float(config.options["max_rel_err"])
     if max_rel_err >= 0 and worst > max_rel_err:
@@ -413,13 +401,6 @@ def run_qfactor(config: RunConfig, stream: IO[str]) -> int:
         return EXIT_TOLERANCE
     print("# status=PASS", file=stream)
     return EXIT_OK
-
-
-def gamma_approx_quiet(params: ModelParams) -> float:
-    """Closed-form decay rate without the regime warning (grid drivers)."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        return linear.gamma_approx(params)
 
 
 _DRIVERS: dict[str, Callable[[RunConfig, IO[str]], int]] = {

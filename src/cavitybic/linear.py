@@ -17,6 +17,15 @@ the amplitude (not intensity) rate is pinned by the closed-form check in
 `gamma_approx`: a first-order evaluation of the dark mode's damping
 reproduces the closed form exactly under this convention, and the 5%
 cross-validation tolerance would expose a factor-2 error.
+
+A detuning grid is one array program: ``decay_rates`` stacks the matrices
+of all its points, sorts the eigenvalues of the whole stack at once and
+returns Gamma with a mask of the degenerate points, where the two least
+damped modes decay at the same rate.  ``linear_matrix`` runs the same
+matrix builder and eigenvalue sort on one point, and ``trapped_mode_decay``
+is the one-point case of ``decay_rates`` that warns where the mask is set.
+``closed_form_decay`` evaluates the closed form of ``gamma_approx`` on the
+same grid.
 """
 
 from __future__ import annotations
@@ -59,71 +68,101 @@ def _require_triple_cavity(params: ModelParams) -> None:
                          "configuration (n_chain=2)")
 
 
+def _amplitude_matrices(params: ModelParams, omega_c: float, delta: np.ndarray) -> np.ndarray:
+    """The 5x5 amplitude matrices at omega_c and each detuning of ``delta``,
+    stacked along the first axis; raises ``FloatingPointError`` at the first
+    one with an entry that overflows a float."""
+    _require_triple_cavity(params)
+    gm = params.g * math.sqrt(params.m_atoms)
+    lam = params.lam
+    a = np.zeros((len(delta), 5, 5), dtype=np.complex128)
+    a[:, [0, 1], [0, 1]] = omega_c - 0.5j * params.gamma_c
+    a[:, [3, 4], [3, 4]] = (omega_c - delta - 0.5j * params.m_atoms * params.gamma_a)[:, None]
+    a[:, 2, 2] = omega_c
+    a[:, [0, 1, 2, 2], [2, 2, 0, 1]] = lam
+    a[:, [0, 1, 3, 4], [3, 4, 0, 1]] = gm
+    overflow = ~np.isfinite(a).all(axis=(1, 2))
+    if overflow.any():
+        raise FloatingPointError("the amplitude matrix overflows a float at "
+                                 f"delta={delta[overflow.argmax()]:.6g}, "
+                                 f"gamma_c={params.gamma_c:.6g}")
+    return a
+
+
+def _sorted_eigenvalues(a: np.ndarray) -> np.ndarray:
+    """Eigenvalues of each stacked matrix: descending imaginary part, then
+    ascending real part."""
+    evals = np.linalg.eigvals(a)
+    return np.take_along_axis(evals, np.lexsort((evals.real, -evals.imag), axis=-1), axis=-1)
+
+
 def linear_matrix(params: ModelParams) -> LinearSystem:
     """Build the 5x5 amplitude dynamics matrix and its sorted eigenvalues;
     raises ``FloatingPointError`` when an entry overflows a float."""
-    _require_triple_cavity(params)
-    wc = params.omega_c
-    delta = params.delta
-    gm = params.g * math.sqrt(params.m_atoms)
-    lam = params.lam
-    a_diag = wc - 0.5j * params.gamma_c
-    d_diag = wc - delta - 0.5j * params.m_atoms * params.gamma_a
-    a = np.array([
-        [a_diag, 0.0,    lam, gm,     0.0],
-        [0.0,    a_diag, lam, 0.0,    gm],
-        [lam,    lam,    wc,  0.0,    0.0],
-        [gm,     0.0,    0.0, d_diag, 0.0],
-        [0.0,    gm,     0.0, 0.0,    d_diag],
-    ], dtype=np.complex128)
-    if not np.isfinite(a).all():
-        raise FloatingPointError("the amplitude matrix overflows a float at "
-                                 f"delta={delta:.6g}, gamma_c={params.gamma_c:.6g}")
-    evals = np.linalg.eigvals(a)
-    return LinearSystem(matrix=a, eigenvalues=evals[np.lexsort((evals.real, -evals.imag))])
+    a = _amplitude_matrices(params, params.omega_c, np.array([params.delta]))
+    return LinearSystem(matrix=a[0], eigenvalues=_sorted_eigenvalues(a)[0])
+
+
+def decay_rates(params: ModelParams, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Amplitude decay rate Gamma of the least damped (trapped) mode at each
+    detuning of ``delta``, and whether that mode's rate is degenerate there.
+
+    The matrices are solved in the frame rotating at omega_c (omega_c = 0,
+    detuning ``delta``): that shifts every eigenvalue by -omega_c and no
+    decay rate, and keeps a large omega_c from costing the rates digits.
+    Rates below the eigensolver's resolution (machine epsilon at the matrix
+    scale) are reported as exactly zero.  A point is degenerate when the
+    imaginary parts of the two least damped eigenvalues agree to within
+    1e-12 max(1, Gamma); the smaller rate is returned there.  Raises ``FloatingPointError`` at the
+    first detuning whose matrix overflows a float.
+    """
+    a = _amplitude_matrices(params, 0.0, delta)
+    ims = -_sorted_eigenvalues(a).imag
+    gamma = np.abs(ims[:, 0])
+    gamma[gamma < 1e-14 * np.maximum(1.0, np.abs(a).max(axis=(1, 2)))] = 0.0
+    degenerate = np.abs(ims[:, 1] - ims[:, 0]) <= 1e-12 * np.maximum(1.0, np.abs(ims[:, 0]))
+    return gamma, degenerate
 
 
 def trapped_mode_decay(params: ModelParams) -> float:
-    """Amplitude decay rate Gamma of the least damped (trapped) mode.
-
-    The matrix is solved in the frame rotating at omega_c (``linear_matrix``
-    at omega_c = 0 and omega_a = -delta): that shifts every eigenvalue by
-    -omega_c and no decay rate, and keeps a large omega_c from costing the
-    rates digits.  Rates below the eigensolver's resolution (machine
-    epsilon at the matrix scale) are reported as exactly zero.  Warns when
-    the two least damped eigenvalues are degenerate in their imaginary
-    parts; the smaller rate is returned.
-    """
-    system = linear_matrix(params.replace(omega_c=0.0, omega_a=-params.delta))
-    ims = -system.eigenvalues.imag
-    gamma = abs(float(ims[0]))
-    noise_floor = 1e-14 * max(1.0, float(np.abs(system.matrix).max()))
-    if gamma < noise_floor:
-        gamma = 0.0
-    if len(ims) > 1 and abs(ims[1] - ims[0]) <= 1e-12 * max(1.0, abs(ims[0])):
+    """Amplitude decay rate Gamma of the least damped (trapped) mode at
+    ``params.delta``: ``decay_rates`` at one point, with a
+    ``DegenerateDecayWarning`` where that point is degenerate."""
+    gamma, degenerate = decay_rates(params, np.array([params.delta]))
+    if degenerate[0]:
         warnings.warn("degenerate minimal decay pair; returning the smallest rate",
                       DegenerateDecayWarning, stacklevel=2)
-    return gamma
+    return float(gamma[0])
+
+
+def closed_form_decay(params: ModelParams, delta: np.ndarray) -> np.ndarray:
+    """The closed form of ``gamma_approx`` at each detuning of ``delta``,
+    without its regime check: nan where it is 0/0 or inf/inf, as where g^2
+    underflows or a square overflows."""
+    _require_triple_cavity(params)
+    # float_power squares with libm's pow, as a float's ** does; numpy's **
+    # multiplies, which rounds about 0.08% of squares differently
+    m2 = params.m_atoms ** 2
+    with np.errstate(all="ignore"):
+        g2, gc2, lam2 = np.float_power([params.g, params.gamma_c, params.lam], 2)
+        delta2 = np.float_power(delta, 2)
+        num = m2 * params.gamma_a * g2 + delta2 * params.gamma_c
+        den = m2 * g2 * g2 + delta2 * gc2 / 4.0
+        return num / den * lam2
 
 
 def gamma_approx(params: ModelParams) -> float:
     """Closed-form approximation of the trapped-mode decay rate, valid when
-    g strongly dominates gamma_a, gamma_c and lam.
+    |g| strongly dominates gamma_a, gamma_c and lam.
 
     Emits a RuntimeWarning outside that regime; the value is still returned.
     """
-    _require_triple_cavity(params)
-    scale = max(params.gamma_a, params.gamma_c, params.lam)
-    if params.g < 5.0 * scale:
+    gamma = float(closed_form_decay(params, np.array([params.delta]))[0])
+    if abs(params.g) < 5.0 * max(params.gamma_a, params.gamma_c, params.lam):
         warnings.warn("coupling g is not large compared to the damping rates and "
                       "hopping; the closed-form decay rate may be inaccurate",
                       RuntimeWarning, stacklevel=2)
-    m = params.m_atoms
-    g2 = params.g ** 2
-    delta2 = params.delta ** 2
-    num = m * m * params.gamma_a * g2 + delta2 * params.gamma_c
-    den = m * m * g2 * g2 + delta2 * params.gamma_c ** 2 / 4.0
-    return num / den * params.lam ** 2
+    return gamma
 
 
 def q_factor(params: ModelParams) -> float:

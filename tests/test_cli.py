@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cavitybic import cli, dynamics
+from cavitybic import cli, dynamics, linear
 from cavitybic.cli import (MAX_GRID_POINTS, MAX_M_ATOMS, MAX_N_CHAIN, SCHEMAS, main,
                           parse_config_file, resolve_config)
 from cavitybic.model import MAX_SECTOR_ENTRIES
@@ -231,6 +232,17 @@ def test_qfactor_at_a_large_cavity_frequency_keeps_its_quality_factor(capsys):
     assert rel.max() <= 1e-7
 
 
+def test_qfactor_rows_do_not_depend_on_omega_c(capsys):
+    # the detuning reaches the matrices as given, not through
+    # omega_a = omega_c - delta: only the echo of omega_c differs
+    runs = []
+    for omega_c in ("0", "0.7", "1e8", "-3e5"):
+        code, out, err = run_captured(capsys, "qfactor", "--set", f"omega_c={omega_c}")
+        assert code == 0 and err == ""
+        runs.append([line for line in out.splitlines() if not line.startswith("# omega_c=")])
+    assert all(lines == runs[0] for lines in runs[1:])
+
+
 def test_config_file_plus_overrides(tmp_path, capsys):
     config = tmp_path / "run.cfg"
     config.write_text("# comment line\nm_atoms=2\nk_excitations=1\ng=0.2\n")
@@ -418,6 +430,23 @@ def test_qfactor_with_an_undefined_closed_form_is_a_numerical_failure(settings, 
     assert code == 2
     assert "numerical failure: the closed-form decay rate is undefined at delta_over_gc=" in err
     assert "nan" not in out and "status=" not in out
+
+
+@pytest.mark.parametrize("settings, message", [
+    # the closed form is 0/0 at point 0 and the matrix overflows at point 1
+    (("delta_min=0", "delta_max=1e300", "delta_points=2"),
+     "the closed-form decay rate is undefined at delta_over_gc=0"),
+    # both at the one point: the matrix check comes first
+    (("delta_min=1e300", "delta_max=1e300", "delta_points=1"),
+     "the amplitude matrix overflows a float at delta=inf, gamma_c=1e+10"),
+])
+def test_qfactor_fails_at_its_first_failing_point(settings, message, capsys):
+    argv = ["--set", "g=1e-200", "--set", "gamma_c=1e10"]
+    for setting in settings:
+        argv += ["--set", setting]
+    code, out, err = run_captured(capsys, "qfactor", *argv)
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"numerical failure: {message}"]
 
 
 @pytest.mark.parametrize("kind", ["config_is_a_directory", "out_is_a_directory",
@@ -652,3 +681,63 @@ def test_any_override_ends_in_a_documented_exit(argv, capsys):
                 fields = fields[:1] + fields[3:]  # q_exact and q_approx may be inf
             assert not {"nan", "inf", "-inf"} & set(fields), line
             assert not line.endswith(("=nan", "=inf")), line
+
+
+@st.composite
+def _qfactor_settings(draw):
+    floats = st.sampled_from(_FLOAT_POOL) | st.floats(-10.0, 10.0)
+    delta_min, delta_max = sorted(draw(floats) for _ in range(2))
+    return {"m_atoms": draw(st.integers(1, 50)),
+            "g": draw(floats.filter(lambda v: v != 0)),
+            "gamma_c": draw(floats.filter(lambda v: v > 0)),
+            "gamma_a": draw(floats.filter(lambda v: v >= 0)),
+            "delta_min": delta_min, "delta_max": delta_max,
+            "delta_points": draw(st.integers(1, 300))}
+
+
+def _qfactor_point(p, delta_over_gc):
+    """One row of a qfactor table from the one-point library calls, and
+    whether the trapped mode is degenerate there; raises as the run would."""
+    with np.errstate(over="ignore"):
+        delta = delta_over_gc * p.gamma_c
+    point = p.replace(omega_c=0.0, omega_a=-delta)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        q_exact = linear.q_factor(point)
+        gamma_ap = linear.gamma_approx(point)
+    if math.isnan(gamma_ap):
+        raise FloatingPointError("the closed-form decay rate is undefined at "
+                                 f"delta_over_gc={cli._fmt(delta_over_gc)}")
+    q_approx = math.inf if gamma_ap == 0 else p.gamma_c / gamma_ap
+    if math.isinf(q_exact):
+        rel_err = 0.0 if math.isinf(q_approx) else 1.0
+    else:
+        rel_err = abs(q_exact - q_approx) / q_exact if q_exact > 0 else math.inf
+    degenerate = any(w.category is linear.DegenerateDecayWarning for w in caught)
+    return ",".join(cli._fmt(v) for v in (delta_over_gc, q_exact, q_approx, rel_err)), degenerate
+
+
+@settings(deadline=None, max_examples=120, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(values=_qfactor_settings())
+def test_qfactor_rows_are_the_one_point_library_calls(values, capsys):
+    capsys.readouterr()
+    code, out, err = run_captured(capsys, "qfactor",
+                                  *(arg for key, value in values.items()
+                                    for arg in ("--set", f"{key}={value}")))
+    config = resolve_config("qfactor", {key: str(value) for key, value in values.items()})
+    rows, degenerate = [], 0
+    try:
+        for delta_over_gc in cli._grid(config, "delta"):
+            row, degenerate_here = _qfactor_point(config.params, delta_over_gc)
+            rows.append(row)
+            degenerate += degenerate_here
+    except FloatingPointError as exc:  # the first failing point ends the run
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [f"numerical failure: {exc}"]
+        return
+    assert code == 0
+    assert _qfactor_rows(out) == [row.split(",") for row in rows]
+    expected_err = (f"warning: degenerate minimal decay pair at {degenerate} of {len(rows)} grid "
+                    "points; q_exact there uses the smallest rate\n") if degenerate else ""
+    assert err == expected_err

@@ -1,15 +1,15 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.linalg import eig
 from scipy.optimize import linear_sum_assignment
 
-from cavitybic import (DensityMatrix, StateVector, evolve, fit_decay_rate,
-                       gamma_approx, lindblad_generator, linear_matrix,
-                       polariton_transform, q_factor, stack_sectors,
-                       trapped_mode_decay)
+from cavitybic import (DensityMatrix, StateVector, closed_form_decay, evolve,
+                       fit_decay_rate, gamma_approx, lindblad_generator, linear_matrix,
+                       polariton_transform, q_factor, stack_sectors, trapped_mode_decay)
 from conftest import triple_cavity
 
 
@@ -114,6 +114,30 @@ def test_gamma_approx_limits():
 def test_gamma_approx_warns_outside_regime():
     with pytest.warns(RuntimeWarning, match="not large"):
         gamma_approx(quantum_cavity_params(g=2.0))
+
+
+@pytest.mark.parametrize("g", [10.0, -10.0])
+def test_gamma_approx_judges_its_regime_by_the_size_of_g(g):
+    # the closed form depends on g^2 only, and so does its regime
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gamma_approx(quantum_cavity_params(g=g))
+    with pytest.warns(RuntimeWarning, match="not large"):
+        gamma_approx(quantum_cavity_params(g=g / 10.0))
+
+
+def test_closed_form_decay_is_the_float_formula_bit_for_bit():
+    # the closed form on a detuning array rounds as it does on one Python
+    # float per point, squares included: a float's ** 2 is libm's pow, which
+    # differs from d * d for about 0.08% of random detunings
+    deltas = np.random.default_rng(5).uniform(-3.0, 3.0, 5000)
+    for g, gamma_c, gamma_a in ((10.7, 1.0, 0.013), (-11.3, 0.1176, 0.017), (0.0397, 1.0, 0.0)):
+        p = quantum_cavity_params(g=g, gamma_c=gamma_c, gamma_a=gamma_a, m_atoms=3)
+        m, g2 = p.m_atoms, p.g ** 2
+        expected = [(m * m * p.gamma_a * g2 + d ** 2 * p.gamma_c)
+                    / (m * m * g2 * g2 + d ** 2 * p.gamma_c ** 2 / 4.0) * p.lam ** 2
+                    for d in deltas.tolist()]
+        assert closed_form_decay(p, deltas).tolist() == expected
 
 
 def test_q_factor_peak_value():
