@@ -16,8 +16,9 @@ from .bic import (ApproxState, BicCoefficients, DegenerateNullSpaceError,
                   NoTrappedStateError, RegimeObservables, StateVector,
                   TrappingReport, assemble_bic_state, chi,
                   closed_form_coefficients, fock_approx,
-                  null_space_coefficients, recursive_coefficients,
-                  regime_observables, subradiant_approx, verify_trapping)
+                  mean_photons_across_chi, null_space_coefficients,
+                  recursive_coefficients, regime_observables,
+                  subradiant_approx, verify_trapping)
 from .dynamics import (DensityMatrix, DickeState, FitError, IntegrationError,
                        LindbladGenerator, SectorStack, Trajectory, dicke_basis,
                        effective_tc_hamiltonian, evolve, fit_decay_rate,
@@ -72,6 +73,7 @@ __all__ = [
     "gamma_approx",
     "lindblad_generator",
     "linear_matrix",
+    "mean_photons_across_chi",
     "mode_weights",
     "normal_mode_frequency",
     "null_space_coefficients",

@@ -34,11 +34,17 @@ amplitude scales with chi^m, so chi controls the photon/atom composition.
 Three independent routes to the same table are provided (closed form,
 recursion, numerical null space of the stacked conditions) so each can
 cross-check the others.
+
+The composition across a grid of chi needs no table per point: since
+|c_{m,n}|^2 is chi^(2m) times a chi-free factor, ``mean_photons_across_chi``
+sums that factor once per row m and weighs the rows by chi^(2m) at every
+point.  ``regime_observables`` reads one table and is its reference.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -46,6 +52,14 @@ import numpy as np
 
 from .model import ModelParams, SectorBasis, enumerate_sector, sector_dim
 from .operators import apply_hamiltonian, coupling_lambda, lowering_maps, mode_weights
+
+
+# Entries that mean_photons_across_chi evaluates at once, grid points times
+# photon numbers or table rows times cells: its working memory, whatever the
+# grid's length or K.
+_SLICE_ENTRIES = 2 ** 16
+# A float's largest natural log: a squared norm above it overflows.
+_LOG_MAX_FLOAT = math.log(sys.float_info.max)
 
 
 class NoTrappedStateError(ValueError):
@@ -151,7 +165,7 @@ def _normalize(k: int, params: ModelParams, table: np.ndarray) -> BicCoefficient
     with np.errstate(over="ignore", invalid="ignore"):
         norm = np.linalg.norm(table)
     if not math.isfinite(norm):
-        raise _overflow(params, k)
+        raise _overflow(k, chi(params))
     table = table / norm
     c00 = table[0, 0]
     if abs(c00) > 0:
@@ -165,8 +179,8 @@ def _normalize(k: int, params: ModelParams, table: np.ndarray) -> BicCoefficient
     )
 
 
-def _overflow(params: ModelParams, k: int) -> OverflowError:
-    return OverflowError(f"the K={k} amplitude table overflows a float at chi={chi(params):.6g}")
+def _overflow(k: int, chi_value: float) -> OverflowError:
+    return OverflowError(f"the K={k} amplitude table overflows a float at chi={chi_value:.6g}")
 
 
 def _log_factorials(n: int) -> np.ndarray:
@@ -180,22 +194,26 @@ def _cells(k: int) -> tuple[np.ndarray, np.ndarray]:
     return np.nonzero(np.add.outer(labels, labels) <= k)
 
 
-def closed_form_coefficients(params: ModelParams, k: int) -> BicCoefficients:
-    """Amplitude table evaluated directly from the closed-form solution,
-    with every factorial taken from one log-factorial table."""
-    _check_k(params, k)
-    m_at = params.m_atoms
-    m, n = _cells(k)
-    lf = _log_factorials(m_at)
+def _log_amplitudes(m_atoms: int, k: int, m: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """log(|c_{m,n}| / chi^m) of the closed form before normalisation, at the
+    cells (m, n) with m + n <= K, with every factorial taken from one
+    log-factorial table."""
+    lf = _log_factorials(m_atoms)
     excited = np.arange(k + 1)
     # log sqrt((M - j)! / j!): the factor of an ensemble with j excited atoms
-    ensemble = 0.5 * (lf[m_at - excited] - lf[excited])
-    log_sqrt = (ensemble[n] + ensemble[k - m - n] - 0.5 * lf[m]
-                + 0.5 * (lf[k] - lf[m_at] - lf[m_at - k]))
+    ensemble = 0.5 * (lf[m_atoms - excited] - lf[excited])
+    return (ensemble[n] + ensemble[k - m - n] - 0.5 * lf[m]
+            + 0.5 * (lf[k] - lf[m_atoms] - lf[m_atoms - k]))
+
+
+def closed_form_coefficients(params: ModelParams, k: int) -> BicCoefficients:
+    """Amplitude table evaluated directly from the closed-form solution."""
+    _check_k(params, k)
+    m, n = _cells(k)
     table = np.zeros((k + 1, k + 1), dtype=np.complex128)
     with np.errstate(over="ignore"):  # an overflow fails _normalize's finite-norm check
         table[m, n] = (_chi_signed(params) ** m * _sign_ratio(params.q) ** n
-                       * np.exp(log_sqrt))
+                       * np.exp(_log_amplitudes(params.m_atoms, k, m, n)))
     return _normalize(k, params, table)
 
 
@@ -365,6 +383,69 @@ def regime_observables(params: ModelParams, k: int,
         coefficients = closed_form_coefficients(params, k)
     mean_photons = float(np.arange(k + 1) @ (np.abs(coefficients.table) ** 2).sum(axis=1))
     return RegimeObservables(mean_photons=mean_photons, mean_excited=k - mean_photons)
+
+
+def _row_log_weights(m_atoms: int, k: int) -> tuple[np.ndarray, bool]:
+    """log W_m, W_m = sum_n |c_{m,n}|^2 / chi^(2m) over the closed form's
+    row m before normalisation, and whether that form's chi-free factor
+    overflows a float in some cell, which fails its table at every chi.
+    Rows are taken in blocks of at most ``_SLICE_ENTRIES`` cells."""
+    labels = np.arange(k + 1)
+    log_w = np.empty(k + 1)
+    largest = -np.inf
+    step = max(1, _SLICE_ENTRIES // (k + 1))
+    for lo in range(0, k + 1, step):
+        m = labels[lo:lo + step, None]
+        inside = m + labels <= k  # the cells beyond take n = 0 and weight 0
+        log_sq = np.where(inside, 2 * _log_amplitudes(m_atoms, k, m, labels * inside), -np.inf)
+        top = log_sq.max(axis=1)
+        log_w[lo:lo + step] = top + np.log(np.exp(log_sq - top[:, None]).sum(axis=1))
+        largest = max(largest, top.max())
+    return log_w, largest > 2 * _LOG_MAX_FLOAT
+
+
+def mean_photons_across_chi(params: ModelParams, k: int,
+                            chi_values: np.ndarray) -> np.ndarray:
+    """Mean resonant-mode photon number of the trapped state at each regime
+    parameter in ``chi_values``, which take the place of ``params.g``.
+
+    |c_{m,n}|^2 is chi^(2m) times a chi-free factor, so with the row
+    weights W_m of the closed form before normalisation, computed once, the
+    mean at x = chi^2 is
+
+        sum_m m W_m x^m / sum_m W_m x^m,
+
+    from log-weights shifted by each point's largest.  The grid is taken in
+    slices of at most ``_SLICE_ENTRIES`` weights, so the working memory does
+    not grow with its length or with K.  The result is
+    ``regime_observables`` at g = chi |lambda_qL| up to rounding, and so are
+    the failures: ``OverflowError`` at the first point where that route's
+    table overflows a float, that is, where its squared norm
+    sum_m W_m x^m does (an infinite chi included), or at every point if its
+    chi-free factor does.  ``ValueError`` unless every chi is positive.
+    """
+    _check_k(params, k)
+    chi_values = np.asarray(chi_values, dtype=float)
+    if not np.all(chi_values > 0):
+        raise ValueError("chi values must be positive")
+    log_w, table_overflows = _row_log_weights(params.m_atoms, k)
+    if table_overflows and len(chi_values):
+        raise _overflow(k, chi_values[0])
+    photons = np.arange(k + 1.0)
+    mean = np.empty(len(chi_values))
+    step = max(1, _SLICE_ENTRIES // (k + 1))
+    for lo in range(0, len(chi_values), step):
+        chunk = chi_values[lo:lo + step]
+        with np.errstate(invalid="ignore"):  # 0 * inf at chi = inf: a nan, failed below
+            log_terms = log_w + np.multiply.outer(2 * np.log(chunk), photons)
+            top = log_terms.max(axis=1)
+            weights = np.exp(log_terms - top[:, None])
+            total = weights.sum(axis=1)
+            failed = np.flatnonzero(~(top + np.log(total) <= _LOG_MAX_FLOAT))
+        if len(failed):
+            raise _overflow(k, chunk[failed[0]])
+        mean[lo:lo + step] = (weights * photons).sum(axis=1) / total
+    return mean
 
 
 def _truncated_approx(params: ModelParams, k: int, keep_mask: np.ndarray,

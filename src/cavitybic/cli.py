@@ -37,6 +37,7 @@ import numpy as np
 from . import bic, dynamics, linear
 from .model import (MAX_SECTOR_ENTRIES, ModelParams, NoResonantModeError, ParamError,
                     enumerate_sector, resonant_mode_index, validate_params)
+from .operators import normal_mode_frequency
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -114,8 +115,8 @@ _POSITIVE_KEYS = ("t_end", "snapshot_dt", "rtol")
 # Keys that must not be negative (RK45 raises on a negative atol).
 _NONNEGATIVE_KEYS = ("seed", "atol")
 
-# Upper bound on chi_points and delta_points: every grid point costs a table
-# or an eigensolve, and the grid itself is allocated whole.
+# Upper bound on chi_points and delta_points: every grid point costs K + 1
+# weights or an eigensolve, and the grid itself is allocated whole.
 MAX_GRID_POINTS = 100_000
 
 # Upper bounds on n_chain and m_atoms, from the occupation-table bound: a
@@ -128,7 +129,8 @@ MAX_N_CHAIN = math.isqrt(MAX_SECTOR_ENTRIES) - 3
 MAX_M_ATOMS = math.isqrt(MAX_SECTOR_ENTRIES) - 1
 
 # q=auto accepts a chain mode no farther from omega_a than the bare cavity
-# (|delta|) plus this slack for the rounding of the mode frequencies.
+# (|delta|) plus this slack for the rounding of the mode frequencies;
+# sweep-chi accepts its mode q no farther than the slack alone.
 _RESONANCE_SLACK = 1e-9
 
 
@@ -294,18 +296,16 @@ def run_sweep_chi(config: RunConfig, stream: IO[str]) -> int:
     if k < 1:
         raise ParamError("k_excitations must be at least 1 for a composition sweep")
     grid = _grid(config, "chi", str(config.options["chi_scale"]), positive=True)
-    coupling = abs(bic.chi(p.replace(g=1.0)))  # chi produced per unit g
-
-    def row(chi_value: float) -> tuple[float, ...]:
-        params_here = p.replace(g=chi_value / coupling)
-        obs = bic.regime_observables(params_here, k)
-        return (chi_value, obs.mean_photons, obs.mean_excited,
-                obs.mean_photons / k, obs.mean_excited / k)
-
-    rows = [row(value) for value in grid]
+    # off resonance the closed form is no eigenstate, so its composition means nothing
+    mismatch = abs(normal_mode_frequency(p, p.q) - p.omega_a)
+    if mismatch > _RESONANCE_SLACK:
+        raise ParamError(f"sweep-chi needs chain mode q={p.q} resonant with the atoms: "
+                         f"|Omega_q - omega_a| = {mismatch:.3e}")
+    photons = bic.mean_photons_across_chi(p, k, grid)
+    excited = k - photons
 
     print("chi,mean_photons,mean_excited,photon_fraction,atom_fraction", file=stream)
-    for values in rows:
+    for values in zip(grid, photons, excited, photons / k, excited / k):
         print(",".join(_fmt(v) for v in values), file=stream)
     return EXIT_OK
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,9 +12,9 @@ from cavitybic import (BasisState, ModelParams, NoTrappedStateError,
                        build_collective_lowering, build_hamiltonian,
                        build_normal_mode, chi, closed_form_coefficients,
                        coupling_lambda, enumerate_sector, fock_approx,
-                       null_space_coefficients, recursive_coefficients,
-                       regime_observables, resonant_mode_index,
-                       subradiant_approx, verify_trapping)
+                       mean_photons_across_chi, null_space_coefficients,
+                       recursive_coefficients, regime_observables,
+                       resonant_mode_index, subradiant_approx, verify_trapping)
 from cavitybic.bic import DegenerateNullSpaceError, _condition_matrices, _null_space
 from conftest import triple_cavity
 from oracles import (eigenspace_projection, hamiltonian_normal_mode_picture,
@@ -301,6 +302,26 @@ def test_subradiance_bound():
         chi_value = 0.9 * 0.2 / (m_atoms + 1)
         obs = regime_observables(triple_cavity(m_atoms=m_atoms, g=chi_value), m_atoms)
         assert obs.mean_photons / m_atoms < 0.1
+
+
+def test_composition_grid_memory_does_not_grow_with_the_grid():
+    # 100,000 points at K = 300, below its first overflow (chi = 0.2976):
+    # all at once, each (point, photon number) array would take 240 MB
+    grid = np.logspace(-2, math.log10(0.25), 100_000)
+    tracemalloc.start()
+    try:
+        photons = mean_photons_across_chi(triple_cavity(m_atoms=300), 300, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.diff(photons) > 0)
+    assert peak < 8e6  # 3.0 MB measured: the result and a few slices of 2^16 weights
+
+
+@pytest.mark.parametrize("chi_value", [0.0, -1.0, math.nan])
+def test_composition_grid_needs_a_positive_chi(chi_value):
+    with pytest.raises(ValueError, match="chi values must be positive"):
+        mean_photons_across_chi(triple_cavity(), 2, np.array([1.0, chi_value]))
 
 
 @settings(deadline=None, max_examples=60)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cavitybic import cli, dynamics, linear
+from cavitybic import bic, cli, dynamics, linear
 from cavitybic.cli import (MAX_GRID_POINTS, MAX_M_ATOMS, MAX_N_CHAIN, SCHEMAS, main,
                           parse_config_file, resolve_config)
 from cavitybic.model import MAX_SECTOR_ENTRIES
@@ -124,6 +124,41 @@ def test_sweep_chi_empty_grid(capsys):
     code, _out, err = run_captured(capsys, "sweep-chi", "--set", "chi_points=0")
     assert code == 1
     assert "empty grid" in err
+
+
+@pytest.mark.parametrize("settings, mismatch", [
+    (("delta=0.3",), "3.000e-01"),  # bic there: eigen_residual 0.035, exit 3
+    (("n_chain=4", "q=1"), "1.414e+00"),  # bic there: eigen_residual 0.33, exit 3
+])
+def test_sweep_chi_off_resonance_is_rejected(settings, mismatch, capsys):
+    # off resonance the closed form is no trapped state: its composition
+    # rows were printed with exit 0
+    code, out, err = run_captured(capsys, "sweep-chi",
+                                  *(arg for setting in settings for arg in ("--set", setting)))
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["error: sweep-chi needs chain mode q=1 resonant with the "
+                                f"atoms: |Omega_q - omega_a| = {mismatch}"]
+
+
+def test_sweep_chi_on_an_off_center_resonant_mode_runs(capsys):
+    code, out, err = run_captured(capsys, "sweep-chi", "--set", "n_chain=4", "--set", "q=1",
+                                  "--set", "delta=-1.4142135623730951")
+    assert (code, err) == (0, "")
+    assert len([line for line in out.splitlines() if not line.startswith("#")]) == 26
+
+
+def test_sweep_chi_whose_log_grid_rounds_to_inf_fails_there(capsys):
+    # 10 ** log10(max float) overflows: the last point is inf, whose table
+    # overflows while the first point's does not
+    with warnings.catch_warnings():  # the overflow warning, as a CLI process shows it
+        warnings.simplefilter("default")
+        warnings.showwarning = _show_on_stderr
+        code, out, err = run_captured(capsys, "sweep-chi", "--set", "chi_min=1",
+                                      "--set", "chi_max=1.7976931348623157e308",
+                                      "--set", "chi_points=2")
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["numerical failure: the K=2 amplitude table overflows "
+                                "a float at chi=inf"]
 
 
 def test_workers_key_is_rejected(capsys):
@@ -741,3 +776,57 @@ def test_qfactor_rows_are_the_one_point_library_calls(values, capsys):
     expected_err = (f"warning: degenerate minimal decay pair at {degenerate} of {len(rows)} grid "
                     "points; q_exact there uses the smallest rate\n") if degenerate else ""
     assert err == expected_err
+
+
+@st.composite
+def _sweep_settings(draw):
+    n_chain = draw(st.integers(2, 9))
+    q = draw(st.integers(1, n_chain - 1))
+    # beyond M = 300 the table's chi-free factor overflows near K = M
+    m_atoms = draw(st.integers(1, 60) | st.integers(290, 400))
+    chis = st.sampled_from([v for v in _FLOAT_POOL if v > 0]) | st.floats(1e-3, 1e3)
+    chi_min, chi_max = sorted(draw(chis) for _ in range(2))
+    return {"n_chain": n_chain, "q": q,
+            # mode q on the atoms: Omega_q - omega_a = 2 cos(q pi / N) + delta = 0
+            "delta": -2.0 * math.cos(q * math.pi / n_chain),
+            "m_atoms": m_atoms, "k_excitations": draw(st.integers(1, m_atoms)),
+            "chi_min": chi_min, "chi_max": chi_max, "chi_points": draw(st.integers(1, 40)),
+            "chi_scale": draw(st.sampled_from(["log", "linear"]))}
+
+
+@settings(deadline=None, max_examples=120, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(values=_sweep_settings())
+def test_sweep_chi_rows_are_the_per_point_tables(values, capsys):
+    capsys.readouterr()
+    code, out, err = run_captured(capsys, "sweep-chi",
+                                  *(arg for key, value in values.items()
+                                    for arg in ("--set", f"{key}={value}")))
+    config = resolve_config("sweep-chi", {key: str(value) for key, value in values.items()})
+    p, k = config.params, values["k_excitations"]
+    with np.errstate(over="ignore"):  # a log grid may round its last point to inf
+        grid = cli._grid(config, "chi", values["chi_scale"], positive=True)
+    coupling = abs(bic.chi(p.replace(g=1.0)))
+    expected = []
+    try:
+        for chi_value in grid:
+            with np.errstate(over="ignore", invalid="ignore"):
+                obs = bic.regime_observables(p.replace(g=chi_value / coupling), k)
+            expected.append((chi_value, obs.mean_photons, obs.mean_excited))
+    except OverflowError:  # the table of the first failing point ends the run
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [f"numerical failure: the K={k} amplitude table overflows "
+                                    f"a float at chi={chi_value:.6g}"]
+        return
+    assert (code, err) == (0, "")
+    rows = [[float(v) for v in line.split(",")] for line in out.splitlines()
+            if line and not line.startswith(("#", "chi"))]
+    assert len(rows) == len(expected)
+    # the row weights sum in another order than the table: the largest
+    # change measured was 5.5 K eps on 900 random grids and 11.6 K eps on
+    # grids that end just below the overflow
+    tol = 32 * k * np.finfo(float).eps
+    for row, (chi_value, photons, excited) in zip(rows, expected):
+        assert row[0] == chi_value
+        assert abs(row[1] - photons) <= tol and abs(row[2] - excited) <= tol
+        assert abs(row[3] - photons / k) <= tol / k and abs(row[4] - excited / k) <= tol / k
