@@ -161,15 +161,16 @@ def _check_k(params: ModelParams, k: int) -> None:
             f"no trapped state with K > M (K={k}, M={params.m_atoms})")
 
 
-def _normalize(k: int, params: ModelParams, table: np.ndarray) -> BicCoefficients:
+def _normalize(k: int, params: ModelParams, table: np.ndarray,
+               anchor: tuple[int, int] = (0, 0)) -> BicCoefficients:
     with np.errstate(over="ignore", invalid="ignore"):
         norm = np.linalg.norm(table)
     if not math.isfinite(norm):
         raise _overflow(k, chi(params))
     table = table / norm
-    c00 = table[0, 0]
-    if abs(c00) > 0:
-        table = table * (abs(c00) / c00)  # global phase: c[0,0] real positive
+    c = table[anchor]
+    if abs(c) > 0:
+        table = table * (abs(c) / c)  # global phase: the anchor cell real positive
     return BicCoefficients(
         k_excitations=k,
         m_atoms=params.m_atoms,
@@ -452,16 +453,10 @@ def _truncated_approx(params: ModelParams, k: int, keep_mask: np.ndarray,
                       phase_cell: tuple[int, int]) -> ApproxState:
     exact = closed_form_coefficients(params, k)
     table = np.where(keep_mask, exact.table, 0.0)
-    norm = np.linalg.norm(table)
-    if norm == 0:
+    if np.linalg.norm(table) == 0:
         raise ValueError("truncation removed every amplitude")
-    table = table / norm
-    anchor = table[phase_cell]
-    if abs(anchor) > 0:
-        table = table * (abs(anchor) / anchor)  # anchor amplitude real positive
-    approx = BicCoefficients(k_excitations=k, m_atoms=params.m_atoms, chi=exact.chi,
-                             sign_ratio=exact.sign_ratio, table=table)
-    overlap = abs(np.vdot(table, exact.table)) ** 2
+    approx = _normalize(k, params, table, anchor=phase_cell)
+    overlap = abs(np.vdot(approx.table, exact.table)) ** 2
     return ApproxState(assemble_bic_state(params, k, coefficients=approx), float(overlap))
 
 

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import bic, dynamics, linear
 from .model import (MAX_SECTOR_ENTRIES, ModelParams, NoResonantModeError, ParamError,
-                    enumerate_sector, resonant_mode_index, validate_params)
+                    enumerate_sector, resonant_mode_index, sector_dim, validate_params)
 from .operators import normal_mode_frequency
 
 EXIT_OK = 0
@@ -128,6 +128,16 @@ MAX_GRID_POINTS = 100_000
 MAX_N_CHAIN = math.isqrt(MAX_SECTOR_ENTRIES) - 3
 MAX_M_ATOMS = math.isqrt(MAX_SECTOR_ENTRIES) - 1
 
+# Most entries an evolve snapshot may reach, sum_{j <= K} d_j^2 for a start in
+# sector K (d_j the sector dimensions).  The RK45 fallback peaked at 1.87 GB
+# on 4,194,305 entries, about 450 bytes an entry, so this keeps a run's
+# working set near 0.5 GB; (N, M) = (2, 5) reaches 22,252.
+MAX_REACHED_ENTRIES = 1 << 20
+# Most entries an evolve run may keep: its reached entries at every snapshot,
+# t = 0 included, at 16 bytes each (512 MiB).  (2, 5) at the default grid
+# keeps 22,274,252 (340 MiB).
+MAX_KEPT_ENTRIES = 1 << 25
+
 # q=auto accepts a chain mode no farther from omega_a than the bare cavity
 # (|delta|) plus this slack for the rounding of the mode frequencies;
 # sweep-chi accepts its mode q no farther than the slack alone.
@@ -182,8 +192,9 @@ def resolve_config(experiment: str, raw_values: dict[str, str],
             raise ParamError(f"bad value for {key!r}: must be > 0, got {options[key]!r}")
     if experiment == "evolve" and (options["t_end"] / options["snapshot_dt"]
                                    > dynamics.MAX_SNAPSHOTS):
-        raise ParamError(f"bad value for 'snapshot_dt': t_end / snapshot_dt must be at most "
-                         f"{dynamics.MAX_SNAPSHOTS}, got {options['snapshot_dt']!r}")
+        raise ParamError(f"bad values for 't_end' and 'snapshot_dt': t_end / snapshot_dt "
+                         f"must be at most {dynamics.MAX_SNAPSHOTS}, "
+                         f"got {options['t_end'] / options['snapshot_dt']:.3g}")
     if seed_override is not None:
         options["seed"] = seed_override
     for key in _NONNEGATIVE_KEYS:
@@ -319,6 +330,19 @@ def run_evolve(config: RunConfig, stream: IO[str]) -> int:
         k_init = p.m_atoms
     if k_init > p.m_atoms and initial != "bic":
         raise ParamError("initial_k cannot exceed m_atoms for atomic initial states")
+    # a start in sector K reaches the diagonal blocks of sectors 0 .. K; each
+    # term is at least 1, so the sum passes the bound within that many terms
+    reached = 0
+    for k in range(k_init + 1):
+        reached += sector_dim(p, k) ** 2
+        if reached > MAX_REACHED_ENTRIES:
+            raise ParamError(f"evolve from sector K={k_init} reaches more than "
+                             f"MAX_REACHED_ENTRIES = {MAX_REACHED_ENTRIES} entries per snapshot")
+    t_end, snapshot_dt = (float(config.options[key]) for key in ("t_end", "snapshot_dt"))
+    snapshots = max(1, math.ceil(t_end / snapshot_dt - 1e-12)) + 1  # as evolve lays out its grid
+    if reached * snapshots > MAX_KEPT_ENTRIES:
+        raise ParamError(f"evolve would keep {snapshots} snapshots of {reached} entries, more "
+                         f"than MAX_KEPT_ENTRIES = {MAX_KEPT_ENTRIES}")
 
     space = dynamics.stack_sectors(p, k_init)
     if initial == "left_excited":
@@ -334,9 +358,9 @@ def run_evolve(config: RunConfig, stream: IO[str]) -> int:
         raise ParamError(f"initial must be 'left_excited' or 'bic', got {initial!r}")
 
     trajectory = dynamics.evolve(
-        p, rho0, float(config.options["t_end"]),
+        p, rho0, t_end,
         include_atomic_decay=p.gamma_a > 0,
-        snapshot_dt=float(config.options["snapshot_dt"]),
+        snapshot_dt=snapshot_dt,
         rtol=float(config.options["rtol"]),
         atol=float(config.options["atol"]),
         detect_steady=bool(config.options["detect_steady"]))

@@ -20,12 +20,13 @@ Hamiltonian is block diagonal and every jump operator maps sector K to
 K - 1, so the generator feeds a block (K, K') of rho only into the blocks
 (K, K') and (K - 1, K' - 1) (a weak U(1) symmetry, Buca & Prosen,
 NJP 14, 073007 (2012)).  The operators are built and held as those sector
-blocks alone, dense: H_eff's (K, K) and each jump's (K - 1, K), never as
-matrices on the whole stacked space.  Only the blocks that the
-generator reaches from the nonzero blocks of the initial state are ever
-nonzero: with a jump, the blocks (K - j, K' - j), 0 <= j <= min(K, K'),
-of every nonzero start block (K, K'); for a sector-diagonal start these
-are the diagonal blocks alone.
+blocks alone, dense, in lists indexed by sector: H_eff,K at K and each
+jump's block from sector K + 1 to K at K, never as matrices on the whole
+stacked space.  Only the blocks that the generator reaches from the
+nonzero blocks of the initial state are ever nonzero: with a jump, the
+blocks (K - j, K' - j), 0 <= j <= min(K, K'), of every nonzero start
+block (K, K'); for a sector-diagonal start these are the diagonal blocks
+alone.
 
 ``evolve`` propagates those blocks exactly.  With the non-Hermitian
 H_eff = H - (i/2) sum gamma c+ c diagonalised per sector, H_eff,K =
@@ -43,9 +44,11 @@ on an adaptive RK45 integrator of the sparse superoperator instead, and
 the trajectory's diagnostics name the path that ran.  On either path a
 snapshot whose smallest eigenvalue is below -``POSITIVITY_LIMIT`` aborts
 the run, and the run stops early once max |d rho / dt| stays below
-``STEADY_THRESHOLD`` lam.  Both tests run on a chunk of snapshots at once,
-positivity as one stacked ``eigvalsh`` per sector, and a trajectory keeps
-each snapshot as its reached entries alone.
+``STEADY_THRESHOLD`` lam.  Both tests judge a chunk of snapshots at once,
+as array operations: the steady stop is found in the chunk (with one flag
+carried from the chunk before), and positivity is judged up to it, as one
+stacked ``eigvalsh`` per sector.  A trajectory keeps each snapshot as its
+reached entries alone.
 
 Importing this module loads no scipy module, and neither does building
 the generator's blocks.  ``scipy.sparse`` is imported where the sparse
@@ -257,19 +260,19 @@ class LindbladGenerator:
     """Right-hand side of the master equation on a sector stack.
 
     Holds every operator as dense sector blocks, as ``lindblad_generator``
-    builds them: ``h_eff`` maps (K, K) to H_eff,K = H_K - (i/2) sum gamma
-    c_K+ c_K in the rotating frame, for every sector of ``space``, and each
-    jump is ``(rate, {(K - 1, K): c_K})`` for every K >= 1.  ``evolve``'s
-    cascade reads the same blocks.  The generator is L rho = -i H_eff rho +
-    i rho H_eff+ + sum gamma c rho c+, and ``superoperator`` vectorises it
-    row-major, vec(A rho B) = (A kron B^T) vec(rho), on the sector blocks
-    that a given state reaches: a block (K, K') feeds -i H_eff,K kron I and
-    I kron i conj(H_eff,K') into itself and gamma c_K kron conj(c_K') into
-    (K - 1, K' - 1).
+    builds them: ``h_eff[K]`` is H_eff,K = H_K - (i/2) sum gamma c_K+ c_K in
+    the rotating frame, for every sector K of ``space``, and each jump is
+    ``(rate, c)`` with ``c[j]`` its block from sector j + 1 to sector j,
+    j = 0 .. K_max - 1.  ``evolve``'s cascade reads the same lists.  The
+    generator is L rho = -i H_eff rho + i rho H_eff+ + sum gamma c rho c+,
+    and ``superoperator`` vectorises it row-major, vec(A rho B) =
+    (A kron B^T) vec(rho), on the sector blocks that a given state reaches:
+    a block (K, K') feeds -i H_eff,K kron I and I kron i conj(H_eff,K') into
+    itself and gamma c[K - 1] kron conj(c[K' - 1]) into (K - 1, K' - 1).
     """
 
-    def __init__(self, space: SectorStack, h_eff: dict,
-                 jumps: Iterable[tuple[float, dict]]):
+    def __init__(self, space: SectorStack, h_eff: Sequence[np.ndarray],
+                 jumps: Iterable[tuple[float, Sequence[np.ndarray]]]):
         self.space = space
         self._h_eff_blocks = h_eff
         self._jumps = [(float(rate), blocks) for rate, blocks in jumps]
@@ -309,12 +312,11 @@ class LindbladGenerator:
                             for j in (k, k_col))
             # (block written, A, B) of each term A rho B that reads block (K, K');
             # ``kron`` keeps the nonzero entries of a dense A or B alone
-            terms = [((k, k_col), -1j * h_eff[(k, k)], eye_col),
-                     ((k, k_col), eye, 1j * h_eff[(k_col, k_col)].conj())]
-            terms += [((k - 1, k_col - 1), rate * jump[(k - 1, k)],
-                       jump[(k_col - 1, k_col)].conj())
-                      for rate, jump in self._jumps
-                      if (k - 1, k) in jump and (k_col - 1, k_col) in jump]
+            terms = [((k, k_col), -1j * h_eff[k], eye_col),
+                     ((k, k_col), eye, 1j * h_eff[k_col].conj())]
+            if min(k, k_col):  # the jumps carry the block one sector down
+                terms += [((k - 1, k_col - 1), rate * c[k - 1], c[k_col - 1].conj())
+                          for rate, c in self._jumps]
             for into, a, b in terms:
                 term = sparse.kron(a, b, format="coo")
                 rows.append(term.row + start[into])
@@ -339,13 +341,13 @@ def lindblad_generator(params: ModelParams, space: SectorStack,
                        include_atomic_decay: bool = False) -> LindbladGenerator:
     """Build the master-equation generator on the sectors of ``space`` as
     dense sector blocks, from one ``operators.lowering_maps`` call per
-    sector K >= 1.  Each jump's (K - 1, K) block is its slot's map, and
-    H_eff,K is H_K's entries (``operators._hamiltonian_entries``) less
-    omega_c K - omega_a M on the diagonal, the module docstring's frame,
-    less (i/2) gamma amp^2 at each entry of each jump: c+ c is diagonal,
-    since a map holds at most one entry per row and column.  The frame
-    leaves no offset for the eigen-solves to lose digits to, and makes
-    H_eff,0 zero.
+    sector K >= 1.  Each jump's block K - 1 (from sector K to K - 1) is its
+    slot's map, and H_eff,K is H_K's entries
+    (``operators._hamiltonian_entries``) less omega_c K - omega_a M on the
+    diagonal, the module docstring's frame, less (i/2) gamma amp^2 at each
+    entry of each jump: c+ c is diagonal, since a map holds at most one
+    entry per row and column.  The frame leaves no offset for the
+    eigen-solves to lose digits to, and makes H_eff,0 zero.
 
     End-cavity leakage at rate gamma_c is always included; collective
     atomic damping at rate gamma_a is added when requested.
@@ -355,8 +357,8 @@ def lindblad_generator(params: ModelParams, space: SectorStack,
     slots = [(params.gamma_c, slot) for slot in (0, n) if params.gamma_c > 0]
     slots += [(params.gamma_a, slot) for slot in (n + 1, n + 2)
               if include_atomic_decay and params.gamma_a > 0]
-    h_eff = {(0, 0): np.zeros((1, 1), dtype=np.complex128)}
-    jumps = [(rate, {}) for rate, _slot in slots]
+    h_eff = [np.zeros((1, 1), dtype=np.complex128)]
+    jumps = [(rate, []) for rate, _slot in slots]
     for k in range(1, len(sectors)):
         maps = lowering_maps(params, sectors[k], sectors[k - 1])
         rows, cols, values = _hamiltonian_entries(params, sectors[k], maps)
@@ -365,10 +367,11 @@ def lindblad_generator(params: ModelParams, space: SectorStack,
         blk[np.diag_indices(len(blk))] -= params.omega_c * k - params.omega_a * params.m_atoms
         for (rate, slot), (_rate, blocks) in zip(slots, jumps):
             m = maps[slot]
-            blocks[(k - 1, k)] = c = np.zeros(m.shape, dtype=np.complex128)
+            c = np.zeros(m.shape, dtype=np.complex128)
             c[m.rows, m.cols] = m.amp
+            blocks.append(c)
             blk[m.cols, m.cols] -= (0.5j * rate) * (m.amp * m.amp)
-        h_eff[(k, k)] = blk
+        h_eff.append(blk)
     return LindbladGenerator(space, h_eff, jumps)
 
 
@@ -516,18 +519,16 @@ def _particular(source: np.ndarray, lam: np.ndarray, mu: np.ndarray,
 class _Cascade:
     """Exact propagator on the reached sector blocks, in the eigenbases of
     each sector's H_eff (see the module docstring).  Reads the dense sector
-    blocks that ``LindbladGenerator`` holds, as they are: H_eff's (K, K)
-    and each jump's (K - 1, K).  The reached ``blocks`` come from
-    ``evolve``."""
+    blocks that ``LindbladGenerator`` holds, as they are: H_eff,K and each
+    jump's block from sector K + 1 to K, both at index K.  The reached
+    ``blocks`` come from ``evolve``."""
 
     name = "cascade"
     n_rhs_evaluations = 0
 
     def __init__(self, generator: LindbladGenerator, blocks: list[tuple[int, int]],
                  rho0: np.ndarray, t_end: float):
-        space = generator.space
-        jumps = [(rate, {j: blk for (j, _k), blk in jump_blocks.items()})
-                 for rate, jump_blocks in generator._jumps]
+        space, jumps = generator.space, generator._jumps
         self.blocks = blocks
         dims = np.diff(space.offsets)
         size = {key: int(dims[key[0]] * dims[key[1]]) for key in blocks}
@@ -548,15 +549,12 @@ class _Cascade:
 
         self._eig = {}
         for k in sorted({k for key in blocks for k in key}):
-            energies, vecs = np.linalg.eig(generator._h_eff_blocks[(k, k)])
+            energies, vecs = np.linalg.eig(generator._h_eff_blocks[k])
             cond = np.linalg.cond(vecs)
             if not cond <= MAX_EIGENVECTOR_CONDITION:
                 raise _CascadeRejected(f"sector {k}: H_eff eigenvectors have condition "
                                        f"number {cond:.3g} > {MAX_EIGENVECTOR_CONDITION:g}")
             self._eig[k] = (energies, vecs, np.linalg.inv(vecs))
-        # (rate, c_K, c_K') of every jump that drives a block, c_K its block (K, K + 1)
-        drive = {key: [(rate, c[key[0]], c[key[1]]) for rate, c in jumps
-                       if key[0] in c and key[1] in c] for key in above}
 
         self._modes: dict[tuple[int, int], _CascadeBlock] = {}
         for key in order:
@@ -568,13 +566,14 @@ class _Cascade:
             if key in above:
                 top = self._modes[above[key]]
                 v_up, v_up_c = self._eig[key[0] + 1][1], self._eig[key[1] + 1][1]
-                # T = sum rate kron(V_K^-1 c V_K+1, conj(V_K'^-1 c V_K'+1))
-                left = [rate * (w_k @ c_k @ v_up) for rate, c_k, _ in drive[key]]
-                right = [(w_c @ c_col @ v_up_c).conj() for _, _, c_col in drive[key]]
+                # T = sum rate kron(V_K^-1 c V_K+1, conj(V_K'^-1 c V_K'+1)) over
+                # the jumps, c their blocks from sectors K + 1 and K' + 1
+                left = [rate * (w_k @ c[key[0]] @ v_up) for rate, c in jumps]
+                right = [(w_c @ c[key[1]] @ v_up_c).conj() for _rate, c in jumps]
                 t_map = np.zeros((mu.size, top.mu.size), dtype=np.complex128)
-                if left:  # one einsum, so no temporary as large as T
-                    np.einsum("jac,jbd->abcd", left, right,
-                              out=t_map.reshape(len(e_k), len(e_c), len(v_up), len(v_up_c)))
+                # one einsum, so no temporary as large as T
+                np.einsum("jac,jbd->abcd", left, right,
+                          out=t_map.reshape(len(e_k), len(e_c), len(v_up), len(v_up_c)))
                 parts = [(src, _particular(t_map @ p, self._modes[src].mu, mu, t_end))
                          for src, p in top.parts]
                 t_map *= top.h  # now the source of the own modes of the block above
@@ -700,20 +699,25 @@ def evolve(params: ModelParams, rho0: DensityMatrix, t_end: float, *,
     zero, so decayed modes cost no subnormal arithmetic.
 
     Trace, Hermiticity (symmetrised storage) and positivity are checked at
-    every snapshot; a smallest eigenvalue below -``POSITIVITY_LIMIT`` raises
-    ``IntegrationError`` at the first such snapshot in time order.
-    Positivity is computed per chunk of snapshots: one stacked ``eigvalsh``
-    per sector over their diagonal blocks, and the full matrix's for a
-    snapshot with a nonzero entry off those blocks, as
-    ``DensityMatrix.min_eigenvalue`` does.  ``trajectory.states`` keeps each
-    snapshot as its symmetrised entries at the reach's positions and builds
-    the ``DensityMatrix`` when it is read.  ``rho0`` must be Hermitian and
-    enumerated for ``params``' ``n_chain`` and ``m_atoms``; otherwise
-    ``ValueError``.  When ``detect_steady`` is on, the run stops once
-    max |d rho / dt| stays below ``STEADY_THRESHOLD`` * lam at two
-    consecutive snapshots; on either propagator
-    d rho / dt is that superoperator times the symmetrised snapshot, and
-    ``diagnostics.rhs_sup_last`` keeps its last value.  A grid of more than
+    every snapshot that is kept; a smallest eigenvalue below
+    -``POSITIVITY_LIMIT`` raises ``IntegrationError`` at the first such
+    snapshot in time order.  When ``detect_steady`` is on, the run stops
+    once max |d rho / dt| stays below ``STEADY_THRESHOLD`` * lam at two
+    consecutive snapshots, at the second; on either propagator d rho / dt
+    is that superoperator times the symmetrised snapshot.  Each chunk of
+    snapshots that a propagator yields is judged with array operations, and
+    the only loop is over chunks: d rho / dt of the whole chunk, the steady
+    stop in it (one flag carries "the last snapshot was below" into the
+    next chunk), then positivity of the snapshots up to that stop alone,
+    one stacked ``eigvalsh`` per sector over their diagonal blocks (the
+    full matrix's for a snapshot with a nonzero entry off those blocks, as
+    ``DensityMatrix.min_eigenvalue`` does).  ``diagnostics``' trace drift,
+    smallest eigenvalue and off-block size are reductions over the kept
+    snapshots, and ``rhs_sup_last`` is the last kept one's d rho / dt.
+    ``trajectory.states`` keeps each snapshot as its symmetrised entries at
+    the reach's positions and builds the ``DensityMatrix`` when it is read.
+    ``rho0`` must be Hermitian and enumerated for ``params``' ``n_chain``
+    and ``m_atoms``; otherwise ``ValueError``.  A grid of more than
     ``MAX_SNAPSHOTS`` snapshots raises ``ValueError``.
     """
     _require_positive_finite("t_end", t_end)
@@ -731,7 +735,8 @@ def evolve(params: ModelParams, rho0: DensityMatrix, t_end: float, *,
                          f"{params.m_atoms}), but rho0's space was enumerated for "
                          f"{enumerated}")
     generator = lindblad_generator(params, space, include_atomic_decay)
-    steady_threshold = STEADY_THRESHOLD * params.lam
+    # no rhs_sup is below -inf: without the steady test every snapshot is kept
+    steady_threshold = STEADY_THRESHOLD * params.lam if detect_steady else -math.inf
     n_snap = max(1, int(math.ceil(t_end / snapshot_dt - 1e-12)))
     times = np.linspace(0.0, t_end, n_snap + 1)
 
@@ -758,46 +763,42 @@ def evolve(params: ModelParams, rho0: DensityMatrix, t_end: float, *,
                                  propagator=path.name, fallback_reason=fallback_reason)
     kept_times = [0.0]
     entries: list[np.ndarray] = []
-    steady_reached = False
     steady_time: float | None = None
-    below_count = 0
+    below = False  # the last judged snapshot's rhs_sup is below the threshold
 
     for ts, ys in path.chunks(times):
         ys_sym = 0.5 * (ys + ys[:, transposes].conj())  # symmetrized storage
         rhs_sups = np.abs(superop @ ys_sym.T).max(axis=0, initial=0.0)
-        offblocks = np.abs(ys_sym[:, offblock]).max(axis=1, initial=0.0)
-        diagonals = np.zeros((len(ts), dim), dtype=np.complex128)
+        # judge the snapshots up to the steady stop, the second of the first
+        # two consecutive ones below the threshold
+        belows = np.concatenate(([below], rhs_sups < steady_threshold))
+        stops = np.flatnonzero(belows[:-1] & belows[1:])
+        n = int(stops[0]) + 1 if len(stops) else len(ts)
+        ts, ys_sym, below = ts[:n], ys_sym[:n], belows[-1]
+        chunk_min_eigs = _min_eigenvalues(space, blocks, ys_sym)
+        bad = np.flatnonzero(np.less(chunk_min_eigs, -POSITIVITY_LIMIT))
+        if len(bad):
+            raise IntegrationError(f"positivity violated at t={ts[bad[0]]:.6g}: min eigenvalue "
+                                   f"{chunk_min_eigs[bad[0]]:.3e}")
+        diagonals = np.zeros((n, dim), dtype=np.complex128)
         diagonals[:, index[on_diagonal] // dim] = ys_sym[:, on_diagonal]
         traces = diagonals.sum(axis=1).real  # np.trace of each snapshot, to the bit
-        chunk_min_eigs = _min_eigenvalues(space, blocks, ys_sym)
-        for i, t in enumerate(ts):
-            drift = abs(float(traces[i]) - trace0)
-            diag.max_trace_drift = max(diag.max_trace_drift, drift)
-            min_eig = chunk_min_eigs[i]
-            diag.min_eigenvalue = min(diag.min_eigenvalue, min_eig)
-            if min_eig < -POSITIVITY_LIMIT:
-                raise IntegrationError(
-                    f"positivity violated at t={t:.6g}: min eigenvalue {min_eig:.3e}")
-            diag.max_offblock = max(diag.max_offblock, float(offblocks[i]))
-            entries.append(ys_sym[i])
-            min_eigs.append(min_eig)
-            kept_times.append(float(t))
-            diag.rhs_sup_last = float(rhs_sups[i])
-            if detect_steady:
-                if rhs_sups[i] < steady_threshold:
-                    below_count += 1
-                    if below_count >= 2:
-                        steady_reached = True
-                        steady_time = float(t)
-                        break
-                else:
-                    below_count = 0
-        if steady_reached:
+        # the builtins keep the first of equal values, as a running max or min does
+        diag.max_trace_drift = max(diag.max_trace_drift, *np.abs(traces - trace0).tolist())
+        diag.min_eigenvalue = min(diag.min_eigenvalue, *chunk_min_eigs)
+        diag.max_offblock = max(diag.max_offblock,
+                                *np.abs(ys_sym[:, offblock]).max(axis=1, initial=0.0).tolist())
+        diag.rhs_sup_last = float(rhs_sups[n - 1])
+        entries.extend(ys_sym)
+        min_eigs.extend(chunk_min_eigs)
+        kept_times.extend(ts.tolist())
+        if len(stops):
+            steady_time = kept_times[-1]
             break
     diag.n_rhs_evaluations = path.n_rhs_evaluations
 
     return Trajectory(np.array(kept_times), TrajectoryStates(rho0.copy(), index, entries),
-                      np.array(min_eigs), steady_reached, steady_time, diag)
+                      np.array(min_eigs), steady_time is not None, steady_time, diag)
 
 
 def trapped_probabilities(rho: DensityMatrix,

@@ -320,6 +320,34 @@ def test_evolve_rejects_bad_time_grid(setting, capsys):
     assert setting.split("=")[0] in err and "Traceback" not in err
 
 
+def test_evolve_grid_error_names_both_keys_and_the_ratio(capsys):
+    code, out, err = run_captured(capsys, "evolve", "--set", "t_end=1e300")
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["error: bad values for 't_end' and 'snapshot_dt': t_end / "
+                                "snapshot_dt must be at most 100000, got 5e+299"]
+
+
+@pytest.mark.parametrize("settings, message", [
+    # sector 1 of a 2,045-cavity chain: 2,048^2 + 1 = 4,194,305 entries
+    (("n_chain=2045", "m_atoms=1", "q=1", "t_end=4"),
+     "evolve from sector K=1 reaches more than MAX_REACHED_ENTRIES = 1048576 entries "
+     "per snapshot"),
+    (("n_chain=60", "m_atoms=2"),  # 4,068,226 entries
+     "evolve from sector K=2 reaches more than MAX_REACHED_ENTRIES = 1048576 entries "
+     "per snapshot"),
+    (("m_atoms=6",), "evolve would keep 1001 snapshots of 66352 entries, more than "
+                     "MAX_KEPT_ENTRIES = 33554432"),
+    (("n_chain=4", "m_atoms=4", "t_end=1300"),
+     "evolve would keep 651 snapshots of 51990 entries, more than MAX_KEPT_ENTRIES = 33554432"),
+])
+def test_evolve_above_its_size_bounds_is_refused_before_it_allocates(settings, message,
+                                                                     capsys):
+    argv = [arg for setting in settings for arg in ("--set", setting)]
+    code, out, err = run_captured(capsys, "evolve", *argv)
+    assert code == 1 and out == ""
+    assert err.splitlines() == [f"error: {message}"]
+
+
 def test_non_finite_float_key_is_rejected(capsys):
     code = run_in_process("sweep-chi", "--set", "chi_max=inf")
     captured = capsys.readouterr()

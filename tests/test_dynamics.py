@@ -81,8 +81,8 @@ def test_generator_blocks_are_the_sector_operators(n_chain, m_atoms):
     gen = lindblad_generator(p, space, include_atomic_decay=True)
     sectors = space.sectors
 
-    # each jump holds the builder's (K - 1, K) maps as dense blocks, entry
-    # for entry, and no other block
+    # each jump holds the builder's map from sector K to K - 1 as its dense
+    # block K - 1, entry for entry, and no other block
     lowerings = [(rate, builder, side)
                  for rate, builder in ((p.gamma_c, build_end_annihilation),
                                        (p.gamma_a, build_collective_lowering))
@@ -90,25 +90,25 @@ def test_generator_blocks_are_the_sector_operators(n_chain, m_atoms):
     assert [rate for rate, _blocks in gen._jumps] == [rate for rate, _b, _s in lowerings]
     maps = []
     for (_rate, blocks), (rate, builder, side) in zip(gen._jumps, lowerings):
-        wanted = {(k - 1, k): builder(p, sectors[k], sectors[k - 1], side).toarray()
-                  for k in range(1, len(sectors))}
-        assert list(blocks) == list(wanted)
-        for key, blk in blocks.items():
+        wanted = [builder(p, sectors[k], sectors[k - 1], side).toarray()
+                  for k in range(1, len(sectors))]
+        assert len(blocks) == len(wanted)
+        for blk, ref in zip(blocks, wanted):
             assert isinstance(blk, np.ndarray) and blk.dtype == np.complex128
-            assert np.array_equal(blk, wanted[key])
+            assert np.array_equal(blk, ref)
         maps.append((rate, wanted))
 
     # H_eff,K = H_K - (omega_c K - omega_a M) - (i/2) sum gamma c+ c, dense,
     # one block per sector; that frame makes the vacuum's zero
-    assert list(gen._h_eff_blocks) == [(k, k) for k in range(len(sectors))]
-    assert np.array_equal(gen._h_eff_blocks[(0, 0)], np.zeros((1, 1)))
+    assert len(gen._h_eff_blocks) == len(sectors)
+    assert np.array_equal(gen._h_eff_blocks[0], np.zeros((1, 1)))
     for k, sec in enumerate(sectors[1:], start=1):
-        blk = gen._h_eff_blocks[(k, k)]
+        blk = gen._h_eff_blocks[k]
         assert isinstance(blk, np.ndarray) and blk.dtype == np.complex128
         ref = (build_hamiltonian(p, sec, sectors[k - 1]).toarray()
                - (p.omega_c * k - p.omega_a * p.m_atoms) * np.eye(sec.dim))
         for rate, wanted in maps:
-            c = wanted[(k - 1, k)]
+            c = wanted[k - 1]
             ref = ref - 0.5j * rate * (c.conj().T @ c)
         assert np.array_equal(blk, ref)
 
@@ -251,6 +251,47 @@ def test_positivity_judges_no_snapshot_after_the_steady_stop(monkeypatch):
     monkeypatch.setattr(dynamics, "_min_eigenvalues", bad_from(last))
     with pytest.raises(IntegrationError, match=f"violated at t={ref.times[-1]:.6g}: min"):
         evolve(p, rho0, 2000.0, snapshot_dt=2.0)
+
+
+@pytest.mark.parametrize("g, snapshot_dt, placement", [
+    (0.3, 5.0, "first of a chunk"),  # the previous chunk's last snapshot decides
+    (0.3, 2.0, "inside a chunk"),
+    (0.25, 2.0, "rk45"),  # an exceptional point: one chunk per RK45 step
+])
+def test_steady_stop_cuts_the_full_run_at_its_first_quiet_pair(g, snapshot_dt, placement):
+    p = triple_cavity(m_atoms=1, g=g, gamma_c=1.0)
+    space = stack_sectors(p, 1)
+    rho0 = DensityMatrix.from_pure(space, left_excited_state(space, 1))
+    full = evolve(p, rho0, 200.0, snapshot_dt=snapshot_dt, detect_steady=False)
+    steady = evolve(p, rho0, 200.0, snapshot_dt=snapshot_dt)
+
+    # max |d rho / dt| of every snapshot of the full run, on the run's reach
+    _blocks, index, matrix = lindblad_generator(p, space).superoperator(rho0.data)
+    rhs = [np.abs(matrix @ state.data.ravel()[index]).max(initial=0.0)
+           for state in full.states]
+    quiet = [r < dynamics.STEADY_THRESHOLD * p.lam for r in rhs]
+    cut = next(i for i in range(2, len(rhs)) if quiet[i - 1] and quiet[i])
+    assert (full.diagnostics.propagator == "rk45") == (placement == "rk45")
+    if placement != "rk45":
+        assert ((cut - 1) % dynamics._CHUNK == 0) == (placement == "first of a chunk")
+
+    assert steady.steady_reached and steady.steady_time == full.times[cut]
+    assert np.array_equal(steady.times, full.times[:cut + 1])
+    assert np.array_equal(steady.min_eigenvalues, full.min_eigenvalues[:cut + 1])
+    assert len(steady.states) == cut + 1
+    assert all(np.array_equal(a.data, b.data) for a, b in zip(steady.states, full.states))
+    kept = full.states[:cut + 1]
+    expected = dynamics.TrajectoryDiagnostics(
+        max_trace_drift=max(abs(np.trace(s.data).real - rho0.trace()) for s in kept[1:]),
+        min_eigenvalue=min(full.min_eigenvalues[:cut + 1].tolist()),
+        max_offblock=max(s.offblock_max() for s in kept),
+        rhs_sup_last=rhs[cut], n_rhs_evaluations=steady.diagnostics.n_rhs_evaluations,
+        propagator=full.diagnostics.propagator,
+        fallback_reason=full.diagnostics.fallback_reason)
+    assert steady.diagnostics == expected
+    # RK45 stops stepping at the stop; the cascade evaluates without a step
+    assert (0 < steady.diagnostics.n_rhs_evaluations < full.diagnostics.n_rhs_evaluations
+            if placement == "rk45" else full.diagnostics.n_rhs_evaluations == 0)
 
 
 @pytest.mark.parametrize("change", [dict(m_atoms=3), dict(n_chain=4)])

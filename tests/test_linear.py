@@ -70,7 +70,7 @@ def test_linear_model_is_the_one_excitation_sector(m_atoms):
                           omega_c=omega_c)
         linear = linear_matrix(p.replace(omega_c=0.0, omega_a=-p.delta)).eigenvalues
         gen = lindblad_generator(p, stack_sectors(p, 1), include_atomic_decay=True)
-        sector = np.linalg.eigvals(gen._h_eff_blocks[(1, 1)])
+        sector = np.linalg.eigvals(gen._h_eff_blocks[1])
         rows, cols = linear_sum_assignment(np.abs(linear[:, None] - sector[None, :]))
         assert np.abs(linear[rows] - sector[cols]).max() < 1e-12
 
