@@ -17,9 +17,10 @@ units of the hopping rate (lam = 1 internally).  Every output starts with
 comment lines echoing the fully resolved configuration, so identical
 configs give byte-identical files.
 
-Exit codes: 0 success, 1 validation error, 2 numerical failure (any
-other error included), 3 tolerance violation.  A run that exits 1 or 2
-writes nothing to stdout or ``--out`` and exactly one line to stderr.
+Exit codes: 0 success, 1 validation error (a malformed command line
+included), 2 numerical failure (any other error included), 3 tolerance
+violation.  A run that exits 1 or 2 writes nothing to stdout or ``--out``
+and exactly one line to stderr.  ``-h`` prints help and exits 0.
 """
 
 from __future__ import annotations
@@ -69,19 +70,16 @@ _MODEL_KEYS: dict[str, tuple[Callable, object]] = {
     "q": (_parse_q, "auto"),
 }
 
-_COMMON_KEYS: dict[str, tuple[Callable, object]] = {
-    "seed": (int, 0),
-}
-
 SCHEMAS: dict[str, dict[str, tuple[Callable, object]]] = {
     "bic": {
-        **_MODEL_KEYS, **_COMMON_KEYS,
+        **_MODEL_KEYS,
+        "seed": (int, 0),
         "k_excitations": (int, 2),
         "residual_tol": (float, 1e-8),
         "overlap_tol": (float, 1e-8),
     },
     "sweep-chi": {
-        **_MODEL_KEYS, **_COMMON_KEYS,
+        **_MODEL_KEYS,
         "k_excitations": (int, 2),
         "chi_min": (float, 0.05),
         "chi_max": (float, 20.0),
@@ -89,17 +87,16 @@ SCHEMAS: dict[str, dict[str, tuple[Callable, object]]] = {
         "chi_scale": (str, "log"),
     },
     "evolve": {
-        **_MODEL_KEYS, **_COMMON_KEYS,
+        **_MODEL_KEYS,
+        "seed": (int, 0),
         "initial": (str, "left_excited"),
         "initial_k": (int, -1),           # -1: use m_atoms (left_excited) / required for bic
         "t_end": (float, 2000.0),
         "snapshot_dt": (float, 2.0),
-        "rtol": (float, 1e-8),
-        "atol": (float, 1e-12),
         "detect_steady": (_parse_bool, True),
     },
     "qfactor": {
-        **_MODEL_KEYS, **_COMMON_KEYS,
+        **_MODEL_KEYS,
         "gamma_a": (float, 0.01),
         "g": (float, 10.0),
         "delta_min": (float, -3.0),       # in units of gamma_c
@@ -111,9 +108,7 @@ SCHEMAS: dict[str, dict[str, tuple[Callable, object]]] = {
 SCHEMAS["qfactor"].pop("delta")  # detuning is the swept variable here
 
 # Float keys that must also be positive (every float key must be finite).
-_POSITIVE_KEYS = ("t_end", "snapshot_dt", "rtol")
-# Keys that must not be negative (RK45 raises on a negative atol).
-_NONNEGATIVE_KEYS = ("seed", "atol")
+_POSITIVE_KEYS = ("t_end", "snapshot_dt")
 
 # Upper bound on chi_points and delta_points: every grid point costs K + 1
 # weights or an eigensolve, and the grid itself is allocated whole.
@@ -127,16 +122,6 @@ MAX_GRID_POINTS = 100_000
 # log-factorial table grows with m_atoms.
 MAX_N_CHAIN = math.isqrt(MAX_SECTOR_ENTRIES) - 3
 MAX_M_ATOMS = math.isqrt(MAX_SECTOR_ENTRIES) - 1
-
-# Most entries an evolve snapshot may reach, sum_{j <= K} d_j^2 for a start in
-# sector K (d_j the sector dimensions).  The RK45 fallback peaked at 1.87 GB
-# on 4,194,305 entries, about 450 bytes an entry, so this keeps a run's
-# working set near 0.5 GB; (N, M) = (2, 5) reaches 22,252.
-MAX_REACHED_ENTRIES = 1 << 20
-# Most entries an evolve run may keep: its reached entries at every snapshot,
-# t = 0 included, at 16 bytes each (512 MiB).  (2, 5) at the default grid
-# keeps 22,274,252 (340 MiB).
-MAX_KEPT_ENTRIES = 1 << 25
 
 # q=auto accepts a chain mode no farther from omega_a than the bare cavity
 # (|delta|) plus this slack for the rounding of the mode frequencies;
@@ -197,9 +182,8 @@ def resolve_config(experiment: str, raw_values: dict[str, str],
                          f"got {options['t_end'] / options['snapshot_dt']:.3g}")
     if seed_override is not None:
         options["seed"] = seed_override
-    for key in _NONNEGATIVE_KEYS:
-        if key in options and options[key] < 0:
-            raise ParamError(f"bad value for {key!r}: must be >= 0, got {options[key]!r}")
+    if options.get("seed", 0) < 0:
+        raise ParamError(f"bad value for 'seed': must be >= 0, got {options['seed']!r}")
     for key, bound in (("n_chain", MAX_N_CHAIN), ("m_atoms", MAX_M_ATOMS)):
         if options[key] > bound:
             raise ParamError(f"bad value for {key!r}: must be at most {bound}, "
@@ -335,14 +319,15 @@ def run_evolve(config: RunConfig, stream: IO[str]) -> int:
     reached = 0
     for k in range(k_init + 1):
         reached += sector_dim(p, k) ** 2
-        if reached > MAX_REACHED_ENTRIES:
+        if reached > dynamics.MAX_REACHED_ENTRIES:
             raise ParamError(f"evolve from sector K={k_init} reaches more than "
-                             f"MAX_REACHED_ENTRIES = {MAX_REACHED_ENTRIES} entries per snapshot")
+                             f"MAX_REACHED_ENTRIES = {dynamics.MAX_REACHED_ENTRIES} entries "
+                             "per snapshot")
     t_end, snapshot_dt = (float(config.options[key]) for key in ("t_end", "snapshot_dt"))
     snapshots = max(1, math.ceil(t_end / snapshot_dt - 1e-12)) + 1  # as evolve lays out its grid
-    if reached * snapshots > MAX_KEPT_ENTRIES:
+    if reached * snapshots > dynamics.MAX_KEPT_ENTRIES:
         raise ParamError(f"evolve would keep {snapshots} snapshots of {reached} entries, more "
-                         f"than MAX_KEPT_ENTRIES = {MAX_KEPT_ENTRIES}")
+                         f"than MAX_KEPT_ENTRIES = {dynamics.MAX_KEPT_ENTRIES}")
 
     space = dynamics.stack_sectors(p, k_init)
     if initial == "left_excited":
@@ -361,8 +346,6 @@ def run_evolve(config: RunConfig, stream: IO[str]) -> int:
         p, rho0, t_end,
         include_atomic_decay=p.gamma_a > 0,
         snapshot_dt=snapshot_dt,
-        rtol=float(config.options["rtol"]),
-        atol=float(config.options["atol"]),
         detect_steady=bool(config.options["detect_steady"]))
 
     trapped = [bic.assemble_bic_state(p, i, sector=space.sectors[i])
@@ -435,8 +418,15 @@ _DRIVERS: dict[str, Callable[[RunConfig, IO[str]], int]] = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors take ``main``'s validation path."""
+
+    def error(self, message: str):
+        raise ParamError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cavitybic",
         description="Trapped-state construction and open-system dynamics in "
                     "coupled-cavity arrays (all rates in units of the hopping rate)")
@@ -447,18 +437,18 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--set", dest="overrides", action="append", default=[],
                          metavar="KEY=VALUE", help="override one config key (repeatable)")
         cmd.add_argument("--out", help="output path (default: stdout)")
-        cmd.add_argument("--seed", type=int, default=None,
-                         help="seed for randomized self-tests")
+        if "seed" in SCHEMAS[name]:
+            cmd.add_argument("--seed", type=int, help="seed for randomized self-tests")
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     # the run's whole output, stderr included, written only once its driver
     # has returned: a run that raises leaves stdout empty and --out
     # untouched, and prints its one error line without the warnings before it
     out, err = io.StringIO(), io.StringIO()
     try:
+        args = _build_parser().parse_args(argv)
         with contextlib.redirect_stderr(err):
             raw: dict[str, str] = {}
             if args.config:
@@ -468,7 +458,8 @@ def main(argv: Sequence[str] | None = None) -> int:
                     raise ParamError(f"--set expects KEY=VALUE, got {item!r}")
                 key, _, value = item.partition("=")
                 raw[key.strip()] = value.strip()
-            config = resolve_config(args.experiment, raw, seed_override=args.seed)
+            config = resolve_config(args.experiment, raw,
+                                    seed_override=getattr(args, "seed", None))
             print(*config.echo_lines(), sep="\n", file=out)
             code = _DRIVERS[args.experiment](config, out)
         if args.out:

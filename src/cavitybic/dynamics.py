@@ -295,7 +295,9 @@ class LindbladGenerator:
         reached from the nonzero blocks of ``rho``: ``index`` holds their
         positions in ``rho.ravel()`` (block by block, row-major within a
         block), and ``apply(rho).ravel()[index] == matrix @ rho.ravel()[index]``
-        while ``apply(rho)`` is zero elsewhere."""
+        while ``apply(rho)`` is zero elsewhere.  A reach of more than
+        ``MAX_REACHED_ENTRIES`` entries raises ``ValueError`` before
+        anything is built."""
         from scipy import sparse
         space, dim = self.space, self.space.dim
         if rho.shape != (dim, dim):
@@ -303,6 +305,10 @@ class LindbladGenerator:
         blocks = self._reach(_block_keys(space, *np.nonzero(rho)))
         dims = np.diff(space.offsets)
         sizes = [int(dims[k] * dims[k_col]) for k, k_col in blocks]
+        size = sum(sizes)
+        if size > MAX_REACHED_ENTRIES:
+            raise ValueError(f"the reach holds {size} entries, more than "
+                             f"MAX_REACHED_ENTRIES = {MAX_REACHED_ENTRIES}")
         start = dict(zip(blocks, np.cumsum([0] + sizes).tolist()))
         empty = np.zeros(0, dtype=np.int64)
         rows, cols, vals = [empty], [empty], [empty.astype(np.complex128)]
@@ -322,7 +328,6 @@ class LindbladGenerator:
                 rows.append(term.row + start[into])
                 cols.append(term.col + start[(k, k_col)])
                 vals.append(term.data)
-        size = sum(sizes)
         matrix = sparse.csr_matrix(
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
             shape=(size, size))
@@ -433,6 +438,16 @@ class Trajectory:
 # Largest snapshot grid ``evolve`` accepts: every snapshot keeps its
 # reached entries, and a finer grid than this is an input error, not a run.
 MAX_SNAPSHOTS = 100_000
+# Most entries a reach may hold (``LindbladGenerator.superoperator``), so most
+# an evolve snapshot may keep: sum_{j <= K} d_j^2 for a start in sector K (d_j
+# the sector dimensions).  The RK45 fallback peaked at 1.87 GB
+# on 4,194,305 entries, about 450 bytes an entry, so this keeps a run's
+# working set near 0.5 GB; (N, M) = (2, 5) reaches 22,252.
+MAX_REACHED_ENTRIES = 1 << 20
+# Most entries an evolve run may keep: its reached entries at every snapshot,
+# t = 0 included, at 16 bytes each (512 MiB).  (2, 5) at the default grid
+# keeps 22,274,252 (340 MiB).
+MAX_KEPT_ENTRIES = 1 << 25
 # ``evolve`` stops at steady state once max |d rho / dt| stays below this
 # many hopping rates lam at two consecutive snapshots.
 STEADY_THRESHOLD = 1e-9
@@ -446,6 +461,9 @@ POSITIVITY_LIMIT = 1e-6
 # decay rate far above the hopping rate, with the cascade rejected) would
 # otherwise step for minutes.
 MAX_RK45_STEPS = 100_000
+# The RK45 fallback's relative and absolute tolerances.
+_RK45_RTOL = 1e-8
+_RK45_ATOL = 1e-12
 
 # Guards of the cascade propagator; a run that fails one goes to RK45.
 # Most complex coefficients the cascade may hold (64 MiB).  Block K - 1
@@ -630,12 +648,11 @@ class _Rk45:
 
     name = "rk45"
 
-    def __init__(self, superop: sparse.csr_matrix, y0: np.ndarray, t_end: float,
-                 rtol: float, atol: float):
+    def __init__(self, superop: sparse.csr_matrix, y0: np.ndarray, t_end: float):
         from scipy.integrate import RK45
         with np.errstate(over="raise", invalid="raise"):
             self._solver = RK45(lambda _t, y: superop @ y, 0.0, y0, t_end,
-                                rtol=rtol, atol=atol)
+                                rtol=_RK45_RTOL, atol=_RK45_ATOL)
 
     @property
     def n_rhs_evaluations(self) -> int:
@@ -670,7 +687,6 @@ def _require_positive_finite(name: str, value: float) -> None:
 def evolve(params: ModelParams, rho0: DensityMatrix, t_end: float, *,
            include_atomic_decay: bool = False,
            snapshot_dt: float | None = None,
-           rtol: float = 1e-8, atol: float = 1e-12,
            detect_steady: bool = True) -> Trajectory:
     """Evolve the master equation of ``lindblad_generator`` from 0 to
     ``t_end`` and keep snapshots on a regular grid.
@@ -682,8 +698,8 @@ def evolve(params: ModelParams, rho0: DensityMatrix, t_end: float, *,
     The blocks are propagated exactly, as sums of exponentials in the
     eigenbases of each sector's H_eff (the module docstring has the
     construction).  A run that fails one of the cascade's three guards is
-    integrated by adaptive RK45 instead, with ``rtol`` and ``atol``, which
-    govern nothing else:
+    integrated by adaptive RK45 instead, at the fixed tolerances
+    ``_RK45_RTOL`` = 1e-8 and ``_RK45_ATOL`` = 1e-12:
       * a sector's eigenvector matrix has a condition number above
         ``MAX_EIGENVECTOR_CONDITION`` (at or near an exceptional point);
       * a particular coefficient S / (lam - mu) would round by more than
@@ -718,7 +734,10 @@ def evolve(params: ModelParams, rho0: DensityMatrix, t_end: float, *,
     the reach's positions and builds the ``DensityMatrix`` when it is read.
     ``rho0`` must be Hermitian and enumerated for ``params``' ``n_chain``
     and ``m_atoms``; otherwise ``ValueError``.  A grid of more than
-    ``MAX_SNAPSHOTS`` snapshots raises ``ValueError``.
+    ``MAX_SNAPSHOTS`` snapshots raises ``ValueError``, and so does, before
+    anything is propagated, a reach of more than ``MAX_REACHED_ENTRIES``
+    entries (before the superoperator is built) or of more than
+    ``MAX_KEPT_ENTRIES`` entries over all snapshots, t = 0 included.
     """
     _require_positive_finite("t_end", t_end)
     if snapshot_dt is None:
@@ -743,13 +762,16 @@ def evolve(params: ModelParams, rho0: DensityMatrix, t_end: float, *,
     # the reach, its positions in rho.ravel() and its superoperator, once per
     # run: the propagator starts from them and the steady test reads them
     blocks, index, superop = generator.superoperator(rho0.data)
+    if index.size * len(times) > MAX_KEPT_ENTRIES:
+        raise ValueError(f"evolve would keep {len(times)} snapshots of {index.size} entries, "
+                         f"more than MAX_KEPT_ENTRIES = {MAX_KEPT_ENTRIES}")
     transposes = _transposes(index, space.dim)
     y0 = rho0.data.ravel()[index]
     try:
         path = _Cascade(generator, blocks, rho0.data, t_end)
         fallback_reason = ""
     except _CascadeRejected as exc:
-        path = _Rk45(superop, y0, t_end, rtol, atol)
+        path = _Rk45(superop, y0, t_end)
         fallback_reason = str(exc)
     dim = space.dim
     label = _sector_labels(space)

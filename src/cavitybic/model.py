@@ -31,7 +31,8 @@ MAX_SECTOR_ENTRIES = 2 ** 22
 
 
 class ParamError(ValueError):
-    """A model parameter violates one of its invariants."""
+    """A model parameter violates one of its invariants, or a command line
+    or its config is malformed."""
 
 
 class NoResonantModeError(ValueError):

@@ -71,3 +71,17 @@ def test_traced_generator_apply_counts_its_flops(bench):
     assert len(applies) == 1
     assert tracer.values[applies[0]] == (2 + 4 * 4) * 8.0 * space.dim ** 3
     assert not hasattr(dynamics.LindbladGenerator.apply, "__wrapped__")
+
+
+@pytest.mark.parametrize("workload", ["certify-large", "relax-evolve", "cli-scan"])
+def test_each_workload_case_passes_its_checks(bench, workload, tmp_path):
+    # the argv and keyword options the benchmark passes, run as it runs them
+    assert workload in bench.workloads.WORKLOADS
+    ctx = bench.workloads.Context(ROOT, str(tmp_path), 1, in_process=True)
+    cases = bench.workloads.build(workload, 1)
+    bench.workloads.warm_up(workload, cases, ctx)
+    for case in cases:
+        case.run(ctx)
+    assert [name for name, _ok, _detail in ctx.results] == [
+        name for case in cases for name in case.check_names]
+    assert all(ok for _name, ok, _detail in ctx.results), ctx.results

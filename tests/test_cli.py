@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from cavitybic import bic, cli, dynamics, linear
@@ -621,23 +621,15 @@ def test_evolve_with_a_subnormal_cascade_denominator_prints_no_nan(capsys):
     assert float(rows[-1][2]) == pytest.approx(float(rows[0][2]))  # no loss to speak of
 
 
-def test_negative_atol_is_a_validation_error(capsys):
-    # (4, 3) needs more coefficients than the cascade may hold; RK45 raised
-    # a bare ValueError on the negative atol, which ended in a traceback
-    code, out, err = run_captured(capsys, "evolve", "--set", "n_chain=4", "--set", "m_atoms=3",
-                                  "--set", "atol=-1")
+@pytest.mark.parametrize("experiment, key", [("evolve", "rtol"), ("evolve", "atol"),
+                                             ("sweep-chi", "seed"), ("qfactor", "seed")])
+def test_retired_keys_are_unknown_config_keys(experiment, key, capsys):
+    # rtol and atol set only the RK45 fallback's tolerances, now fixed;
+    # sweep-chi and qfactor draw no random numbers
+    code, out, err = run_captured(capsys, experiment, "--set", f"{key}=1")
     assert code == 1 and out == ""
-    assert err.splitlines() == ["error: bad value for 'atol': must be >= 0, got -1.0"]
-
-
-@pytest.mark.parametrize("rtol", ["-1", "0"])
-def test_nonpositive_rtol_is_a_validation_error(capsys, rtol):
-    # the exceptional point runs on RK45, which warned and clamped such an
-    # rtol; a cascade run ignored it
-    code, out, err = run_captured(capsys, "evolve", "--set", "n_chain=2", "--set", "m_atoms=1",
-                                  "--set", "g=0.25", "--set", f"rtol={rtol}")
-    assert code == 1 and out == ""
-    assert err.splitlines() == [f"error: bad value for 'rtol': must be > 0, got {float(rtol)!r}"]
+    assert err.splitlines() == [f"error: unknown config key {key!r} for experiment "
+                                f"{experiment!r}"]
 
 
 @pytest.mark.parametrize("settings", [("omega_c=1e308",), ("g=1e200", "t_end=1")])
@@ -744,6 +736,59 @@ def test_any_override_ends_in_a_documented_exit(argv, capsys):
                 fields = fields[:1] + fields[3:]  # q_exact and q_approx may be inf
             assert not {"nan", "inf", "-inf"} & set(fields), line
             assert not line.endswith(("=nan", "=inf")), line
+
+
+# Malformed command lines: each argv below is broken in one way by
+# construction, and must end in exit 1 with one error line, as any other
+# validation error does.  Paths are relative to a fresh temporary directory.
+_WORDS = st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=8)
+_LONG_OPTIONS = ("--config", "--help", "--out", "--seed", "--set")
+_RETIRED_KEYS = {"evolve": ["rtol", "atol"], "sweep-chi": ["seed"], "qfactor": ["seed"]}
+
+
+@st.composite
+def _malformed_argv(draw):
+    experiment = draw(st.sampled_from(sorted(SCHEMAS)))
+    groups = draw(st.lists(st.sampled_from([["--set", "g=0.2"], ["--set", "m_atoms=2"],
+                                            ["--out", "out.csv"]]), max_size=2))
+    flaw = draw(st.sampled_from(["subcommand", "flag", "set", "key", "seed", "config"]))
+    if flaw == "subcommand":  # missing, or a name that no subcommand starts with
+        name = draw(st.none() | _WORDS.filter(
+            lambda w: not any(known.startswith(w) for known in SCHEMAS)))
+        return [name] * (name is not None) + [arg for group in groups for arg in group]
+    if flaw == "flag":
+        bad = ["--" + draw(_WORDS.filter(
+            lambda w: not any(opt.startswith("--" + w) for opt in _LONG_OPTIONS)))]
+    elif flaw == "set":
+        bad = ["--set", draw(_WORDS | st.just(""))]
+    elif flaw == "key":
+        key = draw(st.sampled_from(_RETIRED_KEYS.get(experiment, ["bogus"]))
+                   | _WORDS.filter(lambda w: w not in SCHEMAS[experiment]))
+        bad = ["--set", f"{key}=1"]
+    elif flaw == "seed" and "seed" in SCHEMAS[experiment]:
+        bad = ["--seed", draw(st.sampled_from(["x", "1.5", "", "0x10", "one"])
+                              | st.integers(max_value=-1).map(str))]
+    elif flaw == "seed":
+        bad = ["--seed", str(draw(st.integers(0, 3)))]
+    else:
+        bad = ["--config", "missing.cfg"]
+    groups.insert(draw(st.integers(0, len(groups))), bad)
+    return [experiment] + [arg for group in groups for arg in group]
+
+
+@settings(deadline=None, max_examples=200, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_malformed_argv())
+@example(argv=["sweep-chi", "--seed", "1"])
+@example(argv=["qfactor", "--seed", "1"])
+def test_any_malformed_command_line_is_a_validation_error(argv, tmp_path, monkeypatch,
+                                                          capsys):
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    code, out, err = run_captured(capsys, *argv)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    assert not os.path.exists("out.csv")
 
 
 @st.composite

@@ -181,7 +181,7 @@ def test_evolve_from_cross_sector_state_matches_dense_oracle(k_low, k_high):
 
     t_end, dt = 20.0, 1.0
     traj = evolve(p, rho0, t_end, include_atomic_decay=True, snapshot_dt=dt,
-                  rtol=1e-10, atol=1e-12, detect_steady=False)
+                  detect_steady=False)
     oracle = dense_lindblad_apply(p, space, include_atomic_decay=True)
     dim = space.dim
     ref = solve_ivp(lambda _t, y: oracle(y.reshape(dim, dim)).ravel(), (0.0, t_end),
@@ -212,6 +212,33 @@ def test_evolve_rejects_too_fine_snapshot_grid():
     rho0 = DensityMatrix.from_pure(space, left_excited_state(space, 1))
     with pytest.raises(ValueError, match="t_end / snapshot_dt must be at most"):
         evolve(p, rho0, 2000.0, snapshot_dt=1e-300)
+
+
+@pytest.mark.parametrize("bound, value, message", [
+    ("MAX_REACHED_ENTRIES", 250,
+     "the reach holds 251 entries, more than MAX_REACHED_ENTRIES = 250"),
+    ("MAX_KEPT_ENTRIES", 251 * 11 - 1,
+     "evolve would keep 11 snapshots of 251 entries, more than MAX_KEPT_ENTRIES = 2760"),
+])
+def test_evolve_above_its_size_bounds_raises_before_it_allocates(bound, value, message,
+                                                                 monkeypatch):
+    # a start in sector 2 of (N, M) = (2, 2) reaches 1 + 5^2 + 15^2 = 251 entries
+    p = triple_cavity(m_atoms=2, gamma_c=1.0)
+    space = stack_sectors(p, 2)
+    rho0 = DensityMatrix.from_pure(space, left_excited_state(space, 2))
+    with monkeypatch.context() as patch:
+        patch.setattr(dynamics, bound, value + 1)  # at the bound the run goes ahead
+        assert len(evolve(p, rho0, 10.0, snapshot_dt=1.0, detect_steady=False).times) == 11
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("allocated past the bound")
+
+    monkeypatch.setattr(dynamics, bound, value)
+    for name in ("_Cascade", "_Rk45"):
+        monkeypatch.setattr(dynamics, name, refuse)
+    with pytest.raises(ValueError) as raised:
+        evolve(p, rho0, 10.0, snapshot_dt=1.0, detect_steady=False)
+    assert str(raised.value) == message
 
 
 def test_positivity_loss_aborts_the_run(monkeypatch):
@@ -625,7 +652,9 @@ def _tight_rk45(monkeypatch, *args, **kwargs):
     """``evolve`` pushed onto its RK45 fallback by the storage guard."""
     with monkeypatch.context() as patch:
         patch.setattr(dynamics, "MAX_CASCADE_COEFFICIENTS", 0)
-        traj = evolve(*args, rtol=1e-11, atol=1e-13, **kwargs)
+        patch.setattr(dynamics, "_RK45_RTOL", 1e-11)
+        patch.setattr(dynamics, "_RK45_ATOL", 1e-13)
+        traj = evolve(*args, **kwargs)
     assert traj.diagnostics.propagator == "rk45"
     assert "MAX_CASCADE_COEFFICIENTS" in traj.diagnostics.fallback_reason
     return traj
