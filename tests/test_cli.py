@@ -632,6 +632,16 @@ def test_retired_keys_are_unknown_config_keys(experiment, key, capsys):
                                 f"{experiment!r}"]
 
 
+@pytest.mark.parametrize("rtol", ["-1", "0"])
+def test_nonpositive_rtol_is_a_validation_error(capsys, rtol):
+    # the exceptional point runs on RK45, which once warned and clamped such
+    # an rtol; the key is retired, so any rtol is refused before a run starts
+    code, out, err = run_captured(capsys, "evolve", "--set", "n_chain=2", "--set", "m_atoms=1",
+                                  "--set", "g=0.25", "--set", f"rtol={rtol}")
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["error: unknown config key 'rtol' for experiment 'evolve'"]
+
+
 @pytest.mark.parametrize("settings", [("omega_c=1e308",), ("g=1e200", "t_end=1")])
 def test_a_failed_run_prints_one_stderr_line_without_its_warnings(settings):
     # both runs raise numpy and scipy.sparse RuntimeWarnings on the way to
