@@ -339,6 +339,18 @@ def assemble_bic_state(params: ModelParams, k: int,
     return StateVector(sector, vec)
 
 
+def _residual_norm(x: np.ndarray) -> float:
+    """||x||.  Where that overflows although every entry is finite (np.linalg
+    squares each entry, so at entries above about 1e154), it is taken of x
+    divided by its largest real or imaginary part, and multiplied back."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(x))
+    if not math.isfinite(norm) and np.isfinite(x).all():
+        scale = float(max(np.abs(x.real).max(), np.abs(x.imag).max()))
+        norm = scale * float(np.linalg.norm(x / scale))
+    return norm
+
+
 def verify_trapping(params: ModelParams, psi: StateVector,
                     k: int | None = None) -> TrappingReport:
     """Residual norms certifying (or refuting) that ``psi`` is trapped.
@@ -364,7 +376,7 @@ def verify_trapping(params: ModelParams, psi: StateVector,
 
     energy = (k - params.m_atoms) * params.omega_a
     hv = apply_hamiltonian(params, sector, maps, v, lowered)
-    eigen_residual = float(np.linalg.norm(hv - energy * v))
+    eigen_residual = _residual_norm(hv - energy * v)
 
     n_chain = params.n_chain
     bq = sum(w * lowered[slot]
@@ -372,7 +384,7 @@ def verify_trapping(params: ModelParams, psi: StateVector,
     residuals = {}
     for side, atoms in (("L", n_chain + 1), ("R", n_chain + 2)):
         condition = params.g * lowered[atoms] + coupling_lambda(params, params.q, side) * bq
-        residuals[side] = float(np.linalg.norm(condition))
+        residuals[side] = _residual_norm(condition)
     return TrappingReport(eigen_residual, residuals["L"], residuals["R"])
 
 

@@ -75,8 +75,6 @@ SCHEMAS: dict[str, dict[str, tuple[Callable, object]]] = {
         **_MODEL_KEYS,
         "seed": (int, 0),
         "k_excitations": (int, 2),
-        "residual_tol": (float, 1e-8),
-        "overlap_tol": (float, 1e-8),
     },
     "sweep-chi": {
         **_MODEL_KEYS,
@@ -122,6 +120,10 @@ MAX_GRID_POINTS = 100_000
 # log-factorial table grows with m_atoms.
 MAX_N_CHAIN = math.isqrt(MAX_SECTOR_ENTRIES) - 3
 MAX_M_ATOMS = math.isqrt(MAX_SECTOR_ENTRIES) - 1
+
+# bic passes when every trapping residual and |1 - the null-space overlap|
+# are at most this.
+_PASS_TOL = 1e-8
 
 # q=auto accepts a chain mode no farther from omega_a than the bare cavity
 # (|delta|) plus this slack for the rounding of the mode frequencies;
@@ -276,10 +278,7 @@ def run_bic(config: RunConfig, stream: IO[str]) -> int:
         print(f"photon_fraction={_fmt(observables.mean_photons / k)}", file=stream)
         print(f"atom_fraction={_fmt(observables.mean_excited / k)}", file=stream)
 
-    residual_tol = float(config.options["residual_tol"])
-    overlap_tol = float(config.options["overlap_tol"])
-    passed = (report.max_residual <= residual_tol
-              and abs(overlap - 1.0) <= overlap_tol)
+    passed = report.max_residual <= _PASS_TOL and abs(overlap - 1.0) <= _PASS_TOL
     print(f"status={'PASS' if passed else 'FAIL'}", file=stream)
     return EXIT_OK if passed else EXIT_TOLERANCE
 
@@ -348,15 +347,13 @@ def run_evolve(config: RunConfig, stream: IO[str]) -> int:
         snapshot_dt=snapshot_dt,
         detect_steady=bool(config.options["detect_steady"]))
 
-    trapped = [bic.assemble_bic_state(p, i, sector=space.sectors[i])
-               for i in range(k_init + 1)]
+    probs = trajectory.states.expectations(
+        [bic.assemble_bic_state(p, i, sector=space.sectors[i]) for i in range(k_init + 1)])
     prob_cols = [f"P{i}" for i in range(k_init + 1)]
     print("lambda_t," + ",".join(prob_cols) + ",trace,min_eig", file=stream)
-    for t, state, min_eig in zip(trajectory.times, trajectory.states,
-                                 trajectory.min_eigenvalues):
-        probs = dynamics.trapped_probabilities(state, trapped)
-        cells = [t, *probs, state.trace(), min_eig]
-        print(",".join(_fmt(v) for v in cells), file=stream)
+    for t, row, trace, min_eig in zip(trajectory.times, probs, trajectory.traces,
+                                      trajectory.min_eigenvalues):
+        print(",".join(_fmt(v) for v in (t, *row, trace, min_eig)), file=stream)
     print(f"# steady_state_reached={_fmt(trajectory.steady_reached)}", file=stream)
     if trajectory.steady_time is not None:
         print(f"# steady_time={_fmt(trajectory.steady_time)}", file=stream)

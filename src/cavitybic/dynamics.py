@@ -47,8 +47,11 @@ the run, and the run stops early once max |d rho / dt| stays below
 ``STEADY_THRESHOLD`` lam.  Both tests judge a chunk of snapshots at once,
 as array operations: the steady stop is found in the chunk (with one flag
 carried from the chunk before), and positivity is judged up to it, as one
-stacked ``eigvalsh`` per sector.  A trajectory keeps each snapshot as its
-reached entries alone.
+stacked ``eigvalsh`` per sector.  A trajectory keeps each snapshot, the
+initial state included, as its reached entries alone, and it is the only
+record of a run: the diagnostics are reductions over it, and the trapped
+states' populations are read from those entries, weighed at their
+positions, without rebuilding a matrix.
 
 Importing this module loads no scipy module, and neither does building
 the generator's blocks.  ``scipy.sparse`` is imported where the sparse
@@ -160,9 +163,6 @@ class DensityMatrix:
         rho = np.zeros((space.dim, space.dim), dtype=np.complex128)
         rho[0, 0] = 1.0
         return cls(space, rho)
-
-    def copy(self) -> "DensityMatrix":
-        return DensityMatrix(self.space, self.data.copy())
 
     def trace(self) -> float:
         return float(np.trace(self.data).real)
@@ -392,38 +392,49 @@ class TrajectoryDiagnostics:
 
 
 class TrajectoryStates(Sequence):
-    """The states of a ``Trajectory``, read-only.  The first is the initial
-    state as given.  Every later one is kept as its symmetrised entries at
-    ``index``, the positions in ``rho.ravel()`` of the sector blocks that
-    the run reaches (all other entries are zero), and is rebuilt as a
-    ``DensityMatrix`` each time it is read."""
+    """The states of a ``Trajectory``, read-only.  Each is kept as its
+    entries at ``index``, the positions in ``rho.ravel()`` of the sector
+    blocks that the run reaches (all other entries are zero): the initial
+    state's as given, every later one's symmetrised.  A state is rebuilt as
+    a ``DensityMatrix`` each time it is read; ``expectations`` reads the
+    kept entries directly."""
 
-    def __init__(self, initial: DensityMatrix, index: np.ndarray,
-                 entries: list[np.ndarray]):
-        self.initial = initial
+    def __init__(self, space: SectorStack, index: np.ndarray, entries: list[np.ndarray]):
+        self.space = space
         self.index = index
-        self.entries = entries  # one row of len(index) entries per later state
+        self.entries = entries  # one row of len(index) entries per state
 
     def __len__(self) -> int:
-        return 1 + len(self.entries)
+        return len(self.entries)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
             return [self[j] for j in range(len(self))[i]]
-        i = range(len(self))[i]  # negative indices count from the end
-        if i == 0:
-            return self.initial.copy()
-        dim = self.initial.space.dim
+        dim = self.space.dim
         flat = np.zeros(dim * dim, dtype=np.complex128)
-        flat[self.index] = self.entries[i - 1]
-        return DensityMatrix(self.initial.space, flat.reshape(dim, dim))
+        flat[self.index] = self.entries[i]
+        return DensityMatrix(self.space, flat.reshape(dim, dim))
+
+    def expectations(self, states: Sequence[StateVector]) -> np.ndarray:
+        """<beta| rho |beta> of each of ``states`` (columns) in each kept
+        state (rows).  Each beta is weighed at the kept positions alone,
+        conj(beta_r) beta_c at position r d + c, so no d x d matrix is built."""
+        vecs = np.array([self.space.embed(state) for state in states]).reshape(-1, self.space.dim)
+        rows, cols = np.divmod(self.index, self.space.dim)
+        weights = vecs.conj()[:, rows] * vecs[:, cols]
+        return np.array([(weights @ row).real for row in self.entries])
 
 
 @dataclass
 class Trajectory:
+    """What ``evolve`` kept of a run, one item per kept snapshot from t = 0
+    on in ``times``, ``states``, ``min_eigenvalues`` and ``traces``, and the
+    diagnostics reduced from them."""
+
     times: np.ndarray
     states: TrajectoryStates
     min_eigenvalues: np.ndarray  # smallest eigenvalue of each stored state
+    traces: np.ndarray  # np.trace of each stored state, to the bit
     steady_reached: bool = False
     steady_time: float | None = None
     diagnostics: TrajectoryDiagnostics = field(default_factory=TrajectoryDiagnostics)
@@ -727,11 +738,17 @@ def evolve(params: ModelParams, rho0: DensityMatrix, t_end: float, *,
     next chunk), then positivity of the snapshots up to that stop alone,
     one stacked ``eigvalsh`` per sector over their diagonal blocks (the
     full matrix's for a snapshot with a nonzero entry off those blocks, as
-    ``DensityMatrix.min_eigenvalue`` does).  ``diagnostics``' trace drift,
-    smallest eigenvalue and off-block size are reductions over the kept
-    snapshots, and ``rhs_sup_last`` is the last kept one's d rho / dt.
-    ``trajectory.states`` keeps each snapshot as its symmetrised entries at
-    the reach's positions and builds the ``DensityMatrix`` when it is read.
+    ``DensityMatrix.min_eigenvalue`` does).  Every kept snapshot, t = 0
+    first, adds one item to each of the run's per-snapshot lists: its time,
+    its entries at the reach's positions (``rho0``'s as given, every later
+    one's symmetrised), its trace, its smallest eigenvalue (``rho0``'s from
+    ``rho0.min_eigenvalue()``) and its largest entry off the diagonal
+    blocks.  ``trajectory.states`` holds the entries and builds a
+    ``DensityMatrix`` when one is read; ``trajectory.traces`` and
+    ``trajectory.min_eigenvalues`` hold the others.  ``diagnostics`` is
+    built once, after the last chunk: its trace drift, smallest eigenvalue
+    and off-block size are Python ``max``/``min`` over those lists in time
+    order, and ``rhs_sup_last`` is the last kept snapshot's d rho / dt.
     ``rho0`` must be Hermitian and enumerated for ``params``' ``n_chain``
     and ``m_atoms``; otherwise ``ValueError``.  A grid of more than
     ``MAX_SNAPSHOTS`` snapshots raises ``ValueError``, and so does, before
@@ -777,16 +794,22 @@ def evolve(params: ModelParams, rho0: DensityMatrix, t_end: float, *,
     label = _sector_labels(space)
     offblock = label[index // dim] != label[index % dim]
     on_diagonal = np.flatnonzero(index // dim == index % dim)
-    trace0 = rho0.trace()
+    # one item per kept snapshot, t = 0 first, in each of these lists
+    kept_times, entries, traces, min_eigs, offblocks = [], [], [], [], []
 
-    min_eigs = [rho0.min_eigenvalue()]
-    diag = TrajectoryDiagnostics(min_eigenvalue=min_eigs[0],
-                                 max_offblock=float(np.abs(y0[offblock]).max(initial=0.0)),
-                                 propagator=path.name, fallback_reason=fallback_reason)
-    kept_times = [0.0]
-    entries: list[np.ndarray] = []
+    def keep(ts: list[float], ys: np.ndarray, chunk_min_eigs: list[float]) -> None:
+        diagonals = np.zeros((len(ys), dim), dtype=np.complex128)
+        diagonals[:, index[on_diagonal] // dim] = ys[:, on_diagonal]
+        traces.extend(diagonals.sum(axis=1).real.tolist())  # np.trace of each, to the bit
+        offblocks.extend(np.abs(ys[:, offblock]).max(axis=1, initial=0.0).tolist())
+        kept_times.extend(ts)
+        entries.extend(ys)
+        min_eigs.extend(chunk_min_eigs)
+
+    keep([0.0], y0[None], [rho0.min_eigenvalue()])
     steady_time: float | None = None
     below = False  # the last judged snapshot's rhs_sup is below the threshold
+    rhs_sup_last = 0.0
 
     for ts, ys in path.chunks(times):
         ys_sym = 0.5 * (ys + ys[:, transposes].conj())  # symmetrized storage
@@ -802,35 +825,31 @@ def evolve(params: ModelParams, rho0: DensityMatrix, t_end: float, *,
         if len(bad):
             raise IntegrationError(f"positivity violated at t={ts[bad[0]]:.6g}: min eigenvalue "
                                    f"{chunk_min_eigs[bad[0]]:.3e}")
-        diagonals = np.zeros((n, dim), dtype=np.complex128)
-        diagonals[:, index[on_diagonal] // dim] = ys_sym[:, on_diagonal]
-        traces = diagonals.sum(axis=1).real  # np.trace of each snapshot, to the bit
-        # the builtins keep the first of equal values, as a running max or min does
-        diag.max_trace_drift = max(diag.max_trace_drift, *np.abs(traces - trace0).tolist())
-        diag.min_eigenvalue = min(diag.min_eigenvalue, *chunk_min_eigs)
-        diag.max_offblock = max(diag.max_offblock,
-                                *np.abs(ys_sym[:, offblock]).max(axis=1, initial=0.0).tolist())
-        diag.rhs_sup_last = float(rhs_sups[n - 1])
-        entries.extend(ys_sym)
-        min_eigs.extend(chunk_min_eigs)
-        kept_times.extend(ts.tolist())
+        keep(ts.tolist(), ys_sym, chunk_min_eigs)
+        rhs_sup_last = float(rhs_sups[n - 1])
         if len(stops):
             steady_time = kept_times[-1]
             break
-    diag.n_rhs_evaluations = path.n_rhs_evaluations
 
-    return Trajectory(np.array(kept_times), TrajectoryStates(rho0.copy(), index, entries),
-                      np.array(min_eigs), steady_time is not None, steady_time, diag)
+    # the builtins keep the first of equal values, in time order
+    diag = TrajectoryDiagnostics(
+        max_trace_drift=max(abs(trace - traces[0]) for trace in traces),
+        min_eigenvalue=min(min_eigs), max_offblock=max(offblocks), rhs_sup_last=rhs_sup_last,
+        n_rhs_evaluations=path.n_rhs_evaluations, propagator=path.name,
+        fallback_reason=fallback_reason)
+    return Trajectory(np.array(kept_times), TrajectoryStates(space, index, entries),
+                      np.array(min_eigs), np.array(traces), steady_time is not None,
+                      steady_time, diag)
 
 
 def trapped_probabilities(rho: DensityMatrix,
                           bic_states: Sequence[StateVector]) -> list[float]:
-    """Diagonal expectations <beta_i| rho |beta_i> of the given trapped states."""
-    out = []
-    for state in bic_states:
-        vec = rho.space.embed(state)
-        out.append(float(np.real(vec.conj() @ rho.data @ vec)))
-    return out
+    """Diagonal expectations <beta_i| rho |beta_i> of the given trapped
+    states, read from the nonzero entries of ``rho`` as
+    ``TrajectoryStates.expectations`` reads a run's kept entries."""
+    index = np.flatnonzero(rho.data)
+    states = TrajectoryStates(rho.space, index, [rho.data.ravel()[index]])
+    return states.expectations(bic_states)[0].tolist()
 
 
 # -- twisted collective spin --------------------------------------------

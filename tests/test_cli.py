@@ -190,6 +190,24 @@ def test_identical_configs_give_identical_bytes(tmp_path):
     assert blobs[0] == blobs[1]
 
 
+@pytest.mark.parametrize("argv", [
+    ("bic",),
+    ("sweep-chi", "--set", "chi_points=41"),
+    ("qfactor", "--set", "delta_points=61"),
+    ("evolve", "--set", "t_end=200"),
+    ("evolve", "--set", "n_chain=2", "--set", "m_atoms=1", "--set", "g=0.25",  # on RK45
+     "--set", "t_end=100"),
+])
+def test_identical_configs_give_identical_bytes_across_processes(argv):
+    runs = []
+    for hash_seed in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "PYTHONHASHSEED": hash_seed}
+        proc = subprocess.run([sys.executable, "-m", "cavitybic", *argv],
+                              capture_output=True, env=env)
+        runs.append((proc.returncode, proc.stdout, proc.stderr))
+    assert runs[0] == runs[1] and runs[0][0] == 0 and runs[0][1]
+
+
 def test_qfactor_csv_and_tolerance_gate(tmp_path):
     out_path = tmp_path / "q.csv"
     code = run_in_process("qfactor", "--set", "delta_points=13", "--out", str(out_path))
@@ -394,6 +412,22 @@ def test_overflowing_amplitude_table_is_a_numerical_failure(argv, capsys):
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("numerical failure: the K=2 amplitude table overflows")
     assert "nan" not in captured.out and "status=" not in captured.out
+
+
+@pytest.mark.parametrize("settings", [(), ("--set", "n_chain=8")])
+def test_bic_residuals_whose_squares_overflow_are_finite(settings):
+    # at delta = 1e200 the residual vectors hold entries near 1e199, whose
+    # squares overflow; the norm is linear in delta there, so it is 1e100
+    # times the norm at delta = 1e100, where nothing overflows
+    fields = []
+    for delta in ("1e200", "1e100"):
+        code, out, err = run_cli("bic", "--set", f"delta={delta}", *settings)
+        assert code == 3 and err == "" and "status=FAIL" in out
+        fields.append(dict(line.split("=") for line in out.splitlines()
+                           if "=" in line and not line.startswith("#")))
+    for key in ("eigen_residual", "random_unit_residual"):
+        assert math.isfinite(float(fields[0][key]))
+        assert float(fields[0][key]) == pytest.approx(1e100 * float(fields[1][key]), rel=1e-12)
 
 
 def test_evolve_at_an_exceptional_point_runs_on_rk45(capsys):
@@ -622,10 +656,12 @@ def test_evolve_with_a_subnormal_cascade_denominator_prints_no_nan(capsys):
 
 
 @pytest.mark.parametrize("experiment, key", [("evolve", "rtol"), ("evolve", "atol"),
-                                             ("sweep-chi", "seed"), ("qfactor", "seed")])
+                                             ("sweep-chi", "seed"), ("qfactor", "seed"),
+                                             ("bic", "residual_tol"), ("bic", "overlap_tol")])
 def test_retired_keys_are_unknown_config_keys(experiment, key, capsys):
     # rtol and atol set only the RK45 fallback's tolerances, now fixed;
-    # sweep-chi and qfactor draw no random numbers
+    # sweep-chi and qfactor draw no random numbers; bic passes at one fixed
+    # 1e-8 in place of residual_tol and overlap_tol
     code, out, err = run_captured(capsys, experiment, "--set", f"{key}=1")
     assert code == 1 and out == ""
     assert err.splitlines() == [f"error: unknown config key {key!r} for experiment "

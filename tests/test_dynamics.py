@@ -375,6 +375,26 @@ def test_trajectory_records_min_eigenvalue_of_each_state(relaxation_run):
     assert traj.diagnostics.min_eigenvalue == traj.min_eigenvalues.min()
 
 
+def test_readout_from_the_kept_entries_matches_each_rebuilt_state(relaxation_run):
+    # the weighed entries sum in another order than beta+ rho beta on the
+    # rebuilt matrix, so P may move in its last bits: at most 1e-15; the
+    # traces are np.trace of each rebuilt matrix to the bit
+    p, space = relaxation_run.params, relaxation_run.space
+    cross = space.embed(left_excited_state(space, 1))
+    cross[0] = 0.6  # a start with nonzero blocks off the diagonal
+    rho0 = DensityMatrix.from_vector(space, cross / np.linalg.norm(cross))
+    for traj in (relaxation_run.trajectory, evolve(p, rho0, 40.0, detect_steady=False)):
+        readout = traj.states.expectations(relaxation_run.trapped)
+        vecs = [space.embed(beta) for beta in relaxation_run.trapped]
+        reference = [[np.real(v.conj() @ state.data @ v) for v in vecs] for state in traj.states]
+        assert readout.shape == (len(traj.times), 3)
+        assert np.abs(readout - reference).max() <= 1e-15
+        assert np.abs(readout - [trapped_probabilities(state, relaxation_run.trapped)
+                                 for state in traj.states]).max() <= 1e-15
+        assert np.array_equal(traj.traces, [np.trace(state.data).real for state in traj.states])
+    assert traj.diagnostics.max_offblock > 0.1
+
+
 def test_trajectory_keeps_each_snapshot_as_its_reached_entries():
     p = triple_cavity(m_atoms=3, g=0.1, gamma_c=1.0)
     space = stack_sectors(p, 3)
@@ -386,9 +406,10 @@ def test_trajectory_keeps_each_snapshot_as_its_reached_entries():
     assert np.array_equal(states[-21].data, rho0.data) and states[0].data is not rho0.data
     with pytest.raises(IndexError):
         states[21]
-    # a later snapshot holds the 1,476 entries of the reached blocks, not 3,136
+    # every snapshot, t = 0 included, holds the 1,476 entries of the reached
+    # blocks, not 3,136
     assert space.dim ** 2 == 3136 and states.index.size == 1476
-    assert [row.shape for row in states.entries] == [(1476,)] * 20
+    assert [row.shape for row in states.entries] == [(1476,)] * 21
 
     # each state is what the full symmetrised snapshot used to be, to the bit
     gen = lindblad_generator(p, space)
