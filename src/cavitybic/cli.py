@@ -1,4 +1,4 @@
-"""Batch front end: config parsing, experiment drivers, CSV/report output.
+"""Batch front end: config parsing, experiment drivers and their text output.
 
 Experiments
 -----------
@@ -13,9 +13,12 @@ qfactor    scaled quality factor of the trapped mode versus detuning,
 
 Configuration is a flat ``key=value`` text file plus repeatable
 ``--set key=value`` overrides.  All frequencies and rates are expressed in
-units of the hopping rate (lam = 1 internally).  Every output starts with
-comment lines echoing the fully resolved configuration, so identical
-configs give byte-identical files.
+units of the hopping rate (lam = 1 internally).  Each experiment accepts
+only the keys its driver reads (``SCHEMAS``); the model parameters it does
+not read keep their defaults (the triple cavity, n_chain = 2, at
+omega_c = 0 and zero detuning).  Every output starts with comment lines
+echoing the fully resolved configuration, so identical configs give
+byte-identical files.
 
 Exit codes: 0 success, 1 validation error (a malformed command line
 included), 2 numerical failure (any other error included), 3 tolerance
@@ -38,7 +41,6 @@ import numpy as np
 from . import bic, dynamics, linear
 from .model import (MAX_SECTOR_ENTRIES, ModelParams, NoResonantModeError, ParamError,
                     enumerate_sector, resonant_mode_index, sector_dim, validate_params)
-from .operators import normal_mode_frequency
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -70,14 +72,22 @@ _MODEL_KEYS: dict[str, tuple[Callable, object]] = {
     "q": (_parse_q, "auto"),
 }
 
+
+def _model_keys(*names: str) -> dict[str, tuple[Callable, object]]:
+    return {name: _MODEL_KEYS[name] for name in names}
+
+
+# Each subcommand accepts only the model keys its driver reads; the others
+# stay at their _MODEL_KEYS defaults and are not echoed.  sweep-chi needs no
+# chain keys: on resonance its rows depend on chi, M and K alone.
 SCHEMAS: dict[str, dict[str, tuple[Callable, object]]] = {
     "bic": {
-        **_MODEL_KEYS,
+        **_model_keys("n_chain", "m_atoms", "g", "delta", "omega_c", "q"),
         "seed": (int, 0),
         "k_excitations": (int, 2),
     },
     "sweep-chi": {
-        **_MODEL_KEYS,
+        **_model_keys("m_atoms"),
         "k_excitations": (int, 2),
         "chi_min": (float, 0.05),
         "chi_max": (float, 20.0),
@@ -85,7 +95,8 @@ SCHEMAS: dict[str, dict[str, tuple[Callable, object]]] = {
         "chi_scale": (str, "log"),
     },
     "evolve": {
-        **_MODEL_KEYS,
+        # the rotating frame cancels omega_c
+        **_model_keys("n_chain", "m_atoms", "g", "gamma_c", "gamma_a", "delta", "q"),
         "seed": (int, 0),
         "initial": (str, "left_excited"),
         "initial_k": (int, -1),           # -1: use m_atoms (left_excited) / required for bic
@@ -93,8 +104,8 @@ SCHEMAS: dict[str, dict[str, tuple[Callable, object]]] = {
         "snapshot_dt": (float, 2.0),
         "detect_steady": (_parse_bool, True),
     },
-    "qfactor": {
-        **_MODEL_KEYS,
+    "qfactor": {  # the triple cavity (n_chain = 2, q = 1); detuning is the swept variable
+        **_model_keys("m_atoms", "gamma_c"),
         "gamma_a": (float, 0.01),
         "g": (float, 10.0),
         "delta_min": (float, -3.0),       # in units of gamma_c
@@ -103,7 +114,6 @@ SCHEMAS: dict[str, dict[str, tuple[Callable, object]]] = {
         "max_rel_err": (float, -1.0),     # negative: no tolerance check
     },
 }
-SCHEMAS["qfactor"].pop("delta")  # detuning is the swept variable here
 
 # Float keys that must also be positive (every float key must be finite).
 _POSITIVE_KEYS = ("t_end", "snapshot_dt")
@@ -126,8 +136,7 @@ MAX_M_ATOMS = math.isqrt(MAX_SECTOR_ENTRIES) - 1
 _PASS_TOL = 1e-8
 
 # q=auto accepts a chain mode no farther from omega_a than the bare cavity
-# (|delta|) plus this slack for the rounding of the mode frequencies;
-# sweep-chi accepts its mode q no farther than the slack alone.
+# (|delta|) plus this slack for the rounding of the mode frequencies.
 _RESONANCE_SLACK = 1e-9
 
 
@@ -186,29 +195,30 @@ def resolve_config(experiment: str, raw_values: dict[str, str],
         options["seed"] = seed_override
     if options.get("seed", 0) < 0:
         raise ParamError(f"bad value for 'seed': must be >= 0, got {options['seed']!r}")
+    model = {key: options.get(key, default) for key, (_, default) in _MODEL_KEYS.items()}
     for key, bound in (("n_chain", MAX_N_CHAIN), ("m_atoms", MAX_M_ATOMS)):
-        if options[key] > bound:
+        if model[key] > bound:
             raise ParamError(f"bad value for {key!r}: must be at most {bound}, "
-                             f"got {options[key]!r}")
+                             f"got {model[key]!r}")
 
-    delta = float(options.get("delta", 0.0))
-    omega_c = float(options["omega_c"])
+    delta, omega_c = float(model["delta"]), float(model["omega_c"])
     params = ModelParams(
-        n_chain=int(options["n_chain"]),
-        m_atoms=int(options["m_atoms"]),
+        n_chain=int(model["n_chain"]),
+        m_atoms=int(model["m_atoms"]),
         omega_c=omega_c,
         omega_a=omega_c - delta,
-        g=float(options["g"]),
+        g=float(model["g"]),
         lam=1.0,
         q=1,  # placeholder until resolved below
-        gamma_c=float(options["gamma_c"]),
-        gamma_a=float(options["gamma_a"]),
+        gamma_c=float(model["gamma_c"]),
+        gamma_a=float(model["gamma_a"]),
     )
-    q = options["q"]
+    q = model["q"]
     if q == "auto":
         q = resonant_mode_index(params, tol=abs(delta) + _RESONANCE_SLACK)
     params = validate_params(params.replace(q=int(q)))
-    options["q"] = int(q)
+    if "q" in options:
+        options["q"] = int(q)
     return RunConfig(experiment=experiment, params=params, options=options)
 
 
@@ -290,11 +300,6 @@ def run_sweep_chi(config: RunConfig, stream: IO[str]) -> int:
     if k < 1:
         raise ParamError("k_excitations must be at least 1 for a composition sweep")
     grid = _grid(config, "chi", str(config.options["chi_scale"]), positive=True)
-    # off resonance the closed form is no eigenstate, so its composition means nothing
-    mismatch = abs(normal_mode_frequency(p, p.q) - p.omega_a)
-    if mismatch > _RESONANCE_SLACK:
-        raise ParamError(f"sweep-chi needs chain mode q={p.q} resonant with the atoms: "
-                         f"|Omega_q - omega_a| = {mismatch:.3e}")
     photons = bic.mean_photons_across_chi(p, k, grid)
     excited = k - photons
 
@@ -365,8 +370,6 @@ def run_evolve(config: RunConfig, stream: IO[str]) -> int:
 def run_qfactor(config: RunConfig, stream: IO[str]) -> int:
     """Quality factor of the trapped mode across a detuning grid."""
     p = config.params
-    if p.n_chain != 2:
-        raise ParamError("qfactor requires the triple-cavity configuration (n_chain=2)")
     if not p.gamma_c > 0:
         raise ParamError("qfactor requires gamma_c > 0: its detuning grid is in units of gamma_c")
     if p.g == 0:

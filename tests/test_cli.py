@@ -126,27 +126,6 @@ def test_sweep_chi_empty_grid(capsys):
     assert "empty grid" in err
 
 
-@pytest.mark.parametrize("settings, mismatch", [
-    (("delta=0.3",), "3.000e-01"),  # bic there: eigen_residual 0.035, exit 3
-    (("n_chain=4", "q=1"), "1.414e+00"),  # bic there: eigen_residual 0.33, exit 3
-])
-def test_sweep_chi_off_resonance_is_rejected(settings, mismatch, capsys):
-    # off resonance the closed form is no trapped state: its composition
-    # rows were printed with exit 0
-    code, out, err = run_captured(capsys, "sweep-chi",
-                                  *(arg for setting in settings for arg in ("--set", setting)))
-    assert (code, out) == (1, "")
-    assert err.splitlines() == ["error: sweep-chi needs chain mode q=1 resonant with the "
-                                f"atoms: |Omega_q - omega_a| = {mismatch}"]
-
-
-def test_sweep_chi_on_an_off_center_resonant_mode_runs(capsys):
-    code, out, err = run_captured(capsys, "sweep-chi", "--set", "n_chain=4", "--set", "q=1",
-                                  "--set", "delta=-1.4142135623730951")
-    assert (code, err) == (0, "")
-    assert len([line for line in out.splitlines() if not line.startswith("#")]) == 26
-
-
 def test_sweep_chi_whose_log_grid_rounds_to_inf_fails_there(capsys):
     # 10 ** log10(max float) overflows: the last point is inf, whose table
     # overflows while the first point's does not
@@ -254,48 +233,6 @@ def test_evolve_without_leakage_never_steadies(tmp_path):
     assert "# steady_state_reached=false" in out_path.read_text().splitlines()
 
 
-def _csv_columns(text):
-    # the table of a run's output, as one array per header name
-    lines = [line for line in text.splitlines() if line and not line.startswith("#")]
-    rows = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
-    return dict(zip(lines[0].split(","), rows.T))
-
-
-def _runs_at_omega_c(capsys, *argv):
-    tables = []
-    for omega_c in ("0", "1e8"):
-        code, out, _err = run_captured(capsys, *argv, "--set", f"omega_c={omega_c}")
-        assert code == 0
-        tables.append(_csv_columns(out))
-    return tables
-
-
-def test_evolve_at_a_large_cavity_frequency_keeps_its_populations(capsys):
-    # the frame leaves only -delta per excited atom on the diagonal, so a
-    # carrier of 1e8 costs the populations no digits
-    at_zero, at_large = _runs_at_omega_c(capsys, "evolve", "--set", "t_end=400",
-                                         "--set", "detect_steady=false")
-    for name in ("P0", "P1", "P2"):
-        assert np.abs(at_large[name] - at_zero[name]).max() <= 1e-12
-
-
-def test_qfactor_at_a_large_cavity_frequency_keeps_its_quality_factor(capsys):
-    at_zero, at_large = _runs_at_omega_c(capsys, "qfactor", "--set", "delta_points=61")
-    rel = np.abs(at_large["q_exact"] - at_zero["q_exact"]) / at_zero["q_exact"]
-    assert rel.max() <= 1e-7
-
-
-def test_qfactor_rows_do_not_depend_on_omega_c(capsys):
-    # the detuning reaches the matrices as given, not through
-    # omega_a = omega_c - delta: only the echo of omega_c differs
-    runs = []
-    for omega_c in ("0", "0.7", "1e8", "-3e5"):
-        code, out, err = run_captured(capsys, "qfactor", "--set", f"omega_c={omega_c}")
-        assert code == 0 and err == ""
-        runs.append([line for line in out.splitlines() if not line.startswith("# omega_c=")])
-    assert all(lines == runs[0] for lines in runs[1:])
-
-
 def test_config_file_plus_overrides(tmp_path, capsys):
     config = tmp_path / "run.cfg"
     config.write_text("# comment line\nm_atoms=2\nk_excitations=1\ng=0.2\n")
@@ -385,7 +322,6 @@ def test_auto_q_without_a_resonant_mode_is_rejected(capsys):
 
 
 @pytest.mark.parametrize("setting, message", [
-    ("n_chain=4", "error: qfactor requires the triple-cavity configuration (n_chain=2)"),
     ("gamma_c=0", "error: qfactor requires gamma_c > 0: its detuning grid is in units of gamma_c"),
     # without coupling the closed-form rate is 0/0 at zero detuning
     ("g=0", "error: qfactor requires g != 0: its closed-form decay rate is 0/0 "
@@ -565,9 +501,9 @@ def test_unreadable_config_or_out_path_is_a_validation_error(kind, tmp_path, cap
     ("bic", "--set", "k_excitations=5"),  # exit 1 from inside the driver
     ("bic", "--set", "g=1e308"),  # exit 2
     ("sweep-chi", "--set", "chi_points=0"),
-    ("qfactor", "--set", "n_chain=4"),
+    ("qfactor", "--set", "gamma_c=0"),
     ("sweep-chi", "--set", "chi_points=1", "--set", "chi_scale=bogus"),
-    ("sweep-chi", "--set", f"n_chain={MAX_N_CHAIN + 1}"),
+    ("bic", "--set", f"n_chain={MAX_N_CHAIN + 1}"),
     ("sweep-chi", "--set", f"m_atoms={MAX_M_ATOMS + 1}"),
     ("bic", "--set", "n_chain=200"),  # a sector table just above MAX_SECTOR_ENTRIES
 ])
@@ -601,7 +537,7 @@ def test_grid_above_its_bound_is_rejected(key, experiment, capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (("sweep-chi", "--set", f"n_chain={MAX_N_CHAIN + 1}"),
+    (("bic", "--set", f"n_chain={MAX_N_CHAIN + 1}"),
      f"bad value for 'n_chain': must be at most {MAX_N_CHAIN}, got {MAX_N_CHAIN + 1}"),
     (("sweep-chi", "--set", f"m_atoms={MAX_M_ATOMS + 1}"),
      f"bad value for 'm_atoms': must be at most {MAX_M_ATOMS}, got {MAX_M_ATOMS + 1}"),
@@ -617,7 +553,7 @@ def test_a_model_above_its_size_bounds_is_a_validation_error(argv, message, caps
 def test_a_model_at_its_size_bounds_is_resolved():
     # resolve_config builds no table; q is given, since an odd chain has no
     # mode at zero detuning for q=auto to find
-    config = resolve_config("sweep-chi", {"n_chain": str(MAX_N_CHAIN), "q": "1"})
+    config = resolve_config("bic", {"n_chain": str(MAX_N_CHAIN), "q": "1"})
     assert config.params.n_chain == MAX_N_CHAIN
     config = resolve_config("sweep-chi", {"m_atoms": str(MAX_M_ATOMS)})
     assert config.params.m_atoms == MAX_M_ATOMS
@@ -655,13 +591,24 @@ def test_evolve_with_a_subnormal_cascade_denominator_prints_no_nan(capsys):
     assert float(rows[-1][2]) == pytest.approx(float(rows[0][2]))  # no loss to speak of
 
 
-@pytest.mark.parametrize("experiment, key", [("evolve", "rtol"), ("evolve", "atol"),
-                                             ("sweep-chi", "seed"), ("qfactor", "seed"),
-                                             ("bic", "residual_tol"), ("bic", "overlap_tol")])
+_RETIRED_KEYS = {"bic": ["residual_tol", "overlap_tol", "gamma_c", "gamma_a"],
+                 "sweep-chi": ["seed", "n_chain", "g", "gamma_c", "gamma_a", "delta", "omega_c",
+                               "q"],
+                 "evolve": ["rtol", "atol", "omega_c"],
+                 "qfactor": ["seed", "omega_c", "n_chain", "q"]}
+
+
+@pytest.mark.parametrize("experiment, key", [(experiment, key)
+                                             for experiment, keys in _RETIRED_KEYS.items()
+                                             for key in keys])
 def test_retired_keys_are_unknown_config_keys(experiment, key, capsys):
     # rtol and atol set only the RK45 fallback's tolerances, now fixed;
     # sweep-chi and qfactor draw no random numbers; bic passes at one fixed
-    # 1e-8 in place of residual_tol and overlap_tol
+    # 1e-8 in place of residual_tol and overlap_tol.  The model keys changed
+    # nothing but their own echo line: bic's H and trapping conditions hold
+    # no damping, sweep-chi's chi stands in for g and its rows on resonance
+    # do not depend on the chain, evolve's rotating frame cancels omega_c,
+    # and qfactor runs the triple cavity at omega_c = 0
     code, out, err = run_captured(capsys, experiment, "--set", f"{key}=1")
     assert code == 1 and out == ""
     assert err.splitlines() == [f"error: unknown config key {key!r} for experiment "
@@ -678,7 +625,7 @@ def test_nonpositive_rtol_is_a_validation_error(capsys, rtol):
     assert err.splitlines() == ["error: unknown config key 'rtol' for experiment 'evolve'"]
 
 
-@pytest.mark.parametrize("settings", [("omega_c=1e308",), ("g=1e200", "t_end=1")])
+@pytest.mark.parametrize("settings", [("delta=1e308",), ("g=1e200", "t_end=1")])
 def test_a_failed_run_prints_one_stderr_line_without_its_warnings(settings):
     # both runs raise numpy and scipy.sparse RuntimeWarnings on the way to
     # their error; a separate process shows warnings as a user sees them
@@ -713,6 +660,17 @@ def test_evolve_that_loses_positivity_is_a_numerical_failure(monkeypatch, capsys
     assert err.startswith("numerical failure: positivity violated at t=2: min eigenvalue")
 
 
+@pytest.mark.parametrize("delta", ["1e8", "1e12", "1e300"])
+def test_evolve_whose_trace_drifts_is_a_numerical_failure(delta, capsys):
+    # the cascade loses the trace at a large detuning: these runs exited 0
+    # with max_trace_drift 1.2e-6, 1.2e-5 and 1.4e-3
+    code, out, err = run_captured(capsys, "evolve", "--set", "t_end=200",
+                                  "--set", f"delta={delta}")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("numerical failure: trace drifted at t=2: |trace - trace(rho0)| = ")
+
+
 def test_qfactor_whose_detuning_overflows_is_a_numerical_failure(capsys):
     # delta = delta_over_gc * gamma_c overflows: the eigensolver raised
     # ValueError on the inf entry, which ended in a traceback
@@ -720,6 +678,52 @@ def test_qfactor_whose_detuning_overflows_is_a_numerical_failure(capsys):
     assert code == 2 and out == ""
     assert err.splitlines() == ["numerical failure: the amplitude matrix overflows a float "
                                 "at delta=-inf, gamma_c=1e+308"]
+
+
+# For every config key, a setting that changes a run's output beyond the
+# key's own echo line: (settings added to the base run of its subcommand
+# first, the key's new value).  A key with no entry is read by nothing.
+_BASE_RUNS = {"bic": ["k_excitations=1"], "sweep-chi": ["chi_points=3"],
+              "evolve": ["t_end=20"], "qfactor": ["delta_points=3"]}
+_READ_KEYS = {
+    ("bic", "n_chain"): ((), "4"), ("bic", "m_atoms"): ((), "3"), ("bic", "g"): ((), "0.2"),
+    ("bic", "delta"): ((), "0.3"), ("bic", "omega_c"): ((), "0.9"),
+    ("bic", "q"): (("n_chain=4",), "1"), ("bic", "seed"): ((), "1"),
+    ("bic", "k_excitations"): ((), "2"),
+    ("sweep-chi", "m_atoms"): ((), "3"), ("sweep-chi", "k_excitations"): ((), "1"),
+    ("sweep-chi", "chi_min"): ((), "0.5"), ("sweep-chi", "chi_max"): ((), "5"),
+    ("sweep-chi", "chi_points"): ((), "4"), ("sweep-chi", "chi_scale"): ((), "linear"),
+    ("evolve", "n_chain"): ((), "4"), ("evolve", "m_atoms"): ((), "1"),
+    ("evolve", "g"): ((), "0.3"), ("evolve", "gamma_c"): ((), "0.5"),
+    ("evolve", "gamma_a"): ((), "0.05"), ("evolve", "delta"): ((), "0.2"),
+    ("evolve", "q"): (("n_chain=4",), "1"), ("evolve", "initial"): ((), "bic"),
+    ("evolve", "initial_k"): ((), "1"), ("evolve", "t_end"): ((), "30"),
+    ("evolve", "snapshot_dt"): ((), "1"), ("evolve", "detect_steady"): (("t_end=2000",), "false"),
+    ("qfactor", "m_atoms"): ((), "3"), ("qfactor", "g"): ((), "5"),
+    ("qfactor", "gamma_c"): ((), "2"), ("qfactor", "gamma_a"): ((), "0.02"),
+    ("qfactor", "delta_min"): ((), "-2"), ("qfactor", "delta_max"): ((), "2"),
+    ("qfactor", "delta_points"): ((), "5"), ("qfactor", "max_rel_err"): ((), "1e-6"),
+}
+# evolve echoes seed without reading it: the benchmark passes --seed to every
+# evolve run
+_UNREAD_KEYS = [("evolve", "seed")]
+
+
+@pytest.mark.parametrize("experiment, key", [(experiment, key) for experiment in SCHEMAS
+                                             for key in SCHEMAS[experiment]
+                                             if (experiment, key) not in _UNREAD_KEYS])
+def test_every_config_key_changes_its_output(experiment, key, capsys):
+    assert (experiment, key) in _READ_KEYS, f"no setting of {key!r} changes a {experiment} run"
+    context, value = _READ_KEYS[experiment, key]
+    argv = [experiment]
+    for setting in (*_BASE_RUNS[experiment], *context):
+        argv += ["--set", setting]
+    outputs = []
+    for extra in ((), ("--set", f"{key}={value}")):
+        code, out, err = run_captured(capsys, *argv, *extra)
+        assert code in (0, 3) and err == ""  # a run that writes its whole output
+        outputs.append([line for line in out.splitlines() if not line.startswith(f"# {key}=")])
+    assert outputs[0] != outputs[1]
 
 
 # The input contract over the whole config schema: any override a user can
@@ -789,7 +793,6 @@ def test_any_override_ends_in_a_documented_exit(argv, capsys):
 # validation error does.  Paths are relative to a fresh temporary directory.
 _WORDS = st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=8)
 _LONG_OPTIONS = ("--config", "--help", "--out", "--seed", "--set")
-_RETIRED_KEYS = {"evolve": ["rtol", "atol"], "sweep-chi": ["seed"], "qfactor": ["seed"]}
 
 
 @st.composite
@@ -918,11 +921,16 @@ def _sweep_settings(draw):
 @given(values=_sweep_settings())
 def test_sweep_chi_rows_are_the_per_point_tables(values, capsys):
     capsys.readouterr()
+    # the run takes no chain keys; the reference tables are those of the
+    # drawn resonant chain, since on resonance the rows depend on chi, M and K
+    values = dict(values)
+    chain = {key: str(values.pop(key)) for key in ("n_chain", "q", "delta")}
     code, out, err = run_captured(capsys, "sweep-chi",
                                   *(arg for key, value in values.items()
                                     for arg in ("--set", f"{key}={value}")))
     config = resolve_config("sweep-chi", {key: str(value) for key, value in values.items()})
-    p, k = config.params, values["k_excitations"]
+    p = resolve_config("bic", {**chain, "m_atoms": str(values["m_atoms"])}).params
+    k = values["k_excitations"]
     with np.errstate(over="ignore"):  # a log grid may round its last point to inf
         grid = cli._grid(config, "chi", values["chi_scale"], positive=True)
     coupling = abs(bic.chi(p.replace(g=1.0)))

@@ -236,6 +236,9 @@ def test_evolve_above_its_size_bounds_raises_before_it_allocates(bound, value, m
     monkeypatch.setattr(dynamics, bound, value)
     for name in ("_Cascade", "_Rk45"):
         monkeypatch.setattr(dynamics, name, refuse)
+    # nor is the superoperator built, on either bound
+    for name in ("superoperator", "_matrix"):
+        monkeypatch.setattr(dynamics.LindbladGenerator, name, refuse)
     with pytest.raises(ValueError) as raised:
         evolve(p, rho0, 10.0, snapshot_dt=1.0, detect_steady=False)
     assert str(raised.value) == message
@@ -249,6 +252,32 @@ def test_positivity_loss_aborts_the_run(monkeypatch):
     rho0 = DensityMatrix.from_pure(space, left_excited_state(space, 1))
     with pytest.raises(IntegrationError, match="positivity violated at t=1: min eigenvalue"):
         evolve(p, rho0, 10.0, snapshot_dt=1.0)
+
+
+def test_trace_drift_aborts_the_run(monkeypatch):
+    # a limit that every state fails, t = 0's zero drift included: the
+    # first snapshot after t = 0 aborts, as positivity does
+    monkeypatch.setattr(dynamics, "TRACE_DRIFT_LIMIT", -1.0)
+    p = triple_cavity(m_atoms=1, gamma_c=1.0)
+    space = stack_sectors(p, 1)
+    rho0 = DensityMatrix.from_pure(space, left_excited_state(space, 1))
+    with pytest.raises(IntegrationError, match=r"trace drifted at t=1: \|trace - trace\(rho0\)\|"):
+        evolve(p, rho0, 10.0, snapshot_dt=1.0)
+
+
+def test_evolve_at_a_large_cavity_frequency_keeps_its_populations():
+    # the frame leaves only -delta per excited atom on the diagonal, so a
+    # carrier of omega_c = omega_a = 1e8 costs the populations no digits
+    populations = []
+    for omega in (0.0, 1e8):
+        p = triple_cavity(m_atoms=2, g=0.1, gamma_c=1.0, omega_c=omega)
+        space = stack_sectors(p, 2)
+        rho0 = DensityMatrix.from_pure(space, left_excited_state(space, 2))
+        traj = evolve(p, rho0, 400.0, snapshot_dt=2.0, detect_steady=False)
+        populations.append(traj.states.expectations(
+            [assemble_bic_state(p, k, sector=space.sectors[k]) for k in range(3)]))
+    assert populations[0].shape == (201, 3)
+    assert np.abs(populations[1] - populations[0]).max() <= 1e-12
 
 
 def test_positivity_judges_no_snapshot_after_the_steady_stop(monkeypatch):
@@ -778,8 +807,12 @@ def test_resonant_cascade_takes_the_rk45_fallback(monkeypatch):
         assert state.data[two, two].real == pytest.approx(math.exp(-rate * t), abs=1e-7)
         assert state.data[one, one].real == pytest.approx(rate * t * math.exp(-rate * t),
                                                           abs=1e-7)
-    # without its resonance guard the cascade would return a wrong trajectory
+    # without its resonance guard the cascade loses the trace, which stops
+    # the run; without the trace check too it returns a wrong trajectory
     monkeypatch.setattr(dynamics, "_CASCADE_TOL", 1e300)
+    with pytest.raises(IntegrationError, match="trace drifted at t=1"):
+        evolve(p, rho0, 40.0, **kwargs)
+    monkeypatch.setattr(dynamics, "TRACE_DRIFT_LIMIT", math.inf)
     unguarded = evolve(p, rho0, 40.0, **kwargs)
     assert unguarded.diagnostics.propagator == "cascade"
     assert abs(unguarded.states[-1].data[one, one].real - rate * 40 * math.exp(-rate * 40)) > 1e-3

@@ -7,7 +7,7 @@ import pytest
 from scipy.linalg import eig
 from scipy.optimize import linear_sum_assignment
 
-from cavitybic import (DensityMatrix, StateVector, closed_form_decay, evolve,
+from cavitybic import (DensityMatrix, StateVector, closed_form_decay, decay_rates, evolve,
                        fit_decay_rate, gamma_approx, lindblad_generator, linear_matrix,
                        polariton_transform, q_factor, stack_sectors, trapped_mode_decay)
 from conftest import triple_cavity
@@ -16,6 +16,17 @@ from conftest import triple_cavity
 def quantum_cavity_params(delta=0.0, g=10.0, gamma_c=1.0, gamma_a=0.01, m_atoms=2):
     return triple_cavity(m_atoms=m_atoms, g=g, gamma_c=gamma_c,
                          gamma_a=gamma_a, delta=delta)
+
+
+def test_decay_rates_do_not_depend_on_omega_c():
+    # the matrices are solved at omega_c = 0 with the detuning as given, not
+    # through omega_a = omega_c - delta: the same bits at any omega_c
+    delta = np.linspace(-3.0, 3.0, 61)
+    runs = [decay_rates(quantum_cavity_params().replace(omega_c=omega_c, omega_a=omega_c), delta)
+            for omega_c in (0.0, 0.7, 1e8, -3e5)]
+    for gamma, degenerate in runs[1:]:
+        assert np.array_equal(gamma, runs[0][0])
+        assert np.array_equal(degenerate, runs[0][1])
 
 
 def test_matrix_layout():

@@ -31,7 +31,7 @@ _EVOLVE = [
     ["--set", "initial_k=0"],
     ["--set", "initial_k=1"],
     ["--set", "gamma_c=0", "--set", "t_end=50"],
-    ["--set", "omega_c=0.7", "--set", "delta=0.2"],
+    ["--set", "delta=0.2"],
     ["--set", "gamma_a=0.05", "--set", "g=0.3"],
     ["--set", "detect_steady=false", "--set", "t_end=100"],
     ["--set", "snapshot_dt=0.5", "--set", "t_end=300", "--set", "g=0.3"],
