@@ -420,6 +420,36 @@ def _qfactor_rows(out):
             if line and not line.startswith(("#", "delta"))]
 
 
+def test_qfactor_at_a_large_cavity_frequency_keeps_its_quality_factor(capsys):
+    # qfactor takes no omega_c: its table must be the quality factor of the
+    # same model at a large cavity frequency, where omega_a = omega_c - delta
+    # costs delta its last digits
+    code, out, err = run_captured(capsys, "qfactor", "--set", "delta_points=61")
+    assert code == 0 and err == ""
+    rows = _qfactor_rows(out)
+    p = resolve_config("qfactor", {"delta_points": "61"}).params
+    q_exact = np.array([float(row[1]) for row in rows])
+    at_large = np.array([linear.q_factor(p.replace(omega_c=1e8, omega_a=1e8 - float(row[0])))
+                         for row in rows])
+    assert len(rows) == 61
+    assert (np.abs(at_large - q_exact) / q_exact).max() <= 1e-7
+
+
+def test_qfactor_rows_do_not_depend_on_omega_c(capsys):
+    # the detuning reaches the matrices as given, not through
+    # omega_a = omega_c - delta: the printed q_exact is the library's
+    # quality factor bit for bit at any omega_c
+    code, out, err = run_captured(capsys, "qfactor")
+    assert code == 0 and err == ""
+    rows = _qfactor_rows(out)
+    config = resolve_config("qfactor", {})
+    p = config.params
+    delta = cli._grid(config, "delta") * p.gamma_c
+    for omega_c in (0.0, 0.7, 1e8, -3e5):
+        gamma, _ = linear.decay_rates(p.replace(omega_c=omega_c, omega_a=omega_c), delta)
+        assert [row[1] for row in rows] == [cli._fmt(p.gamma_c / rate) for rate in gamma]
+
+
 def test_qfactor_unbounded_q_on_both_sides_is_no_error(capsys):
     # without atomic loss the trapped mode at zero detuning never decays,
     # and the closed form says so too: |Q - q| / Q is 0 there, not nan
