@@ -273,10 +273,14 @@ def _null_space(a: np.ndarray) -> np.ndarray:
     """Orthonormal kernel basis (columns) of ``a`` by SVD, with scipy's rank
     rule: singular values above max(a.shape) * eps * s[0] count.
 
-    The stacked conditions (K(K+1) rows, (K+1)(K+2)/2 columns) are wide only
-    at K = 1, where the kernel needs the full V; for every K >= 2 the thin
-    SVD skips building U."""
-    _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
+    The SVD is taken of R from a = QR, which has the singular values and
+    right singular vectors of ``a``, so neither Q nor the left singular
+    vectors of ``a`` are built.  The stacked conditions (K(K+1) rows,
+    (K+1)(K+2)/2 columns) are tall for every K >= 2, where R is square; at
+    K = 1 they are wide (2 x 3), and so is R, whose kernel needs the full
+    V."""
+    r = np.linalg.qr(a, mode="r")
+    _, s, vh = np.linalg.svd(r, full_matrices=r.shape[0] < r.shape[1])
     rank = int(np.sum(s > max(a.shape) * np.finfo(s.dtype).eps * s[0]))
     return vh[rank:].conj().T
 

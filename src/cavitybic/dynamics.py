@@ -36,10 +36,11 @@ mu_ab = -i (E_K,a - conj(E_K',b)), and every mode of the block above,
 carried down by the jumps, drives it at that mode's own rate.  There is
 no step size and no tolerance.  A term e^{mu t} below the smallest
 normal float (``_TINY``) in magnitude is an exact zero and is never
-computed, and so is an entry of X(t) below it: a decayed mode costs no
-subnormal arithmetic.  Inputs the eigenbasis cannot represent
-accurately fail one of three guards: an ill-conditioned V, a resonance
-that needs a secular t e^{mu t} term, or too many coefficients.  They run
+computed, and so is each real or imaginary part, of a term or of an
+entry of X(t), below it: a decayed mode costs no subnormal arithmetic.
+Inputs the eigenbasis cannot represent accurately fail one of three
+guards: an ill-conditioned V, a resonance that needs a secular
+t e^{mu t} term, or too many coefficients.  They run
 on an adaptive RK45 integrator of the sparse superoperator instead, and
 the trajectory's diagnostics name the path that ran.  On either path a
 snapshot whose smallest eigenvalue is below -``POSITIVITY_LIMIT``, or
@@ -633,13 +634,15 @@ class _Cascade:
     def _eigenbasis(self, ts: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
         """X(t) of every reached block, row-major over its entries, one column
         per time of ``ts``.  A term e^{mu t} whose magnitude is below
-        ``_TINY`` (Re(mu t) < log _TINY) is never computed, and an entry of
-        X below ``_TINY`` is set to zero, so X holds no subnormal float."""
+        ``_TINY`` (Re(mu t) < log _TINY) is never computed, and a real or
+        imaginary part below ``_TINY``, of a term or of an entry of X, is
+        set to zero, so X holds no subnormal float."""
         expo = {}
         for key, blk in self._modes.items():
             exponent = np.outer(blk.mu, ts)
             live = exponent.real >= _LOG_TINY
-            expo[key] = (np.exp(exponent, out=np.zeros_like(exponent), where=live), live)
+            expo[key] = (_flush_subnormal(np.exp(exponent, out=np.zeros_like(exponent),
+                                                 where=live)), live)
         xs = {}
         for key in self.blocks:
             blk = self._modes[key]
@@ -648,8 +651,7 @@ class _Cascade:
             for src, p in blk.parts:
                 if expo[src][1].any():  # a block whose modes are all dead drives nothing
                     x += p @ expo[src][0]
-            x[np.abs(x) < _TINY] = 0.0
-            xs[key] = x
+            xs[key] = _flush_subnormal(x)
         return xs
 
     def _evaluate(self, ts: np.ndarray) -> np.ndarray:
@@ -659,6 +661,14 @@ class _Cascade:
             x = x.T.reshape(len(ts), len(v_k), len(v_c))
             out.append((v_k @ x @ v_c.conj().T).reshape(len(ts), -1))
         return np.hstack(out)
+
+
+def _flush_subnormal(z: np.ndarray) -> np.ndarray:
+    """Set each real and imaginary part of the complex array ``z`` that is
+    below ``_TINY`` in magnitude to zero, in place, and return ``z``."""
+    parts = z.view(np.float64)
+    parts[np.abs(parts) < _TINY] = 0.0
+    return z
 
 
 class _Rk45:
@@ -734,9 +744,10 @@ def evolve(params: ModelParams, rho0: DensityMatrix, t_end: float, *,
     ``diagnostics.propagator`` names the path that ran and
     ``diagnostics.fallback_reason`` the guard that failed.
 
-    On the cascade, a term e^{mu t} or an entry of an eigenbasis block X(t)
-    below ``_TINY`` in magnitude (the smallest normal float) is an exact
-    zero, so decayed modes cost no subnormal arithmetic.
+    On the cascade, a term e^{mu t} below ``_TINY`` in magnitude (the
+    smallest normal float) is an exact zero, and so is each real or
+    imaginary part below it of a term or of an entry of an eigenbasis block
+    X(t), so decayed modes cost no subnormal arithmetic.
 
     Trace, Hermiticity (symmetrised storage) and positivity are checked at
     every snapshot that is kept; a smallest eigenvalue below

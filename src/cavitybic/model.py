@@ -17,6 +17,7 @@ done on fixed-excitation sectors, each enumerated here as an occupation array.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -87,18 +88,25 @@ class BasisState(NamedTuple):
 
 class SectorBasis:
     """Complete, duplicate-free, lexicographically ordered basis of one
-    fixed-excitation sector, stored only as its occupation rows.
+    fixed-excitation sector, stored as its occupation rows.
 
     ``occupations`` is an int64 array of shape (dim, n_chain + 3), slots
-    a_L, b_1 .. b_{N-1}, a_R, J_L, J_R; row i, in ascending lexicographic
-    order, is basis state i, and ``indices`` maps rows back to positions.
+    a_L, b_1 .. b_{N-1}, a_R, J_L, J_R, holding every row of K excitations
+    with both atomic entries at most ``m_atoms``; row i, in ascending
+    lexicographic order, is basis state i.  ``indices`` maps rows back to
+    positions by their closed-form lexicographic rank, from a table of
+    suffix counts built here: the table is correct only for the complete
+    sector that ``enumerate_sector`` builds.
     """
 
-    __slots__ = ("k_excitations", "occupations")
+    __slots__ = ("k_excitations", "occupations", "_m_atoms", "_rank_terms")
 
-    def __init__(self, k_excitations: int, occupations: np.ndarray):
+    def __init__(self, k_excitations: int, occupations: np.ndarray, m_atoms: int):
         self.k_excitations = k_excitations
         self.occupations = occupations
+        self._m_atoms = m_atoms
+        self._rank_terms = _rank_terms(k_excitations, _slot_caps(
+            occupations.shape[1] - 3, m_atoms, k_excitations))
 
     @property
     def dim(self) -> int:
@@ -117,21 +125,33 @@ class SectorBasis:
     def indices(self, rows: np.ndarray) -> np.ndarray:
         """Basis indices of the occupation ``rows`` (integers, shape
         (r, n_chain + 3)); raises ``ValueError`` unless every row is a state
-        of this sector."""
+        of this sector.
+
+        A row is a state exactly when its entries lie in 0 .. K, both atomic
+        entries are at most M and they sum to K; its index is then its rank,
+        the sum over slots j of ``_rank_terms[j]`` at the row's prefix sum
+        through slot j.  Rows are ranked ``_RANK_SLAB`` at a time, so the
+        working memory beyond the result is a few slab columns of int64."""
         rows = np.asarray(rows)
-        k = self.k_excitations
-        # no state of sector K has an entry outside 0 .. K; inside it, the
-        # narrowest unsigned type that holds K keeps every entry exact
+        k, terms = self.k_excitations, self._rank_terms
+        # entries in 0 .. K keep every prefix sum far from overflow
         if (rows.shape[1:] != self.occupations.shape[1:]
                 or rows.size and (rows.min() < 0 or rows.max() > k)):
             raise ValueError(f"sector K={k} lacks a requested state")
-        key_type = np.dtype(np.min_scalar_type(max(k, 0))).newbyteorder(">")
-        table = np.ascontiguousarray(self.occupations, dtype=key_type)
-        query = np.ascontiguousarray(rows, dtype=key_type)
-        found = np.searchsorted(_rank_keys(table), _rank_keys(query))
-        if len(found) and (found.max() >= self.dim
-                           or not np.array_equal(table[found], query)):
-            raise ValueError(f"sector K={k} lacks a requested state")
+        found = np.empty(len(rows), dtype=np.int64)
+        for start in range(0, len(rows), _RANK_SLAB):
+            slab = rows[start:start + _RANK_SLAB]
+            rank = found[start:start + len(slab)]
+            prefix = slab[:, 0].astype(np.int64)
+            term = np.empty_like(prefix)
+            # a prefix above K belongs to a row that fails below: clip it
+            np.take(terms[0], prefix, out=rank, mode="clip")
+            for slot in range(1, len(terms)):
+                prefix += slab[:, slot]
+                rank += np.take(terms[slot], prefix, out=term, mode="clip")
+            prefix += slab[:, -1]
+            if (prefix != k).any() or slab[:, -2:].max() > self._m_atoms:
+                raise ValueError(f"sector K={k} lacks a requested state")
         return found
 
     def index_of(self, state: BasisState) -> int:
@@ -143,11 +163,44 @@ class SectorBasis:
         return f"SectorBasis(k={self.k_excitations}, dim={self.dim})"
 
 
-def _rank_keys(rows: np.ndarray) -> np.ndarray:
-    """One opaque key per row of a contiguous array of big-endian unsigned
-    entries, whose bytewise order is the rows' lexicographic order, so the
-    search needs no mixed-radix rank that could overflow."""
-    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+# Rows that SectorBasis.indices ranks at once.
+_RANK_SLAB = 2 ** 14
+
+
+def _slot_caps(n_chain: int, m_atoms: int, k: int) -> list[int]:
+    """Largest entry of each slot in sector ``k``: photons need no cap below
+    ``k``, atomic occupations are capped at ``m_atoms``."""
+    return [k] * (n_chain + 1) + [m_atoms, m_atoms]
+
+
+def _rank_terms(k: int, caps: list[int]) -> np.ndarray:
+    """Terms of the lexicographic rank of a row of sector ``k`` under
+    ``caps``: entry [j, p] for the slots 0 .. len(caps) - 2, where p is the
+    row's prefix sum through slot j.
+
+    With C_j[t] the number of rows over slots j onward (under their caps)
+    that sum to less than t, and rem_i = k - (prefix sum before slot i), the
+    rows that precede a row x are those that first differ from it in slot i
+    with a smaller entry there:
+
+        rank(x) = sum_i (C_{i+1}[rem_i + 1] - C_{i+1}[rem_i - x_i + 1]).
+
+    Since rem_i - x_i = rem_{i+1}, the sum telescopes into one term per
+    prefix, C_{j+2}[k - p + 1] - C_{j+1}[k - p + 1] at p = the prefix
+    sum through slot j, plus C_1[k + 1] - 1, folded into row 0.  Every
+    count is at most the sector's dim, so no term overflows."""
+    # cum[t] = C_j[t] for the slot j placed last, starting from no slot: the
+    # empty row, of sum 0
+    cum = [0] + [1] * (k + 1)
+    terms = []
+    for cap in reversed(caps[1:]):
+        below = [0, *itertools.accumulate(cum[t + 1] - cum[max(t - cap, 0)]
+                                          for t in range(k + 1))]
+        terms.append([cum[k + 1 - p] - below[k + 1 - p] for p in range(k + 1)])
+        cum = below
+    terms.reverse()
+    terms[0] = [term + cum[k + 1] - 1 for term in terms[0]]
+    return np.array(terms, dtype=np.int64)
 
 
 def validate_params(params: ModelParams) -> ModelParams:
@@ -221,7 +274,7 @@ def sector_occupations(params: ModelParams, k: int) -> np.ndarray:
             or sector_dim(params, k) * (params.n_chain + 3) > MAX_SECTOR_ENTRIES):
         raise ParamError(f"sector K={k} needs more than MAX_SECTOR_ENTRIES = "
                          f"{MAX_SECTOR_ENTRIES} occupation entries")
-    caps = [k] * (params.n_chain + 1) + [params.m_atoms, params.m_atoms]
+    caps = _slot_caps(params.n_chain, params.m_atoms, k)
     # suffixes[t]: rows over the last slots, placed so far, that sum to t
     suffixes = [np.zeros((1 if t == 0 else 0, 0), dtype=np.int64) for t in range(k + 1)]
     for cap in reversed(caps[1:]):
@@ -241,4 +294,4 @@ def _prepend_slot(suffixes: list[np.ndarray], cap: int, total: int) -> np.ndarra
 def enumerate_sector(params: ModelParams, k: int) -> SectorBasis:
     """Basis of the sector with excitation number ``k``, with the caps and
     order of :func:`sector_occupations`."""
-    return SectorBasis(k, sector_occupations(params, k))
+    return SectorBasis(k, sector_occupations(params, k), params.m_atoms)

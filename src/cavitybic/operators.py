@@ -140,8 +140,8 @@ def lowering_maps(params: ModelParams, sector_k: SectorBasis, sector_km1: Sector
     ``sector_k`` to ``sector_km1``.
 
     Amplitude sqrt(n) on photon slots and sqrt(n (M - n + 1)) on atom slots.
-    The lowered rows of all slots are found in ``sector_km1`` by one
-    ``SectorBasis.indices`` call, so its search keys are built once.
+    The lowered rows of all slots are ranked in ``sector_km1`` by one
+    ``SectorBasis.indices`` call, in the narrow type they are kept in.
     """
     occ = sector_k.occupations
     if slots is None:

@@ -116,6 +116,50 @@ def test_null_space_matches_scipy(n_chain, g):
                     null_space_coefficients(params, k)
 
 
+def _assert_kernel_as_scipy(params, k, overlap_tol=1e-14):
+    """The QR-first kernel against scipy.linalg.null_space (full SVD of the
+    stacked matrix itself): the same dimension, the same vector to within
+    ``overlap_tol`` where it is one-dimensional, and a refusal where it is
+    not.  ``overlap_tol=None`` takes the perturbation bound instead: each
+    kernel vector is off the exact one by an angle of at most tol / gap
+    (Wedin), tol the rank threshold and gap the smallest singular value
+    above it, so 1 - |overlap| <= 2 (tol / gap)^2."""
+    a = np.vstack(_condition_matrices(params, k))
+    ours, oracle = _null_space(a), null_space(a)
+    assert ours.shape == oracle.shape
+    if oracle.shape[1] == 1:
+        if overlap_tol is None:
+            s = np.linalg.svd(a, compute_uv=False)
+            tol = max(a.shape) * np.finfo(float).eps * s[0]
+            overlap_tol = 2.0 * (tol / s[s > tol][-1]) ** 2
+        assert abs(abs(np.vdot(ours[:, 0], oracle[:, 0])) - 1.0) <= overlap_tol
+    else:
+        with pytest.raises(DegenerateNullSpaceError):
+            null_space_coefficients(params, k)
+
+
+@pytest.mark.parametrize("n_chain", [2, 4])
+@pytest.mark.parametrize("g", [1e-12, 1e-6])
+def test_qr_first_kernel_keeps_scipys_rank_at_near_degenerate_coupling(n_chain, g):
+    # the smallest nonzero singular values scale with g.  At g = 1e-12 the
+    # gap above the rank threshold falls to 14 times it, where no SVD fixes
+    # the kernel vector to 1e-14: the two differ by up to 6.6e-9 there, and
+    # are up to 6.9e-9 (ours) and 1.2e-9 (scipy's) off the closed-form table
+    for m_atoms in (1, 2, 3, 5, 30):
+        params = (triple_cavity(m_atoms=m_atoms, g=g) if n_chain == 2
+                  else four_chain(m_atoms, g=g))
+        for k in sorted({1, min(2, m_atoms), max(1, m_atoms // 2), m_atoms}):
+            _assert_kernel_as_scipy(params, k, None if g < 1e-9 else 1e-14)
+
+
+def test_qr_first_kernel_keeps_scipys_rank_on_the_wide_and_the_largest_matrices():
+    # K = 1 is wide (2 x 3), so R is too; K = 30 at M = 30 is 930 x 496
+    params = triple_cavity(m_atoms=30, g=0.3)
+    assert np.vstack(_condition_matrices(params, 1)).shape == (2, 3)
+    for k in range(1, 31):
+        _assert_kernel_as_scipy(params, k)
+
+
 def test_assembled_state_is_unit_norm_with_vacuum_ends():
     for params, k in ((triple_cavity(m_atoms=2, g=0.3), 2), (four_chain(3), 3)):
         psi = assemble_bic_state(params, k)
