@@ -318,7 +318,9 @@ def assemble_bic_state(params: ModelParams, k: int,
         c[m, n] sqrt(m! / prod n_i!) prod w_i^{n_i},
 
     the m-photon Fock state of mode q, with weights w_i = ``mode_weights``,
-    expanded as a multinomial over the middle cavities.  ``sector`` must be
+    expanded as a multinomial over the middle cavities.  Each w_i^{n_i} is
+    read from the (N - 1) x (K + 1) table of the powers of w_i, so that only
+    K + 1 powers per cavity are taken, not one per row.  ``sector`` must be
     the complete sector K; ``ValueError`` otherwise.
     """
     if coefficients is None:
@@ -336,8 +338,9 @@ def assemble_bic_state(params: ModelParams, k: int,
     mid = occ[rows, 1:n_chain]
     m = mid.sum(axis=1)
     lf = _log_factorials(k)
+    powers = mode_weights(n_chain, params.q)[:, None] ** np.arange(k + 1)
     fock = (np.exp(0.5 * (lf[m] - lf[mid].sum(axis=1)))
-            * np.prod(mode_weights(n_chain, params.q) ** mid, axis=1))
+            * np.prod(powers[np.arange(n_chain - 1), mid], axis=1))
     vec = np.zeros(sector.dim, dtype=np.complex128)
     vec[rows] = coefficients.table[m, occ[rows, n_chain + 1]] * fock
     return StateVector(sector, vec)
@@ -365,7 +368,14 @@ def verify_trapping(params: ModelParams, psi: StateVector,
     without a matrix.  ``psi`` must live on the complete sector K of
     ``params``; ``ValueError`` otherwise.
     """
-    sector = psi.sector
+    return _trapping_reports(params, psi.sector, [psi.amplitudes], k)[0]
+
+
+def _trapping_reports(params: ModelParams, sector: SectorBasis, vectors: list[np.ndarray],
+                      k: int | None = None) -> list[TrappingReport]:
+    """The ``verify_trapping`` report of each amplitude vector in ``vectors``
+    over ``sector``, all from one enumeration of sector K - 1 and one set
+    of lowering maps."""
     if k is None:
         k = sector.k_excitations
     expected = sector_dim(params, k)
@@ -373,23 +383,23 @@ def verify_trapping(params: ModelParams, psi: StateVector,
             or sector.occupations.shape[1] != params.n_chain + 3):
         raise ValueError(f"{sector!r} is not the complete sector K={k} "
                          f"of {expected} states")
-    sector_km1 = enumerate_sector(params, k - 1)
-    v = psi.amplitudes
-    maps = lowering_maps(params, sector, sector_km1)
-    lowered = [m.apply(v) for m in maps]
-
+    maps = lowering_maps(params, sector, enumerate_sector(params, k - 1))
     energy = (k - params.m_atoms) * params.omega_a
-    hv = apply_hamiltonian(params, sector, maps, v, lowered)
-    eigen_residual = _residual_norm(hv - energy * v)
-
     n_chain = params.n_chain
-    bq = sum(w * lowered[slot]
-             for slot, w in enumerate(mode_weights(n_chain, params.q), start=1))
-    residuals = {}
-    for side, atoms in (("L", n_chain + 1), ("R", n_chain + 2)):
-        condition = params.g * lowered[atoms] + coupling_lambda(params, params.q, side) * bq
-        residuals[side] = _residual_norm(condition)
-    return TrappingReport(eigen_residual, residuals["L"], residuals["R"])
+    weights = mode_weights(n_chain, params.q)
+    reports = []
+    for v in vectors:
+        lowered = [m.apply(v) for m in maps]
+        hv = apply_hamiltonian(params, sector, maps, v, lowered)
+        eigen_residual = _residual_norm(hv - energy * v)
+        bq = sum(w * lowered[slot] for slot, w in enumerate(weights, start=1))
+        residuals = {}
+        for side, atoms in (("L", n_chain + 1), ("R", n_chain + 2)):
+            condition = (params.g * lowered[atoms]
+                         + coupling_lambda(params, params.q, side) * bq)
+            residuals[side] = _residual_norm(condition)
+        reports.append(TrappingReport(eigen_residual, residuals["L"], residuals["R"]))
+    return reports
 
 
 def regime_observables(params: ModelParams, k: int,

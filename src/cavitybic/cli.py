@@ -259,15 +259,14 @@ def run_bic(config: RunConfig, stream: IO[str]) -> int:
     coeffs = bic.closed_form_coefficients(p, k)
     sector = enumerate_sector(p, k)
     psi = bic.assemble_bic_state(p, k, sector=sector, coefficients=coeffs)
-    report = bic.verify_trapping(p, psi, k)
+    rng = np.random.default_rng(int(config.options["seed"]))
+    random_vec = rng.normal(size=sector.dim) + 1j * rng.normal(size=sector.dim)
+    # the trapped state and the random baseline share sector K - 1 and its maps
+    report, baseline = bic._trapping_reports(
+        p, sector, [psi.amplitudes, random_vec / np.linalg.norm(random_vec)], k)
     kernel = bic.null_space_coefficients(p, k)
     overlap = abs(coeffs.overlap(kernel))
     observables = bic.regime_observables(p, k, coefficients=coeffs)
-
-    rng = np.random.default_rng(int(config.options["seed"]))
-    random_vec = rng.normal(size=sector.dim) + 1j * rng.normal(size=sector.dim)
-    random_state = bic.StateVector(sector, random_vec / np.linalg.norm(random_vec))
-    baseline = bic.verify_trapping(p, random_state, k)
 
     print("m,n,amplitude", file=stream)
     for m in range(k + 1):

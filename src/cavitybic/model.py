@@ -12,6 +12,9 @@ the collective-damping variants.
 The closed part of the Hamiltonian conserves the total excitation number
 (end photons + chain photons + excited atoms), so all linear algebra is
 done on fixed-excitation sectors, each enumerated here as an occupation array.
+A sector is enumerated as one array program over its slots: each slot
+extends only the prefixes that some row completes, and the table is then
+filled column by column from the prefixes' parent pointers.
 """
 
 from __future__ import annotations
@@ -265,6 +268,18 @@ def sector_occupations(params: ModelParams, k: int) -> np.ndarray:
     no cap below ``k``.  Sector k < 0 has no rows.  Raises
     :class:`ParamError`, before allocating, for a table of more than
     ``MAX_SECTOR_ENTRIES`` entries.
+
+    The rows grow slot by slot from their prefixes.  Level j holds every
+    prefix over slots 0 .. j that some row completes: each prefix of level
+    j - 1, with u excitations placed, takes in slot j every value from
+    max(0, K - u - room) to min(cap_j, K - u), where room is what the
+    slots after j can hold, and the last slot takes what is left.
+    Ascending values under ordered parents keep the rows in lexicographic
+    order, and no level holds more prefixes than the table has rows.  The
+    table is then filled column by column, last slot first, by walking the
+    rows' parent pointers back.  It is column-major: the builder writes
+    whole columns, and the lowering maps, the free energies and the
+    trapped-state assembly read them.
     """
     if k < 0:
         return np.zeros((0, params.n_chain + 3), dtype=np.int64)
@@ -275,20 +290,27 @@ def sector_occupations(params: ModelParams, k: int) -> np.ndarray:
         raise ParamError(f"sector K={k} needs more than MAX_SECTOR_ENTRIES = "
                          f"{MAX_SECTOR_ENTRIES} occupation entries")
     caps = _slot_caps(params.n_chain, params.m_atoms, k)
-    # suffixes[t]: rows over the last slots, placed so far, that sum to t
-    suffixes = [np.zeros((1 if t == 0 else 0, 0), dtype=np.int64) for t in range(k + 1)]
-    for cap in reversed(caps[1:]):
-        suffixes = [_prepend_slot(suffixes, cap, t) for t in range(k + 1)]
-    return _prepend_slot(suffixes, caps[0], k)
-
-
-def _prepend_slot(suffixes: list[np.ndarray], cap: int, total: int) -> np.ndarray:
-    """Rows summing to ``total``: a new first slot of 0 .. cap followed by a
-    suffix row.  Ascending first values over ordered suffixes keep the rows
-    in lexicographic order."""
-    return np.concatenate([
-        np.hstack((np.full((len(suffixes[total - first]), 1), first), suffixes[total - first]))
-        for first in range(min(cap, total) + 1)])
+    # room[j]: the most that slots j onward can hold
+    room = list(itertools.accumulate(reversed(caps)))[::-1]
+    used = np.zeros(1, dtype=np.int64)  # excitations placed by each prefix
+    levels = []  # (parent, value) of each prefix of each slot but the last
+    for cap, later in zip(caps[:-1], room[1:]):
+        rest = k - used
+        low = np.maximum(rest - later, 0)
+        counts = np.minimum(rest, cap) - low + 1
+        parent = np.repeat(np.arange(len(used)), counts)
+        ends = np.cumsum(counts)
+        # each child's value: its parent's low plus its place among its siblings
+        value = np.arange(ends[-1]) - np.repeat(ends - counts - low, counts)
+        used = used[parent] + value
+        levels.append((parent, value))
+    table = np.empty((len(used), len(caps)), dtype=np.int64, order="F")
+    np.subtract(k, used, out=table[:, -1])
+    prefix = np.arange(len(used))  # each row's prefix at the level being read
+    for slot, (parent, value) in reversed(list(enumerate(levels))):
+        table[:, slot] = value[prefix]
+        prefix = parent[prefix]
+    return table
 
 
 def enumerate_sector(params: ModelParams, k: int) -> SectorBasis:

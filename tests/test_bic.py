@@ -15,7 +15,8 @@ from cavitybic import (BasisState, ModelParams, NoTrappedStateError,
                        mean_photons_across_chi, null_space_coefficients,
                        recursive_coefficients, regime_observables,
                        resonant_mode_index, subradiant_approx, verify_trapping)
-from cavitybic.bic import DegenerateNullSpaceError, _condition_matrices, _null_space
+from cavitybic.bic import (DegenerateNullSpaceError, _condition_matrices, _null_space,
+                           _trapping_reports)
 from conftest import triple_cavity
 from oracles import (eigenspace_projection, hamiltonian_normal_mode_picture,
                      mode_fock_embedding)
@@ -194,6 +195,19 @@ def test_assembly_matches_the_created_mode_fock_state():
                 assert np.abs(psi.amplitudes - expected).max() < 1e-12
 
 
+@pytest.mark.parametrize("n_chain, m_atoms", [(8, 4), (12, 3)])
+def test_assembly_matches_the_created_mode_fock_state_on_long_chains(n_chain, m_atoms):
+    # w_i is raised to powers up to K = M
+    for q in (1, n_chain // 2):
+        p = ModelParams(n_chain=n_chain, m_atoms=m_atoms, omega_c=0.4,
+                        omega_a=0.4 + 2 * math.cos(q * math.pi / n_chain),
+                        g=0.3, lam=1.0, q=q)
+        coeffs = closed_form_coefficients(p, m_atoms)
+        psi = assemble_bic_state(p, m_atoms, coefficients=coeffs)
+        expected = mode_fock_embedding(p, m_atoms, coeffs.table)
+        assert np.abs(psi.amplitudes - expected).max() < 1e-12
+
+
 def test_assembly_rejects_a_sector_that_is_not_the_full_sector_k():
     p = triple_cavity(m_atoms=2, g=0.3)
     with pytest.raises(ValueError):
@@ -247,6 +261,16 @@ def test_matrix_free_residuals_match_dense_operators(n_chain, m_atoms, k, g, ome
         expected = [np.linalg.norm(op @ v) for op in (shifted, *conditions)]
         assert verify_trapping(p, StateVector(sector, v)) == pytest.approx(
             expected, rel=1e-12, abs=0)
+
+
+def test_reports_of_several_vectors_match_one_verification_each():
+    p = four_chain(m_atoms=3)
+    sector = enumerate_sector(p, 3)
+    rng = np.random.default_rng(3)
+    vectors = [assemble_bic_state(p, 3, sector=sector).amplitudes,
+               rng.normal(size=sector.dim) + 1j * rng.normal(size=sector.dim)]
+    assert _trapping_reports(p, sector, vectors, 3) == [
+        verify_trapping(p, StateVector(sector, v), 3) for v in vectors]
 
 
 def test_trapping_check_rejects_a_state_off_the_full_sector_k():

@@ -54,6 +54,17 @@ def test_bic_report_contents(capsys):
     assert float(values["atom_fraction"]) > 0.9  # chi = 0.1 default
 
 
+def test_bic_report_builds_sector_k_minus_1_and_its_maps_once(monkeypatch):
+    # the trapped state and the random baseline are verified from one set of maps
+    calls = []
+    lowering_maps = bic.lowering_maps
+    monkeypatch.setattr(bic, "lowering_maps", lambda *args: calls.append(args[2].dim)
+                        or lowering_maps(*args))
+    config = resolve_config("bic", {"m_atoms": "3", "k_excitations": "3"})
+    assert cli.run_bic(config, io.StringIO()) == 0
+    assert calls == [15]  # sector K = 2 of the triple cavity
+
+
 def test_bic_rejects_too_many_excitations():
     code, _out, err = run_cli("bic", "--set", "k_excitations=5")
     assert code == 1

@@ -163,6 +163,43 @@ def test_sector_matches_brute_force(n_chain, m_atoms, k):
         sector.indices([[k + 1] + [0] * (n_chain + 2)])  # one excitation too many
 
 
+@settings(deadline=None, max_examples=40)
+@given(data=st.data(), n_chain=st.integers(2, 40), m_atoms=st.integers(1, 30))
+def test_sector_beyond_brute_force_sizes_is_complete_ordered_and_ranked(data, n_chain, m_atoms):
+    p = ModelParams(n_chain=n_chain, m_atoms=m_atoms, omega_c=0.0, omega_a=0.0,
+                    g=0.1, lam=1.0, q=1)
+    # from K = 0 up past 2M, where both atomic caps bind, within the entry bound
+    top = 0
+    while (top <= 2 * m_atoms + 3
+           and sector_dim(p, top + 1) * (n_chain + 3) <= MAX_SECTOR_ENTRIES):
+        top += 1
+    k = data.draw(st.integers(0, top), label="k")
+    sector = enumerate_sector(p, k)
+    occ = sector.occupations
+    assert occ.shape == (sector_dim(p, k), n_chain + 3) and occ.dtype == np.int64
+    # each row's first change from the row before is an increase
+    steps = np.diff(occ, axis=0)
+    first = (steps != 0).argmax(axis=1)
+    assert (steps[np.arange(len(steps)), first] > 0).all()
+    assert occ.min() >= 0 and occ[:, -2:].max() <= m_atoms
+    assert (occ.sum(axis=1) == k).all()
+    assert np.array_equal(sector.indices(occ), np.arange(len(occ)))
+
+
+def test_enumeration_keeps_only_prefixes_that_complete_a_row():
+    # (N, M, K) = (2, 1, 120): 29,041 rows; the first four slots alone would
+    # take C(124, 4) = 9,381,251 prefixes if they were not pruned
+    p = triple_cavity(m_atoms=1)
+    tracemalloc.start()
+    try:
+        occ = model.sector_occupations(p, 120)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert occ.shape == (29_041, 5)
+    assert peak < 5 * occ.nbytes  # 1.11 MiB table; 2.2 times that measured
+
+
 @settings(deadline=None, max_examples=80)
 @given(data=st.data(), n_chain=st.sampled_from([2, 3, 5, 40]), m_atoms=st.integers(1, 3),
        slab=st.sampled_from([1, 3, 2 ** 14]))
