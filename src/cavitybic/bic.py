@@ -335,14 +335,15 @@ def assemble_bic_state(params: ModelParams, k: int,
         raise ValueError(f"{sector!r} is not the complete sector K={k} of {full} states")
     occ = sector.occupations
     rows = np.flatnonzero((occ[:, 0] == 0) & (occ[:, n_chain] == 0))
-    mid = occ[rows, 1:n_chain]
-    m = mid.sum(axis=1)
+    mid, j_left = occ[rows, 1:n_chain], occ[rows, n_chain + 1]
+    # with the end cavities empty, the middle cavities hold K - J_L - J_R photons
+    m = k - j_left - occ[rows, n_chain + 2]
     lf = _log_factorials(k)
     powers = mode_weights(n_chain, params.q)[:, None] ** np.arange(k + 1)
     fock = (np.exp(0.5 * (lf[m] - lf[mid].sum(axis=1)))
             * np.prod(powers[np.arange(n_chain - 1), mid], axis=1))
     vec = np.zeros(sector.dim, dtype=np.complex128)
-    vec[rows] = coefficients.table[m, occ[rows, n_chain + 1]] * fock
+    vec[rows] = coefficients.table[m, j_left] * fock
     return StateVector(sector, vec)
 
 

@@ -258,6 +258,30 @@ def _block_index(space: SectorStack, blocks: Sequence[tuple[int, int]]) -> np.nd
     return np.concatenate([np.zeros(0, dtype=np.int64), *index])
 
 
+def _reach(space: SectorStack, rho: np.ndarray,
+           decays: bool) -> tuple[list[tuple[int, int]], np.ndarray]:
+    """``(blocks, index)``: the sorted sector ``blocks`` (K, K') that a
+    generator on ``space`` reaches from the nonzero blocks of ``rho``, those
+    included, and ``index``, their positions in ``rho.ravel()`` (block by
+    block, row-major within a block); a state supported on them stays so.
+    H_eff keeps a block in place and, when the generator ``decays`` (has a
+    jump), the jumps carry (K, K') to (K - 1, K' - 1), down to a block of
+    sector 0: every jump that ``lindblad_generator`` builds has a nonzero
+    block (K - 1, K) for each K >= 1.  Reads no operator, so ``evolve``
+    calls it before the generator is built.  A reach of more than
+    ``MAX_REACHED_ENTRIES`` entries raises ``ValueError``."""
+    if rho.shape != (space.dim, space.dim):
+        raise ValueError("density matrix does not match the generator's space")
+    blocks = sorted({(k - j, k_col - j) for k, k_col in _block_keys(space, *np.nonzero(rho))
+                     for j in range(min(k, k_col) + 1 if decays else 1)})
+    dims = np.diff(space.offsets)
+    size = sum(int(dims[k] * dims[k_col]) for k, k_col in blocks)
+    if size > MAX_REACHED_ENTRIES:
+        raise ValueError(f"the reach holds {size} entries, more than "
+                         f"MAX_REACHED_ENTRIES = {MAX_REACHED_ENTRIES}")
+    return blocks, _block_index(space, blocks)
+
+
 class LindbladGenerator:
     """Right-hand side of the master equation on a sector stack.
 
@@ -280,26 +304,10 @@ class LindbladGenerator:
         self._jumps = [(float(rate), blocks) for rate, blocks in jumps]
 
     def reach(self, rho: np.ndarray) -> tuple[list[tuple[int, int]], np.ndarray]:
-        """``(blocks, index)``: the sorted sector ``blocks`` (K, K') that the
-        generator reaches from the nonzero blocks of ``rho``, those included,
-        and ``index``, their positions in ``rho.ravel()`` (block by block,
-        row-major within a block); a state supported on them stays so.
-        H_eff keeps a block in place and the jumps carry (K, K') to
-        (K - 1, K' - 1), down to a block of sector 0: every jump that
-        ``lindblad_generator`` builds has a nonzero block (K - 1, K) for
-        each K >= 1.  A reach of more than ``MAX_REACHED_ENTRIES`` entries
-        raises ``ValueError``."""
-        space = self.space
-        if rho.shape != (space.dim, space.dim):
-            raise ValueError("density matrix does not match the generator's space")
-        blocks = sorted({(k - j, k_col - j) for k, k_col in _block_keys(space, *np.nonzero(rho))
-                         for j in range(min(k, k_col) + 1 if self._jumps else 1)})
-        dims = np.diff(space.offsets)
-        size = sum(int(dims[k] * dims[k_col]) for k, k_col in blocks)
-        if size > MAX_REACHED_ENTRIES:
-            raise ValueError(f"the reach holds {size} entries, more than "
-                             f"MAX_REACHED_ENTRIES = {MAX_REACHED_ENTRIES}")
-        return blocks, _block_index(space, blocks)
+        """``(blocks, index)``: the sector ``blocks`` that the generator
+        reaches from the nonzero blocks of ``rho`` and their positions in
+        ``rho.ravel()``, as ``_reach`` finds them."""
+        return _reach(self.space, rho, bool(self._jumps))
 
     def superoperator(self, rho: np.ndarray) -> tuple[list[tuple[int, int]], np.ndarray,
                                                       sparse.csr_matrix]:
@@ -348,6 +356,16 @@ class LindbladGenerator:
         return out.reshape(rho.shape)
 
 
+def _jump_slots(params: ModelParams, include_atomic_decay: bool) -> list[tuple[float, int]]:
+    """(rate, slot) of each jump of ``lindblad_generator``: the two end
+    cavities at gamma_c, and the two ensembles at gamma_a when atomic decay
+    is included; a zero rate gives no jump."""
+    n = params.n_chain
+    slots = [(params.gamma_c, slot) for slot in (0, n) if params.gamma_c > 0]
+    return slots + [(params.gamma_a, slot) for slot in (n + 1, n + 2)
+                    if include_atomic_decay and params.gamma_a > 0]
+
+
 def lindblad_generator(params: ModelParams, space: SectorStack,
                        include_atomic_decay: bool = False) -> LindbladGenerator:
     """Build the master-equation generator on the sectors of ``space`` as
@@ -363,11 +381,7 @@ def lindblad_generator(params: ModelParams, space: SectorStack,
     End-cavity leakage at rate gamma_c is always included; collective
     atomic damping at rate gamma_a is added when requested.
     """
-    n, sectors = params.n_chain, space.sectors
-    # (rate, slot) of each jump
-    slots = [(params.gamma_c, slot) for slot in (0, n) if params.gamma_c > 0]
-    slots += [(params.gamma_a, slot) for slot in (n + 1, n + 2)
-              if include_atomic_decay and params.gamma_a > 0]
+    sectors, slots = space.sectors, _jump_slots(params, include_atomic_decay)
     h_eff = [np.zeros((1, 1), dtype=np.complex128)]
     jumps = [(rate, []) for rate, _slot in slots]
     for k in range(1, len(sectors)):
@@ -780,7 +794,7 @@ def evolve(params: ModelParams, rho0: DensityMatrix, t_end: float, *,
     ``MAX_SNAPSHOTS`` snapshots raises ``ValueError``, and so does, before
     anything is propagated, a reach of more than ``MAX_REACHED_ENTRIES``
     entries or of more than ``MAX_KEPT_ENTRIES`` entries over all
-    snapshots, t = 0 included, both before the superoperator is built.
+    snapshots, t = 0 included, both before the generator is built.
     """
     _require_positive_finite("t_end", t_end)
     if snapshot_dt is None:
@@ -796,18 +810,19 @@ def evolve(params: ModelParams, rho0: DensityMatrix, t_end: float, *,
         raise ValueError(f"params have (n_chain, m_atoms) = ({params.n_chain}, "
                          f"{params.m_atoms}), but rho0's space was enumerated for "
                          f"{enumerated}")
-    generator = lindblad_generator(params, space, include_atomic_decay)
     # no rhs_sup is below -inf: without the steady test every snapshot is kept
     steady_threshold = STEADY_THRESHOLD * params.lam if detect_steady else -math.inf
     n_snap = max(1, int(math.ceil(t_end / snapshot_dt - 1e-12)))
     times = np.linspace(0.0, t_end, n_snap + 1)
 
     # the reach, its positions in rho.ravel() and its superoperator, once per
-    # run: the propagator starts from them and the steady test reads them
-    blocks, index = generator.reach(rho0.data)
+    # run: the propagator starts from them and the steady test reads them.
+    # Both size bounds are checked before the generator is built.
+    blocks, index = _reach(space, rho0.data, bool(_jump_slots(params, include_atomic_decay)))
     if index.size * len(times) > MAX_KEPT_ENTRIES:
         raise ValueError(f"evolve would keep {len(times)} snapshots of {index.size} entries, "
                          f"more than MAX_KEPT_ENTRIES = {MAX_KEPT_ENTRIES}")
+    generator = lindblad_generator(params, space, include_atomic_decay)
     superop = generator._matrix(blocks)
     transposes = _transposes(index, space.dim)
     y0 = rho0.data.ravel()[index]

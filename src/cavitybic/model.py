@@ -23,7 +23,7 @@ import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -98,8 +98,10 @@ class SectorBasis:
     with both atomic entries at most ``m_atoms``; row i, in ascending
     lexicographic order, is basis state i.  ``indices`` maps rows back to
     positions by their closed-form lexicographic rank, from a table of
-    suffix counts built here: the table is correct only for the complete
-    sector that ``enumerate_sector`` builds.
+    suffix counts built here, and ``lowered_indices`` ranks the rows
+    lowered by one in a slot in sector K - 1 from the same tables, with no
+    lowered row built: both are correct only for the complete sectors that
+    ``enumerate_sector`` builds.
     """
 
     __slots__ = ("k_excitations", "occupations", "_m_atoms", "_rank_terms")
@@ -133,29 +135,57 @@ class SectorBasis:
         A row is a state exactly when its entries lie in 0 .. K, both atomic
         entries are at most M and they sum to K; its index is then its rank,
         the sum over slots j of ``_rank_terms[j]`` at the row's prefix sum
-        through slot j.  Rows are ranked ``_RANK_SLAB`` at a time, so the
-        working memory beyond the result is a few slab columns of int64."""
+        through slot j.  The working memory beyond the result is two
+        int64 columns of the query's length."""
         rows = np.asarray(rows)
         k, terms = self.k_excitations, self._rank_terms
         # entries in 0 .. K keep every prefix sum far from overflow
         if (rows.shape[1:] != self.occupations.shape[1:]
                 or rows.size and (rows.min() < 0 or rows.max() > k)):
             raise ValueError(f"sector K={k} lacks a requested state")
-        found = np.empty(len(rows), dtype=np.int64)
-        for start in range(0, len(rows), _RANK_SLAB):
-            slab = rows[start:start + _RANK_SLAB]
-            rank = found[start:start + len(slab)]
-            prefix = slab[:, 0].astype(np.int64)
-            term = np.empty_like(prefix)
-            # a prefix above K belongs to a row that fails below: clip it
-            np.take(terms[0], prefix, out=rank, mode="clip")
-            for slot in range(1, len(terms)):
-                prefix += slab[:, slot]
-                rank += np.take(terms[slot], prefix, out=term, mode="clip")
-            prefix += slab[:, -1]
-            if (prefix != k).any() or slab[:, -2:].max() > self._m_atoms:
-                raise ValueError(f"sector K={k} lacks a requested state")
+        prefix = rows[:, 0].astype(np.int64)
+        # a prefix above K belongs to a row that fails below: clip it
+        found = np.take(terms[0], prefix, mode="clip")
+        for slot in range(1, len(terms)):
+            prefix += rows[:, slot]
+            found += np.take(terms[slot], prefix, mode="clip")
+        prefix += rows[:, -1]
+        if (prefix != k).any() or rows[:, -2:].max(initial=0) > self._m_atoms:
+            raise ValueError(f"sector K={k} lacks a requested state")
         return found
+
+    def lowered_indices(self, lower: SectorBasis,
+                        slots: Sequence[int]) -> list[tuple[np.ndarray, np.ndarray]]:
+        """``(cols, rows)`` for each of ``slots``: ``cols`` the indices of
+        the states with an entry in that slot, ``rows`` the indices in
+        ``lower`` of those states lowered by one there.  Raises
+        ``ValueError`` unless ``lower`` is sector K - 1 of the same chain
+        and ensembles.
+
+        No lowered row is built.  A row x with prefix sums p_i, lowered in
+        slot j, keeps p_i before j and has p_i - 1 from j on, and for every
+        slot past 0, sector K - 1's rank term at p - 1 is sector K's at p.
+        So x - e_j ranks at x's own index plus the sum over i < j of
+        T_{K-1}[i, p_i] - T_K[i, p_i] (T the ``_rank_terms``), one running
+        sum over the columns; for j = 0, where every prefix sum moves, at
+        x's index less dim K - dim K-1."""
+        occ = self.occupations
+        if (lower.k_excitations, lower._m_atoms, lower.occupations.shape[1:]) != (
+                self.k_excitations - 1, self._m_atoms, occ.shape[1:]):
+            raise ValueError("target sector does not contain every lowered state")
+        # T_{K-1} has no column K: a row whose prefix sum is K there has
+        # nothing left to lower in a later slot
+        step = -self._rank_terms
+        step[:, :-1] += lower._rank_terms
+        # every slot up to the last one asked for, in order
+        found, (prefix, shift) = [], np.zeros((2, self.dim), dtype=np.int64)
+        for slot in range(max(slots, default=-1) + 1):
+            if slot:
+                prefix += occ[:, slot - 1]
+                shift += step[slot - 1][prefix]
+            cols = np.flatnonzero(occ[:, slot])
+            found.append((cols, cols + (shift[cols] if slot else lower.dim - self.dim)))
+        return [found[slot] for slot in slots]
 
     def index_of(self, state: BasisState) -> int:
         row = [state.photons_left, *state.photons_mid, state.photons_right,
@@ -164,10 +194,6 @@ class SectorBasis:
 
     def __repr__(self) -> str:
         return f"SectorBasis(k={self.k_excitations}, dim={self.dim})"
-
-
-# Rows that SectorBasis.indices ranks at once.
-_RANK_SLAB = 2 ** 14
 
 
 def _slot_caps(n_chain: int, m_atoms: int, k: int) -> list[int]:

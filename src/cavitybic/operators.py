@@ -6,8 +6,9 @@ Conventions
 - A sector state is a row of ``SectorBasis.occupations`` (end cavities,
   middle cavities, excited-atom counts of the two ensembles).  A lowering
   map lowers every row of sector K in one slot and finds the results in
-  sector K - 1; ``lowering_maps`` does so for many slots with one
-  ``SectorBasis.indices`` call.
+  sector K - 1; ``lowering_maps`` ranks them there from the rows' own
+  prefix sums (``SectorBasis.lowered_indices``), slot by slot, with no
+  lowered row built and no search.
 - Ladder operators map sector K to sector K - 1; all of them come from one
   lowering primitive, ``lowering_maps``.  A ``LoweringMap`` applies itself
   and its adjoint to a vector without a matrix (``apply_hamiltonian`` does
@@ -137,34 +138,22 @@ class LoweringMap(NamedTuple):
 def lowering_maps(params: ModelParams, sector_k: SectorBasis, sector_km1: SectorBasis,
                   slots: Sequence[int] | None = None) -> list[LoweringMap]:
     """Lowering map of each of ``slots`` (default: every slot), from
-    ``sector_k`` to ``sector_km1``.
+    ``sector_k`` to ``sector_km1``, which must be sector K - 1 of the same
+    chain and ensembles (``ValueError`` otherwise).
 
     Amplitude sqrt(n) on photon slots and sqrt(n (M - n + 1)) on atom slots.
-    The lowered rows of all slots are ranked in ``sector_km1`` by one
-    ``SectorBasis.indices`` call, in the narrow type they are kept in.
+    Each slot's lowered states are ranked in ``sector_km1`` from their
+    parents' prefix sums (``SectorBasis.lowered_indices``), with no lowered
+    row built.
     """
     occ = sector_k.occupations
     if slots is None:
         slots = range(occ.shape[1])
-    cols = [np.flatnonzero(occ[:, slot]) for slot in slots]
-    # the lowered rows of slots[i] are lowered[bounds[i]:bounds[i + 1]]
-    bounds = np.cumsum([0, *map(len, cols)]).tolist()
-    blocks = list(zip(slots, cols, bounds[:-1], bounds[1:]))
-    # every entry is at most K, so the lowered rows are kept in the narrowest
-    # unsigned type: a fraction of the int64 table's memory
-    lowered = occ.astype(np.min_scalar_type(sector_k.k_excitations))[np.concatenate(cols)]
-    for slot, _, start, end in blocks:
-        lowered[start:end, slot] -= 1
-    try:
-        rows = sector_km1.indices(lowered)
-    except ValueError:
-        raise ValueError("target sector does not contain every lowered state") from None
     maps = []
-    for slot, c, start, end in blocks:
-        n = occ[c, slot]
-        if slot > params.n_chain:
-            n = n * (params.m_atoms - n + 1)
-        maps.append(LoweringMap(c, rows[start:end], np.sqrt(n), (sector_km1.dim, sector_k.dim)))
+    for slot, (cols, rows) in zip(slots, sector_k.lowered_indices(sector_km1, slots)):
+        n = occ[cols, slot]
+        amp = np.sqrt(n * (params.m_atoms - n + 1) if slot > params.n_chain else n)
+        maps.append(LoweringMap(cols, rows, amp, (sector_km1.dim, sector_k.dim)))
     return maps
 
 

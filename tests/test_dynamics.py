@@ -234,9 +234,10 @@ def test_evolve_above_its_size_bounds_raises_before_it_allocates(bound, value, m
         raise AssertionError("allocated past the bound")
 
     monkeypatch.setattr(dynamics, bound, value)
-    for name in ("_Cascade", "_Rk45"):
+    # neither the generator nor a propagator is built, on either bound
+    for name in ("lindblad_generator", "_Cascade", "_Rk45"):
         monkeypatch.setattr(dynamics, name, refuse)
-    # nor is the superoperator built, on either bound
+    # nor is the superoperator
     for name in ("superoperator", "_matrix"):
         monkeypatch.setattr(dynamics.LindbladGenerator, name, refuse)
     with pytest.raises(ValueError) as raised:

@@ -1,7 +1,6 @@
 import itertools
 import math
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +11,7 @@ from cavitybic import (BasisState, ModelParams, NoResonantModeError, ParamError,
                        enumerate_sector, resonant_mode_index, validate_params)
 from cavitybic import model
 from cavitybic.model import MAX_SECTOR_ENTRIES, sector_dim
+from cavitybic.operators import lowering_maps
 from conftest import triple_cavity
 from oracles import brute_force_sector
 
@@ -123,8 +123,8 @@ def test_index_of_an_absent_state_raises_value_error():
 
 
 def test_indices_read_narrow_rows_and_reject_entries_outside_the_sector():
-    # the lowering maps pass rows in the narrowest unsigned type that holds
-    # K, one byte here, where 258 and -1 would wrap onto a state
+    # rows in the narrowest unsigned type that holds K, one byte here, are
+    # ranked as they are; 258 and -1 would wrap onto a state
     sector = enumerate_sector(triple_cavity(m_atoms=2), 2)
     assert sector.indices(sector.occupations.astype("u1")).tolist() == list(range(sector.dim))
     for row in ([258, 0, 0, 0, 0], [3, -1, 0, 0, 0], [2, 0, 0, 0]):
@@ -184,6 +184,14 @@ def test_sector_beyond_brute_force_sizes_is_complete_ordered_and_ranked(data, n_
     assert occ.min() >= 0 and occ[:, -2:].max() <= m_atoms
     assert (occ.sum(axis=1) == k).all()
     assert np.array_equal(sector.indices(occ), np.arange(len(occ)))
+    # each slot's lowering map against an independent route: lower the rows
+    # explicitly and rank them with indices in sector K - 1
+    lower = enumerate_sector(p, k - 1)
+    for slot, m in enumerate(lowering_maps(p, sector, lower)):
+        assert np.array_equal(m.cols, np.flatnonzero(occ[:, slot]))
+        lowered = occ[m.cols]
+        lowered[:, slot] -= 1
+        assert np.array_equal(m.rows, lower.indices(lowered))
 
 
 def test_enumeration_keeps_only_prefixes_that_complete_a_row():
@@ -201,9 +209,8 @@ def test_enumeration_keeps_only_prefixes_that_complete_a_row():
 
 
 @settings(deadline=None, max_examples=80)
-@given(data=st.data(), n_chain=st.sampled_from([2, 3, 5, 40]), m_atoms=st.integers(1, 3),
-       slab=st.sampled_from([1, 3, 2 ** 14]))
-def test_indices_rank_every_drawn_row_and_reject_every_other(data, n_chain, m_atoms, slab):
+@given(data=st.data(), n_chain=st.sampled_from([2, 3, 5, 40]), m_atoms=st.integers(1, 3))
+def test_indices_rank_every_drawn_row_and_reject_every_other(data, n_chain, m_atoms):
     # n_chain = 40 has 43 slots, where (K + 1)^43 >= 2^63 from K = 2 on: a
     # mixed-radix key would overflow, a rank cannot
     k = data.draw(st.integers(0, 3 if n_chain == 40 else 5), label="k")
@@ -212,36 +219,35 @@ def test_indices_rank_every_drawn_row_and_reject_every_other(data, n_chain, m_at
     sector = enumerate_sector(p, k)
     occ = sector.occupations
     picks = data.draw(st.lists(st.integers(0, sector.dim - 1), max_size=40), label="picks")
-    with mock.patch.object(model, "_RANK_SLAB", slab):
-        assert sector.indices(occ[picks]).tolist() == picks
-        assert sector.indices(occ[picks].astype("u1")).tolist() == picks
+    assert sector.indices(occ[picks]).tolist() == picks
+    assert sector.indices(occ[picks].astype("u1")).tolist() == picks
 
-        width = n_chain + 3
-        bad = []
-        if k >= 1:
-            bad.append(np.eye(1, width, 1, dtype=int)[0] * (k - 1))  # sum K - 1
-            bad.append(enumerate_sector(p, k - 1).occupations[-1])   # a row of sector K - 1
-        bad.append(np.eye(1, width, 0, dtype=int)[0] * (k + 1))       # sum K + 1
-        negative = np.zeros(width, dtype=int)
-        negative[[0, 1, 2]] = k, -1, 1                                # sums to K
-        bad.append(negative)
-        if m_atoms < k:                                               # an atom over M
-            over = np.zeros(width, dtype=int)
-            over[[0, width - 2]] = k - m_atoms - 1, m_atoms + 1
-            bad.append(over)
-        for row in bad:
-            at = data.draw(st.integers(0, len(picks)), label="position")
-            rows = np.insert(occ[picks], at, row, axis=0)
-            with pytest.raises(ValueError, match="lacks a requested state"):
-                sector.indices(rows)
-        for rows in (occ[picks, :-1], np.hstack((occ[picks], occ[picks, :1]))):
-            with pytest.raises(ValueError, match="lacks a requested state"):
-                sector.indices(rows)
+    width = n_chain + 3
+    bad = []
+    if k >= 1:
+        bad.append(np.eye(1, width, 1, dtype=int)[0] * (k - 1))  # sum K - 1
+        bad.append(enumerate_sector(p, k - 1).occupations[-1])   # a row of sector K - 1
+    bad.append(np.eye(1, width, 0, dtype=int)[0] * (k + 1))       # sum K + 1
+    negative = np.zeros(width, dtype=int)
+    negative[[0, 1, 2]] = k, -1, 1                                # sums to K
+    bad.append(negative)
+    if m_atoms < k:                                               # an atom over M
+        over = np.zeros(width, dtype=int)
+        over[[0, width - 2]] = k - m_atoms - 1, m_atoms + 1
+        bad.append(over)
+    for row in bad:
+        at = data.draw(st.integers(0, len(picks)), label="position")
+        rows = np.insert(occ[picks], at, row, axis=0)
+        with pytest.raises(ValueError, match="lacks a requested state"):
+            sector.indices(rows)
+    for rows in (occ[picks, :-1], np.hstack((occ[picks], occ[picks, :1]))):
+        with pytest.raises(ValueError, match="lacks a requested state"):
+            sector.indices(rows)
 
 
 def test_indices_allocate_less_than_an_int64_copy_of_the_query():
-    # the lowered rows of (N, M, K) = (2, 30, 30), as lowering_maps passes
-    # them: 204,600 rows of 5 one-byte entries
+    # the lowered rows of (N, M, K) = (2, 30, 30), in the narrowest type that
+    # holds them: 204,600 rows of 5 one-byte entries, ranked in one pass
     p = triple_cavity(m_atoms=30)
     occ = enumerate_sector(p, 30).occupations
     lowered = np.vstack([occ[occ[:, slot] > 0] - np.eye(1, 5, slot, dtype=int)
@@ -255,4 +261,4 @@ def test_indices_allocate_less_than_an_int64_copy_of_the_query():
     finally:
         tracemalloc.stop()
     assert np.array_equal(sector.occupations[found], lowered)
-    assert peak < lowered.size * 8  # 7.8 MiB; 1.9 MiB measured
+    assert peak < lowered.size * 8  # 7.8 MiB; 4.7 MiB measured

@@ -154,9 +154,13 @@ def test_end_annihilation_from_vacuum_is_zero_row_matrix():
 
 def test_ladder_rejects_a_target_that_is_not_the_lower_sector():
     p = triple_cavity()
-    sec2, sec0 = enumerate_sector(p, 2), enumerate_sector(p, 0)
-    with pytest.raises(ValueError, match="does not contain every lowered state"):
-        build_end_annihilation(p, sec2, sec0, "L")
+    sec2 = enumerate_sector(p, 2)
+    # sector K - 2; sector K - 1 of one atom per ensemble, whose rows are
+    # those of the lower sector; sector K - 1 of a longer chain
+    for target in (enumerate_sector(p, 0), enumerate_sector(triple_cavity(m_atoms=1), 1),
+                   enumerate_sector(p.replace(n_chain=3), 1)):
+        with pytest.raises(ValueError, match="does not contain every lowered state"):
+            build_end_annihilation(p, sec2, target, "L")
 
 
 def test_normal_mode_is_middle_cavity_for_triple():
