@@ -33,7 +33,10 @@ amplitude scales with chi^m, so chi controls the photon/atom composition.
 
 Three independent routes to the same table are provided (closed form,
 recursion, numerical null space of the stacked conditions) so each can
-cross-check the others.
+cross-check the others.  The null space is taken with every column of the
+stacked conditions scaled to unit norm, from the eigenvectors of the scaled
+Gram matrix: the ensemble columns scale with g and the photon columns with
+lambda, and the scaling keeps the kernel well separated at every g > 0.
 
 The composition across a grid of chi needs no table per point: since
 |c_{m,n}|^2 is chi^(2m) times a chi-free factor, ``mean_photons_across_chi``
@@ -270,19 +273,35 @@ def _condition_matrices(params: ModelParams, k: int) -> tuple[np.ndarray, np.nda
 
 
 def _null_space(a: np.ndarray) -> np.ndarray:
-    """Orthonormal kernel basis (columns) of ``a`` by SVD, with scipy's rank
-    rule: singular values above max(a.shape) * eps * s[0] count.
+    """Unit columns spanning the kernel of ``a`` (one unit vector where it
+    is one-dimensional), from the Gram matrix of ``a`` with every column
+    scaled to unit norm (van der Sluis, Numer. Math. 14, 14 (1969)).
 
-    The SVD is taken of R from a = QR, which has the singular values and
-    right singular vectors of ``a``, so neither Q nor the left singular
-    vectors of ``a`` are built.  The stacked conditions (K(K+1) rows,
-    (K+1)(K+2)/2 columns) are tall for every K >= 2, where R is square; at
-    K = 1 they are wide (2 x 3), and so is R, whose kernel needs the full
-    V."""
-    r = np.linalg.qr(a, mode="r")
-    _, s, vh = np.linalg.svd(r, full_matrices=r.shape[0] < r.shape[1])
-    rank = int(np.sum(s > max(a.shape) * np.finfo(s.dtype).eps * s[0]))
-    return vh[rank:].conj().T
+    The columns of the stacked conditions scale with g (ensemble lowering)
+    or with lambda (photon removal), so the smallest nonzero singular value
+    of ``a`` falls with g; that of the scaled matrix B does not, and with
+    its gap O(1) at every g the eigenvectors of B^T B (``eigh``) resolve
+    the kernel as well as an SVD of B would.  An eigenvalue counts as
+    kernel when it is at most max(a.shape) * eps * (largest eigenvalue):
+    scipy's rank rule for singular values carried over to their squares,
+    at the rounding floor of the Gram matrix.
+
+    Each column's norm is taken over the column divided by its largest
+    |entry|, so no square underflows or overflows; a zero column keeps
+    scale 1 and stays a kernel direction.  A kernel vector y of B is one
+    of ``a`` as y / scale, taken as y * (smallest scale / scale) so that no
+    entry exceeds |y|, and divided by its largest |entry| before its norm,
+    so that no square underflows to a zero norm."""
+    top = np.abs(a).max(axis=0)
+    top[top == 0] = 1.0
+    # a nonzero column divided by its largest |entry| has norm at least 1
+    scale = top * np.maximum(np.linalg.norm(a / top, axis=0), 1.0)
+    b = a / scale
+    w, v = np.linalg.eigh(b.T @ b)
+    kernel = v[:, w <= max(a.shape) * np.finfo(w.dtype).eps * w[-1]]
+    kernel = kernel * (scale.min() / scale)[:, None]
+    kernel = kernel / np.abs(kernel).max(axis=0)
+    return kernel / np.linalg.norm(kernel, axis=0)
 
 
 def null_space_coefficients(params: ModelParams, k: int) -> BicCoefficients:
@@ -291,7 +310,12 @@ def null_space_coefficients(params: ModelParams, k: int) -> BicCoefficients:
 
     Raises :class:`DegenerateNullSpaceError` unless the kernel is exactly
     one-dimensional (it is K + 1 dimensional at g = 0, where the trapped
-    state is not unique).
+    state is not unique).  Since ``_null_space`` scales the columns, the
+    kernel was one-dimensional and the table agreed with the closed form
+    to rounding at every g tried from 1e-315 up to where the closed form
+    overflows; at the subnormal g below, where the conditions' ensemble
+    entries are themselves rounded, the table stays finite and of unit
+    norm.
     """
     _check_k(params, k)
     if k == 0:

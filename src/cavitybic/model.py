@@ -104,12 +104,12 @@ class SectorBasis:
     ``enumerate_sector`` builds.
     """
 
-    __slots__ = ("k_excitations", "occupations", "_m_atoms", "_rank_terms")
+    __slots__ = ("k_excitations", "occupations", "m_atoms", "_rank_terms")
 
     def __init__(self, k_excitations: int, occupations: np.ndarray, m_atoms: int):
         self.k_excitations = k_excitations
         self.occupations = occupations
-        self._m_atoms = m_atoms
+        self.m_atoms = m_atoms
         self._rank_terms = _rank_terms(k_excitations, _slot_caps(
             occupations.shape[1] - 3, m_atoms, k_excitations))
 
@@ -150,7 +150,7 @@ class SectorBasis:
             prefix += rows[:, slot]
             found += np.take(terms[slot], prefix, mode="clip")
         prefix += rows[:, -1]
-        if (prefix != k).any() or rows[:, -2:].max(initial=0) > self._m_atoms:
+        if (prefix != k).any() or rows[:, -2:].max(initial=0) > self.m_atoms:
             raise ValueError(f"sector K={k} lacks a requested state")
         return found
 
@@ -170,8 +170,8 @@ class SectorBasis:
         sum over the columns; for j = 0, where every prefix sum moves, at
         x's index less dim K - dim K-1."""
         occ = self.occupations
-        if (lower.k_excitations, lower._m_atoms, lower.occupations.shape[1:]) != (
-                self.k_excitations - 1, self._m_atoms, occ.shape[1:]):
+        if (lower.k_excitations, lower.m_atoms, lower.occupations.shape[1:]) != (
+                self.k_excitations - 1, self.m_atoms, occ.shape[1:]):
             raise ValueError("target sector does not contain every lowered state")
         # T_{K-1} has no column K: a row whose prefix sum is K there has
         # nothing left to lower in a later slot

@@ -139,7 +139,8 @@ def lowering_maps(params: ModelParams, sector_k: SectorBasis, sector_km1: Sector
                   slots: Sequence[int] | None = None) -> list[LoweringMap]:
     """Lowering map of each of ``slots`` (default: every slot), from
     ``sector_k`` to ``sector_km1``, which must be sector K - 1 of the same
-    chain and ensembles (``ValueError`` otherwise).
+    chain and ensembles, both those of ``params`` (``ValueError``
+    otherwise).
 
     Amplitude sqrt(n) on photon slots and sqrt(n (M - n + 1)) on atom slots.
     Each slot's lowered states are ranked in ``sector_km1`` from their
@@ -147,6 +148,10 @@ def lowering_maps(params: ModelParams, sector_k: SectorBasis, sector_km1: Sector
     row built.
     """
     occ = sector_k.occupations
+    # the slots and the atomic amplitudes are read from params
+    if (params.n_chain, params.m_atoms) != (occ.shape[1] - 3, sector_k.m_atoms):
+        raise ValueError(f"sectors of (n_chain, m_atoms) = ({occ.shape[1] - 3}, {sector_k.m_atoms})"
+                         f" do not match params ({params.n_chain}, {params.m_atoms})")
     if slots is None:
         slots = range(occ.shape[1])
     maps = []

@@ -100,9 +100,8 @@ def test_null_space_degenerate_at_zero_coupling():
 @pytest.mark.parametrize("n_chain", [2, 4])
 @pytest.mark.parametrize("g", [0.3, -0.7, 2.0, 0.0])
 def test_null_space_matches_scipy(n_chain, g):
-    # scipy.linalg.null_space (full SVD, same rank rule) as the oracle; K = 1
-    # is the one wide (2 x 3) stacked matrix, where the thin SVD would drop
-    # the kernel
+    # scipy.linalg.null_space (full SVD of the unscaled matrix) as the
+    # oracle; K = 1 is the one wide (2 x 3) stacked matrix
     for m_atoms in (1, 2, 3, 5, 30):
         params = (triple_cavity(m_atoms=m_atoms, g=g) if n_chain == 2
                   else four_chain(m_atoms, g=g))
@@ -118,8 +117,8 @@ def test_null_space_matches_scipy(n_chain, g):
 
 
 def _assert_kernel_as_scipy(params, k, overlap_tol=1e-14):
-    """The QR-first kernel against scipy.linalg.null_space (full SVD of the
-    stacked matrix itself): the same dimension, the same vector to within
+    """The column-scaled kernel against scipy.linalg.null_space (full SVD of
+    the unscaled stacked matrix): the same dimension, the same vector to within
     ``overlap_tol`` where it is one-dimensional, and a refusal where it is
     not.  ``overlap_tol=None`` takes the perturbation bound instead: each
     kernel vector is off the exact one by an angle of at most tol / gap
@@ -142,23 +141,68 @@ def _assert_kernel_as_scipy(params, k, overlap_tol=1e-14):
 @pytest.mark.parametrize("n_chain", [2, 4])
 @pytest.mark.parametrize("g", [1e-12, 1e-6])
 def test_qr_first_kernel_keeps_scipys_rank_at_near_degenerate_coupling(n_chain, g):
-    # the smallest nonzero singular values scale with g.  At g = 1e-12 the
-    # gap above the rank threshold falls to 14 times it, where no SVD fixes
-    # the kernel vector to 1e-14: the two differ by up to 6.6e-9 there, and
-    # are up to 6.9e-9 (ours) and 1.2e-9 (scipy's) off the closed-form table
+    # the smallest nonzero singular values of the unscaled matrix scale with
+    # g.  At g = 1e-12 its gap above the rank threshold falls to 14 times
+    # it, where no SVD of it fixes the kernel vector to 1e-14: scipy's is up
+    # to 1.2e-9 off the closed-form table there.  At (M, K) = (30, 30) the
+    # gap falls below the threshold and scipy's kernel is 2-dimensional,
+    # while the scaled one still holds the unique trapped state
     for m_atoms in (1, 2, 3, 5, 30):
         params = (triple_cavity(m_atoms=m_atoms, g=g) if n_chain == 2
                   else four_chain(m_atoms, g=g))
         for k in sorted({1, min(2, m_atoms), max(1, m_atoms // 2), m_atoms}):
-            _assert_kernel_as_scipy(params, k, None if g < 1e-9 else 1e-14)
+            if g == 1e-12 and m_atoms == k == 30:
+                assert null_space(np.vstack(_condition_matrices(params, k))).shape[1] == 2
+                exact = closed_form_coefficients(params, k)
+                assert 1.0 - abs(null_space_coefficients(params, k).overlap(exact)) <= 1e-14
+            else:
+                _assert_kernel_as_scipy(params, k, None if g < 1e-9 else 1e-14)
 
 
 def test_qr_first_kernel_keeps_scipys_rank_on_the_wide_and_the_largest_matrices():
-    # K = 1 is wide (2 x 3), so R is too; K = 30 at M = 30 is 930 x 496
+    # K = 1 is wide (2 x 3); K = 30 at M = 30 is 930 x 496
     params = triple_cavity(m_atoms=30, g=0.3)
     assert np.vstack(_condition_matrices(params, 1)).shape == (2, 3)
     for k in range(1, 31):
         _assert_kernel_as_scipy(params, k)
+
+
+@pytest.mark.parametrize("n_chain", [2, 4])
+def test_routes_agree_from_tiny_to_large_coupling(n_chain):
+    # the closed form is finite on this whole grid; the null space scales its
+    # columns, so its gap does not close as g falls
+    for g in np.logspace(-100, 3, 24):
+        for m_atoms in (1, 2, 3, 5, 30):
+            params = (triple_cavity(m_atoms=m_atoms, g=g) if n_chain == 2
+                      else four_chain(m_atoms, g=g))
+            for k in sorted({1, max(1, m_atoms // 2), m_atoms}):
+                a = closed_form_coefficients(params, k)
+                b = recursive_coefficients(params, k)
+                c = null_space_coefficients(params, k)
+                for x, y in ((a, b), (a, c), (b, c)):
+                    assert abs(1.0 - abs(x.overlap(y))) <= 1e-14, (g, m_atoms, k)
+
+
+@pytest.mark.parametrize("g", [1e-300, 1e-315, 5e-324])
+def test_null_space_at_the_smallest_couplings_is_never_nan_or_zero(g):
+    # down to g = 1e-315 the route returns the trapped state or refuses.
+    # Below it the ensemble entries of the conditions are subnormal floats,
+    # rounded to 5e-324 steps, so at the smallest float the table is only
+    # required to be finite and of unit norm
+    for n_chain in (2, 4):
+        for m_atoms in (1, 2, 3, 5, 30):
+            params = (triple_cavity(m_atoms=m_atoms, g=g) if n_chain == 2
+                      else four_chain(m_atoms, g=g))
+            for k in sorted({1, max(1, m_atoms // 2), m_atoms}):
+                try:
+                    c = null_space_coefficients(params, k)
+                except DegenerateNullSpaceError:
+                    continue
+                assert np.isfinite(c.table).all()
+                assert c.norm() == pytest.approx(1.0, abs=1e-14)
+                if g >= 1e-315:
+                    exact = closed_form_coefficients(params, k)
+                    assert abs(1.0 - abs(c.overlap(exact))) <= 1e-14
 
 
 def test_assembled_state_is_unit_norm_with_vacuum_ends():

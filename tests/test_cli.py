@@ -361,6 +361,24 @@ def test_overflowing_amplitude_table_is_a_numerical_failure(argv, capsys):
     assert "nan" not in captured.out and "status=" not in captured.out
 
 
+@pytest.mark.parametrize("settings", [
+    ("g=1e-12", "m_atoms=30", "k_excitations=30"),  # was a "2-dimensional kernel", exit 2
+    ("g=3e-14", "m_atoms=3", "k_excitations=3"),  # was nullspace_overlap=0.99999957658478178
+])
+def test_bic_certifies_the_trapped_state_at_a_tiny_coupling(settings):
+    code, out, err = run_cli("bic", *(arg for s in settings for arg in ("--set", s)))
+    assert code == 0 and err == ""
+    assert "status=PASS" in out.splitlines()
+
+
+def test_bic_at_zero_coupling_is_a_numerical_failure():
+    # the trapped state is not unique at g = 0: the kernel is K + 1 dimensional
+    code, out, err = run_cli("bic", "--set", "g=0")
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        "numerical failure: stacked trapping conditions have a 3-dimensional kernel"]
+
+
 @pytest.mark.parametrize("settings", [(), ("--set", "n_chain=8")])
 def test_bic_residuals_whose_squares_overflow_are_finite(settings):
     # at delta = 1e200 the residual vectors hold entries near 1e199, whose

@@ -10,6 +10,7 @@ from cavitybic import (ModelParams, build_collective_lowering,
                        build_end_annihilation, build_hamiltonian,
                        build_normal_mode, build_number_op, coupling_lambda,
                        enumerate_sector, mode_weights, normal_mode_frequency)
+from cavitybic.operators import lowering_maps
 from conftest import triple_cavity
 from oracles import hamiltonian_normal_mode_picture
 
@@ -161,6 +162,17 @@ def test_ladder_rejects_a_target_that_is_not_the_lower_sector():
                    enumerate_sector(p.replace(n_chain=3), 1)):
         with pytest.raises(ValueError, match="does not contain every lowered state"):
             build_end_annihilation(p, sec2, target, "L")
+
+
+def test_lowering_maps_reject_params_of_another_chain_or_ensemble():
+    # the J- amplitudes sqrt(n (M - n + 1)) read M from params: with M = 3
+    # they came out [1.732, 2.0, 1.732, 1.732, 1.732], not sqrt(2) each
+    p = triple_cavity(m_atoms=2)
+    s2, s1 = enumerate_sector(p, 2), enumerate_sector(p, 1)
+    assert np.allclose(lowering_maps(p, s2, s1, [3])[0].amp, math.sqrt(2))
+    for other in (p.replace(m_atoms=3), p.replace(n_chain=3)):
+        with pytest.raises(ValueError, match="do not match params"):
+            lowering_maps(other, s2, s1, [3])
 
 
 def test_normal_mode_is_middle_cavity_for_triple():

@@ -38,7 +38,8 @@ _EVOLVE = [
 ]
 
 # The README's four examples (without their --out), the evolve inputs above,
-# and the benchmark's cli-scan commands at seeds 1, 2 and 3.
+# the benchmark's cli-scan commands at seeds 1, 2 and 3, and two bic runs at
+# a coupling small enough to test the null-space route's conditioning.
 ARGVS = [
     ["bic", "--set", "m_atoms=2", "--set", "k_excitations=2", "--set", "g=0.1"],
     ["sweep-chi", "--set", "chi_min=0.05", "--set", "chi_max=20", "--set", "chi_points=41"],
@@ -54,6 +55,8 @@ ARGVS = [
     ["bic", "--seed", "3"],
     ["sweep-chi", "--set", "chi_points=2001", "--set", "chi_min=0.039", "--set", "chi_max=20.885"],
     ["qfactor", "--set", "delta_points=2001", "--set", "g=10.74", "--set", "gamma_a=0.01604"],
+    ["bic", "--set", "g=1e-12", "--set", "m_atoms=30", "--set", "k_excitations=30"],
+    ["bic", "--set", "g=3e-14", "--set", "m_atoms=3", "--set", "k_excitations=3"],
 ]
 
 
