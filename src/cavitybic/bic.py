@@ -30,6 +30,10 @@ whose closed form is
 with the signed expansion parameter chi_s = -g / lambda_qR.  The reported
 regime parameter ``chi`` is the magnitude |g / lambda_qL|; the m-photon
 amplitude scales with chi^m, so chi controls the photon/atom composition.
+The closed form is evaluated as logs shifted by their largest before
+exponentiating, so its table is finite wherever the normalised state is:
+at chi >> 1 (the K-photon "quantum cavity") as well as at chi << 1 (the
+entangled atomic state), for any K.
 
 Three independent routes to the same table are provided (closed form,
 recursion, numerical null space of the stacked conditions) so each can
@@ -47,7 +51,6 @@ point.  ``regime_observables`` reads one table and is its reference.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -61,8 +64,6 @@ from .operators import apply_hamiltonian, coupling_lambda, lowering_maps, mode_w
 # photon numbers or table rows times cells: its working memory, whatever the
 # grid's length or K.
 _SLICE_ENTRIES = 2 ** 16
-# A float's largest natural log: a squared norm above it overflows.
-_LOG_MAX_FLOAT = math.log(sys.float_info.max)
 
 
 class NoTrappedStateError(ValueError):
@@ -166,14 +167,22 @@ def _check_k(params: ModelParams, k: int) -> None:
 
 def _normalize(k: int, params: ModelParams, table: np.ndarray,
                anchor: tuple[int, int] = (0, 0)) -> BicCoefficients:
+    """``table`` divided by its norm, in the global phase that makes the
+    ``anchor`` cell real and positive; ``OverflowError`` unless the norm is
+    finite.  The phase is read from the anchor divided by its largest real or
+    imaginary part: numpy's complex division squares the divisor, so
+    abs(c) / c would overflow at a subnormal anchor.  For a real anchor the
+    phase factor is exactly +-1."""
     with np.errstate(over="ignore", invalid="ignore"):
         norm = np.linalg.norm(table)
     if not math.isfinite(norm):
-        raise _overflow(k, chi(params))
+        raise OverflowError(f"the K={k} amplitude table overflows a float at chi={chi(params):.6g}")
     table = table / norm
     c = table[anchor]
-    if abs(c) > 0:
-        table = table * (abs(c) / c)  # global phase: the anchor cell real positive
+    top = max(abs(c.real), abs(c.imag))
+    if top > 0:  # global phase: the anchor cell real positive
+        u = complex(c.real / top, c.imag / top)
+        table = table * (abs(u) / u)
     return BicCoefficients(
         k_excitations=k,
         m_atoms=params.m_atoms,
@@ -181,10 +190,6 @@ def _normalize(k: int, params: ModelParams, table: np.ndarray,
         sign_ratio=_sign_ratio(params.q),
         table=table,
     )
-
-
-def _overflow(k: int, chi_value: float) -> OverflowError:
-    return OverflowError(f"the K={k} amplitude table overflows a float at chi={chi_value:.6g}")
 
 
 def _log_factorials(n: int) -> np.ndarray:
@@ -211,13 +216,26 @@ def _log_amplitudes(m_atoms: int, k: int, m: np.ndarray, n: np.ndarray) -> np.nd
 
 
 def closed_form_coefficients(params: ModelParams, k: int) -> BicCoefficients:
-    """Amplitude table evaluated directly from the closed-form solution."""
+    """Amplitude table evaluated directly from the closed-form solution.
+
+    Each cell is sign(chi_s)^m sign_ratio^n exp(L - max L), with
+    L = log(|c_{m,n}| / chi^m) + m log|chi_s| before normalisation, so no
+    cell overflows, however large chi^K is.  At g = 0 the zero-photon row
+    is the whole table.  ``OverflowError`` only where chi_s itself overflows a
+    float.
+    """
     _check_k(params, k)
     m, n = _cells(k)
+    chi_s = _chi_signed(params)
+    log_c = _log_amplitudes(params.m_atoms, k, m, n)
+    if chi_s == 0:  # without coupling only the zero-photon row is left
+        log_c[m > 0] = -math.inf
+    else:  # an infinite chi_s gives NaN cells (0 * inf), failed by _normalize
+        with np.errstate(invalid="ignore"):
+            log_c += m * math.log(abs(chi_s))
     table = np.zeros((k + 1, k + 1), dtype=np.complex128)
-    with np.errstate(over="ignore"):  # an overflow fails _normalize's finite-norm check
-        table[m, n] = (_chi_signed(params) ** m * _sign_ratio(params.q) ** n
-                       * np.exp(_log_amplitudes(params.m_atoms, k, m, n)))
+    table[m, n] = (np.sign(chi_s) ** m * _sign_ratio(params.q) ** n
+                   * np.exp(log_c - log_c.max()))
     return _normalize(k, params, table)
 
 
@@ -312,10 +330,10 @@ def null_space_coefficients(params: ModelParams, k: int) -> BicCoefficients:
     one-dimensional (it is K + 1 dimensional at g = 0, where the trapped
     state is not unique).  Since ``_null_space`` scales the columns, the
     kernel was one-dimensional and the table agreed with the closed form
-    to rounding at every g tried from 1e-315 up to where the closed form
-    overflows; at the subnormal g below, where the conditions' ensemble
-    entries are themselves rounded, the table stays finite and of unit
-    norm.
+    to rounding at every g tried from 1e-315 to 1e306; at the subnormal g
+    below, where the conditions' ensemble entries are themselves rounded,
+    the table stays finite and of unit norm.  Near the float maximum the
+    column scale overflows and the kernel is no longer one-dimensional.
     """
     _check_k(params, k)
     if k == 0:
@@ -328,6 +346,15 @@ def null_space_coefficients(params: ModelParams, k: int) -> BicCoefficients:
     table = np.zeros((k + 1, k + 1), dtype=np.complex128)
     table[_cells(k)] = kernel[:, 0]
     return _normalize(k, params, table)
+
+
+def _check_complete_sector(params: ModelParams, sector: SectorBasis, k: int) -> None:
+    """``ValueError`` unless ``sector`` is the complete sector K of ``params``:
+    excitation number K, ``sector_dim`` states and the N + 3 slots."""
+    expected = sector_dim(params, k)
+    if (k != sector.k_excitations or sector.dim != expected
+            or sector.occupations.shape[1] != params.n_chain + 3):
+        raise ValueError(f"{sector!r} is not the complete sector K={k} of {expected} states")
 
 
 def assemble_bic_state(params: ModelParams, k: int,
@@ -351,12 +378,8 @@ def assemble_bic_state(params: ModelParams, k: int,
         coefficients = closed_form_coefficients(params, k)
     if sector is None:
         sector = enumerate_sector(params, k)
+    _check_complete_sector(params, sector, k)
     n_chain = params.n_chain
-    # the complete sector is every composition of K into the N + 3 slots; an
-    # atom count below K drops some of them
-    full = math.comb(k + n_chain + 2, k)
-    if sector.k_excitations != k or sector.dim != full:
-        raise ValueError(f"{sector!r} is not the complete sector K={k} of {full} states")
     occ = sector.occupations
     rows = np.flatnonzero((occ[:, 0] == 0) & (occ[:, n_chain] == 0))
     mid, j_left = occ[rows, 1:n_chain], occ[rows, n_chain + 1]
@@ -403,11 +426,7 @@ def _trapping_reports(params: ModelParams, sector: SectorBasis, vectors: list[np
     of lowering maps."""
     if k is None:
         k = sector.k_excitations
-    expected = sector_dim(params, k)
-    if (k != sector.k_excitations or sector.dim != expected
-            or sector.occupations.shape[1] != params.n_chain + 3):
-        raise ValueError(f"{sector!r} is not the complete sector K={k} "
-                         f"of {expected} states")
+    _check_complete_sector(params, sector, k)
     maps = lowering_maps(params, sector, enumerate_sector(params, k - 1))
     energy = (k - params.m_atoms) * params.omega_a
     n_chain = params.n_chain
@@ -437,14 +456,12 @@ def regime_observables(params: ModelParams, k: int,
     return RegimeObservables(mean_photons=mean_photons, mean_excited=k - mean_photons)
 
 
-def _row_log_weights(m_atoms: int, k: int) -> tuple[np.ndarray, bool]:
+def _row_log_weights(m_atoms: int, k: int) -> np.ndarray:
     """log W_m, W_m = sum_n |c_{m,n}|^2 / chi^(2m) over the closed form's
-    row m before normalisation, and whether that form's chi-free factor
-    overflows a float in some cell, which fails its table at every chi.
-    Rows are taken in blocks of at most ``_SLICE_ENTRIES`` cells."""
+    row m before normalisation, in blocks of at most ``_SLICE_ENTRIES``
+    cells."""
     labels = np.arange(k + 1)
     log_w = np.empty(k + 1)
-    largest = -np.inf
     step = max(1, _SLICE_ENTRIES // (k + 1))
     for lo in range(0, k + 1, step):
         m = labels[lo:lo + step, None]
@@ -452,8 +469,7 @@ def _row_log_weights(m_atoms: int, k: int) -> tuple[np.ndarray, bool]:
         log_sq = np.where(inside, 2 * _log_amplitudes(m_atoms, k, m, labels * inside), -np.inf)
         top = log_sq.max(axis=1)
         log_w[lo:lo + step] = top + np.log(np.exp(log_sq - top[:, None]).sum(axis=1))
-        largest = max(largest, top.max())
-    return log_w, largest > 2 * _LOG_MAX_FLOAT
+    return log_w
 
 
 def mean_photons_across_chi(params: ModelParams, k: int,
@@ -470,33 +486,21 @@ def mean_photons_across_chi(params: ModelParams, k: int,
     from log-weights shifted by each point's largest.  The grid is taken in
     slices of at most ``_SLICE_ENTRIES`` weights, so the working memory does
     not grow with its length or with K.  The result is
-    ``regime_observables`` at g = chi |lambda_qL| up to rounding, and so are
-    the failures: ``OverflowError`` at the first point where that route's
-    table overflows a float, that is, where its squared norm
-    sum_m W_m x^m does (an infinite chi included), or at every point if its
-    chi-free factor does.  ``ValueError`` unless every chi is positive.
+    ``regime_observables`` at g = chi |lambda_qL| up to rounding.
+    ``ValueError`` unless every chi is positive and finite.
     """
     _check_k(params, k)
     chi_values = np.asarray(chi_values, dtype=float)
-    if not np.all(chi_values > 0):
-        raise ValueError("chi values must be positive")
-    log_w, table_overflows = _row_log_weights(params.m_atoms, k)
-    if table_overflows and len(chi_values):
-        raise _overflow(k, chi_values[0])
+    if not np.all((chi_values > 0) & np.isfinite(chi_values)):
+        raise ValueError("chi values must be positive and finite")
+    log_w = _row_log_weights(params.m_atoms, k)
     photons = np.arange(k + 1.0)
     mean = np.empty(len(chi_values))
     step = max(1, _SLICE_ENTRIES // (k + 1))
     for lo in range(0, len(chi_values), step):
-        chunk = chi_values[lo:lo + step]
-        with np.errstate(invalid="ignore"):  # 0 * inf at chi = inf: a nan, failed below
-            log_terms = log_w + np.multiply.outer(2 * np.log(chunk), photons)
-            top = log_terms.max(axis=1)
-            weights = np.exp(log_terms - top[:, None])
-            total = weights.sum(axis=1)
-            failed = np.flatnonzero(~(top + np.log(total) <= _LOG_MAX_FLOAT))
-        if len(failed):
-            raise _overflow(k, chunk[failed[0]])
-        mean[lo:lo + step] = (weights * photons).sum(axis=1) / total
+        log_terms = log_w + np.multiply.outer(2 * np.log(chi_values[lo:lo + step]), photons)
+        weights = np.exp(log_terms - log_terms.max(axis=1)[:, None])
+        mean[lo:lo + step] = (weights * photons).sum(axis=1) / weights.sum(axis=1)
     return mean
 
 

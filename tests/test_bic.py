@@ -183,6 +183,33 @@ def test_routes_agree_from_tiny_to_large_coupling(n_chain):
                     assert abs(1.0 - abs(x.overlap(y))) <= 1e-14, (g, m_atoms, k)
 
 
+@pytest.mark.parametrize("g", [1e6, 1e100])
+def test_routes_agree_where_chi_to_the_k_overflows(g):
+    # at (N, M, K) = (2, 30, 30) chi^30 times the chi-free factor overflows a
+    # float, so the closed form failed here before its table was built from
+    # logs shifted by their largest.  The recursion multiplies chi into each
+    # step and its table still overflows at both couplings
+    params = triple_cavity(m_atoms=30, g=g)
+    exact = closed_form_coefficients(params, 30)
+    assert abs(1.0 - abs(exact.overlap(null_space_coefficients(params, 30)))) <= 1e-14
+
+
+def test_closed_form_at_an_infinite_chi_is_an_overflow():
+    # g / lambda_qL overflows a float on the four-cavity chain
+    with pytest.raises(OverflowError, match="the K=2 amplitude table overflows a float at chi=inf"):
+        closed_form_coefficients(four_chain(2, g=1.7e308), 2)
+
+
+@pytest.mark.parametrize("m_atoms", [2, 3])
+def test_null_space_at_the_largest_coupling_is_a_finite_unit_table(m_atoms):
+    # the kernel's anchor cell c[0, 0] is subnormal here, and the phase fix
+    # abs(c) / c overflowed to a NaN table
+    c = null_space_coefficients(four_chain(m_atoms, g=1e308), 1)
+    assert np.isfinite(c.table).all()
+    assert c.norm() == pytest.approx(1.0, abs=1e-14)
+    assert c.table[0, 0].real > 0 and c.table[0, 0].imag == 0
+
+
 @pytest.mark.parametrize("g", [1e-300, 1e-315, 5e-324])
 def test_null_space_at_the_smallest_couplings_is_never_nan_or_zero(g):
     # down to g = 1e-315 the route returns the trapped state or refuses.
@@ -258,6 +285,8 @@ def test_assembly_rejects_a_sector_that_is_not_the_full_sector_k():
         assemble_bic_state(p, 2, sector=enumerate_sector(p, 1))
     with pytest.raises(ValueError):  # sector K = 2 of a longer chain
         assemble_bic_state(p, 2, sector=enumerate_sector(p.replace(n_chain=4, q=2), 2))
+    with pytest.raises(ValueError):  # sector K = 0 of a longer chain: the same dim
+        assemble_bic_state(p, 0, sector=enumerate_sector(p.replace(n_chain=4, q=2), 0))
 
 
 def test_trapping_residuals_vanish_on_grid():
@@ -417,8 +446,7 @@ def test_subradiance_bound():
 
 
 def test_composition_grid_memory_does_not_grow_with_the_grid():
-    # 100,000 points at K = 300, below its first overflow (chi = 0.2976):
-    # all at once, each (point, photon number) array would take 240 MB
+    # 100,000 points at K = 300: all at once, each (point, photon number) array would take 240 MB
     grid = np.logspace(-2, math.log10(0.25), 100_000)
     tracemalloc.start()
     try:
@@ -430,9 +458,9 @@ def test_composition_grid_memory_does_not_grow_with_the_grid():
     assert peak < 8e6  # 3.0 MB measured: the result and a few slices of 2^16 weights
 
 
-@pytest.mark.parametrize("chi_value", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("chi_value", [0.0, -1.0, math.nan, math.inf])
 def test_composition_grid_needs_a_positive_chi(chi_value):
-    with pytest.raises(ValueError, match="chi values must be positive"):
+    with pytest.raises(ValueError, match="chi values must be positive and finite"):
         mean_photons_across_chi(triple_cavity(), 2, np.array([1.0, chi_value]))
 
 

@@ -138,8 +138,8 @@ def test_sweep_chi_empty_grid(capsys):
 
 
 def test_sweep_chi_whose_log_grid_rounds_to_inf_fails_there(capsys):
-    # 10 ** log10(max float) overflows: the last point is inf, whose table
-    # overflows while the first point's does not
+    # 10 ** log10(max float) overflows: the last point is inf, which the
+    # composition grid rejects as it rejects a chi that is not positive
     with warnings.catch_warnings():  # the overflow warning, as a CLI process shows it
         warnings.simplefilter("default")
         warnings.showwarning = _show_on_stderr
@@ -147,8 +147,7 @@ def test_sweep_chi_whose_log_grid_rounds_to_inf_fails_there(capsys):
                                       "--set", "chi_max=1.7976931348623157e308",
                                       "--set", "chi_points=2")
     assert (code, out) == (2, "")
-    assert err.splitlines() == ["numerical failure: the K=2 amplitude table overflows "
-                                "a float at chi=inf"]
+    assert err.splitlines() == ["numerical failure: chi values must be positive and finite"]
 
 
 def test_workers_key_is_rejected(capsys):
@@ -347,18 +346,33 @@ def test_qfactor_outside_its_model_is_rejected(setting, message, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ("bic", "--set", "g=1e308"),  # chi^2 overflows
-    ("bic", "--set", "g=1e150"),  # the table's norm overflows
+    ("bic", "--set", "g=1e308"),  # the null space's column scale overflows
+    ("bic", "--set", "g=1e150"),
     ("sweep-chi", "--set", "chi_max=1e300", "--set", "chi_points=3"),
     ("sweep-chi", "--set", "chi_min=1e100", "--set", "chi_max=1e100", "--set", "chi_points=1"),
+    ("bic", "--set", "g=1e160"),
+    ("bic", "--set", "m_atoms=30", "--set", "k_excitations=30", "--set", "g=1e6"),
 ])
 def test_overflowing_amplitude_table_is_a_numerical_failure(argv, capsys):
+    # chi^K times the closed form's chi-free factor overflows a float in
+    # each input, and each exited 2 with "the K=... amplitude table
+    # overflows a float" before the table was built from logs shifted by
+    # their largest.  Only g = 1e308 still fails, in the null-space route
     code = run_in_process(*argv)
     captured = capsys.readouterr()
-    assert code == 2
-    assert len(captured.err.splitlines()) == 1
-    assert captured.err.startswith("numerical failure: the K=2 amplitude table overflows")
-    assert "nan" not in captured.out and "status=" not in captured.out
+    assert "nan" not in captured.out + captured.err
+    if argv[-1] == "g=1e308":
+        assert code == 2 and captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("numerical failure: ")
+        return
+    assert (code, captured.err) == (0, "")
+    if argv[0] == "bic":
+        assert "status=PASS" in captured.out.splitlines()
+    else:  # the quantum-cavity limit: all K excitations are photons
+        rows = [line.split(",") for line in captured.out.splitlines()
+                if line and not line.startswith(("#", "chi"))]
+        assert float(rows[-1][3]) == pytest.approx(1.0, abs=1e-15)
 
 
 @pytest.mark.parametrize("settings", [
@@ -957,6 +971,27 @@ def test_qfactor_rows_are_the_one_point_library_calls(values, capsys):
     expected_err = (f"warning: degenerate minimal decay pair at {degenerate} of {len(rows)} grid "
                     "points; q_exact there uses the smallest rate\n") if degenerate else ""
     assert err == expected_err
+
+
+@pytest.mark.parametrize("m_atoms, chi_min, chi_max", [(100, 1, 100), (301, 0.001, 0.01)])
+def test_sweep_chi_reaches_every_point_at_a_large_k(m_atoms, chi_min, chi_max, capsys):
+    # the per-point tables overflowed a float here (from chi = 10 at M = 100,
+    # at every chi at M = 301), and the sweep exited 2 with them
+    values = {"m_atoms": m_atoms, "k_excitations": m_atoms, "chi_min": chi_min,
+              "chi_max": chi_max, "chi_points": 3}
+    code, out, err = run_captured(capsys, "sweep-chi",
+                                  *(arg for key, value in values.items()
+                                    for arg in ("--set", f"{key}={value}")))
+    assert (code, err) == (0, "")
+    rows = [[float(v) for v in line.split(",")] for line in out.splitlines()
+            if line and not line.startswith(("#", "chi"))]
+    assert len(rows) == 3
+    p = resolve_config("bic", {"m_atoms": str(m_atoms)}).params
+    coupling = abs(bic.chi(p.replace(g=1.0)))
+    tol = 32 * m_atoms * np.finfo(float).eps  # as in the per-point test below
+    for row in rows:
+        obs = bic.regime_observables(p.replace(g=row[0] / coupling), m_atoms)
+        assert abs(row[1] - obs.mean_photons) <= tol and abs(row[2] - obs.mean_excited) <= tol
 
 
 @st.composite

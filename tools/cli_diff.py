@@ -38,8 +38,10 @@ _EVOLVE = [
 ]
 
 # The README's four examples (without their --out), the evolve inputs above,
-# the benchmark's cli-scan commands at seeds 1, 2 and 3, and two bic runs at
-# a coupling small enough to test the null-space route's conditioning.
+# the benchmark's cli-scan commands at seeds 1, 2 and 3, two bic runs at a
+# coupling small enough to test the null-space route's conditioning, and
+# four runs where chi^K times the closed form's chi-free factor overflows a
+# float.
 ARGVS = [
     ["bic", "--set", "m_atoms=2", "--set", "k_excitations=2", "--set", "g=0.1"],
     ["sweep-chi", "--set", "chi_min=0.05", "--set", "chi_max=20", "--set", "chi_points=41"],
@@ -57,6 +59,12 @@ ARGVS = [
     ["qfactor", "--set", "delta_points=2001", "--set", "g=10.74", "--set", "gamma_a=0.01604"],
     ["bic", "--set", "g=1e-12", "--set", "m_atoms=30", "--set", "k_excitations=30"],
     ["bic", "--set", "g=3e-14", "--set", "m_atoms=3", "--set", "k_excitations=3"],
+    ["sweep-chi", "--set", "m_atoms=100", "--set", "k_excitations=100", "--set", "chi_min=1",
+     "--set", "chi_max=100", "--set", "chi_points=3"],
+    ["sweep-chi", "--set", "m_atoms=301", "--set", "k_excitations=301", "--set", "chi_min=0.001",
+     "--set", "chi_max=0.01", "--set", "chi_points=3"],
+    ["bic", "--set", "g=1e160"],
+    ["bic", "--set", "m_atoms=30", "--set", "k_excitations=30", "--set", "g=1e6"],
 ]
 
 
