@@ -30,17 +30,22 @@ whose closed form is
 with the signed expansion parameter chi_s = -g / lambda_qR.  The reported
 regime parameter ``chi`` is the magnitude |g / lambda_qL|; the m-photon
 amplitude scales with chi^m, so chi controls the photon/atom composition.
-The closed form is evaluated as logs shifted by their largest before
-exponentiating, so its table is finite wherever the normalised state is:
-at chi >> 1 (the K-photon "quantum cavity") as well as at chi << 1 (the
-entangled atomic state), for any K.
 
 Three independent routes to the same table are provided (closed form,
 recursion, numerical null space of the stacked conditions) so each can
-cross-check the others.  The null space is taken with every column of the
-stacked conditions scaled to unit norm, from the eigenvectors of the scaled
-Gram matrix: the ensemble columns scale with g and the photon columns with
-lambda, and the scaling keeps the kernel well separated at every g > 0.
+cross-check the others, each an array program over one cell layout,
+``_cells(k)``.  The closed form and the recursion (as running sums of the
+logs of its step ratios) both give the table's logs, which are shifted by
+their largest before exponentiating, so either table is finite wherever the
+normalised state is: at chi >> 1 (the K-photon "quantum cavity") as well as
+at chi << 1 (the entangled atomic state), for any K.  The null space is
+taken with every column of the stacked conditions scaled to unit norm, from
+the eigenvectors of the scaled Gram matrix: the ensemble columns scale with
+g and the photon columns with lambda, and the scaling keeps the kernel well
+separated at every g > 0.  The couplings of the conditions are divided by a
+power of two below 2^1000 first, so that no entry or column scale overflows
+near the float maximum.  Only where chi itself overflows a float does any
+route fail.
 
 The composition across a grid of chi needs no table per point: since
 |c_{m,n}|^2 is chi^(2m) times a chi-free factor, ``mean_photons_across_chi``
@@ -215,79 +220,94 @@ def _log_amplitudes(m_atoms: int, k: int, m: np.ndarray, n: np.ndarray) -> np.nd
             + 0.5 * (lf[k] - lf[m_atoms] - lf[m_atoms - k]))
 
 
+def _log_chi(params: ModelParams) -> float:
+    """log|chi_s|: -inf at g = 0 and inf where chi_s overflows a float."""
+    chi_s = _chi_signed(params)
+    return math.log(abs(chi_s)) if chi_s else -math.inf
+
+
+def _signed_table(params: ModelParams, k: int, log_c: np.ndarray) -> BicCoefficients:
+    """The normalised table whose cell (m, n) of ``_cells(k)`` is
+    sign(chi_s)^m sign_ratio^n exp(L - max L), L = ``log_c``: no cell
+    overflows, however large chi^K is.  An infinite chi_s gives NaN cells
+    (inf - inf), which ``_normalize`` fails with its ``OverflowError``."""
+    m, n = _cells(k)
+    table = np.zeros((k + 1, k + 1), dtype=np.complex128)
+    with np.errstate(invalid="ignore"):
+        table[m, n] = (np.sign(_chi_signed(params)) ** m * _sign_ratio(params.q) ** n
+                       * np.exp(log_c - log_c.max()))
+    return _normalize(k, params, table)
+
+
 def closed_form_coefficients(params: ModelParams, k: int) -> BicCoefficients:
     """Amplitude table evaluated directly from the closed-form solution.
 
-    Each cell is sign(chi_s)^m sign_ratio^n exp(L - max L), with
-    L = log(|c_{m,n}| / chi^m) + m log|chi_s| before normalisation, so no
-    cell overflows, however large chi^K is.  At g = 0 the zero-photon row
-    is the whole table.  ``OverflowError`` only where chi_s itself overflows a
-    float.
+    Its logs are L = log(|c_{m,n}| / chi^m) + m log|chi_s| before
+    normalisation, taken to a table by ``_signed_table``.  At g = 0 the
+    m > 0 cells are -inf, so the zero-photon row is the whole table.
+    ``OverflowError`` only where chi_s itself overflows a float.
     """
     _check_k(params, k)
     m, n = _cells(k)
-    chi_s = _chi_signed(params)
     log_c = _log_amplitudes(params.m_atoms, k, m, n)
-    if chi_s == 0:  # without coupling only the zero-photon row is left
-        log_c[m > 0] = -math.inf
-    else:  # an infinite chi_s gives NaN cells (0 * inf), failed by _normalize
-        with np.errstate(invalid="ignore"):
-            log_c += m * math.log(abs(chi_s))
-    table = np.zeros((k + 1, k + 1), dtype=np.complex128)
-    table[m, n] = (np.sign(chi_s) ** m * _sign_ratio(params.q) ** n
-                   * np.exp(log_c - log_c.max()))
-    return _normalize(k, params, table)
+    photons = m > 0
+    log_c[photons] += m[photons] * _log_chi(params)
+    return _signed_table(params, k, log_c)
 
 
 def recursive_coefficients(params: ModelParams, k: int) -> BicCoefficients:
     """Amplitude table built by forward recursion from the zero-photon row.
 
     The zero-photon seeds follow from requiring the two recursions to
-    commute, which keeps this route well defined even at g = 0.
+    commute, which keeps this route well defined even at g = 0.  Each step
+    is taken as the log of its ratio: one running sum along the zero-photon
+    row, then one down each column, whose steps carry log|chi_s| (-inf at
+    g = 0, which zeroes the m > 0 rows).  The logs go to a table as the
+    closed form's do, so the recursion is finite wherever the normalised
+    state is; ``OverflowError`` only where chi_s itself overflows a float.
     """
     _check_k(params, k)
     m_at = params.m_atoms
-    chi_s = _chi_signed(params)
-    ratio = _sign_ratio(params.q)
-    table = np.zeros((k + 1, k + 1), dtype=np.complex128)
-    table[0, 0] = 1.0
-    for n in range(1, k + 1):
-        table[0, n] = (ratio * math.sqrt((k - n + 1) * (m_at - k + n)
-                                         / (n * (m_at - n + 1))) * table[0, n - 1])
-    for m in range(k):
-        for n in range(k - m):
-            table[m + 1, n] = (chi_s * math.sqrt((k - m - n) * (m_at - k + m + n + 1))
-                               / math.sqrt(m + 1) * table[m, n])
-    return _normalize(k, params, table)
+    m, n = _cells(k)
+    steps = np.zeros((k + 1, k + 1))
+    j = np.arange(1, k + 1)
+    # log|c_{0,j} / c_{0,j-1}|, summed along the zero-photon row
+    steps[0, 1:] = np.cumsum(0.5 * np.log((k - j + 1) * (m_at - k + j) / (j * (m_at - j + 1))))
+    mb, nb = m[m > 0], n[m > 0]
+    # log|c_{m,n} / c_{m-1,n}|, summed down each column
+    steps[mb, nb] = (_log_chi(params)
+                     + 0.5 * np.log((k - mb - nb + 1) * (m_at - k + mb + nb) / mb))
+    return _signed_table(params, k, np.cumsum(steps, axis=0)[m, n])
 
 
-def _condition_matrices(params: ModelParams, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Matrices of the two interference conditions on the (m, n) label grid,
-    mapping the K grid to the K - 1 grid, built from ladder matrix elements
-    only (independent of the recursion and the closed form)."""
+def _condition_matrix(params: ModelParams, k: int) -> np.ndarray:
+    """The two interference conditions stacked, left over right, mapping
+    the cells ``_cells(k)`` of the K grid to the K - 1 grid, whose cell
+    (m, n) is row m K - m (m - 1) / 2 + n of each half; built from ladder
+    matrix elements only (independent of the recursion and the closed
+    form).  g, lambda_qL and lambda_qR are first divided by one power of two
+    (exact), chosen so that their largest is below 2^1000: the kernel is
+    the same, no entry overflows, and below 2^1000 nothing is scaled."""
     m_at = params.m_atoms
-    g = params.g
-    lam_l = coupling_lambda(params, params.q, "L")
-    lam_r = coupling_lambda(params, params.q, "R")
-
-    def grid(kk: int) -> dict[tuple[int, int], int]:
-        cells = [(m, n) for m in range(kk + 1) for n in range(kk + 1 - m)]
-        return {cell: i for i, cell in enumerate(cells)}
-
-    src = grid(k)
-    dst = grid(k - 1) if k >= 1 else {}
-    a_left = np.zeros((len(dst), len(src)))
-    a_right = np.zeros((len(dst), len(src)))
-    for (m, n), j in src.items():
-        r = k - m - n
-        if n >= 1:  # JL- lowers the left ensemble
-            a_left[dst[(m, n - 1)], j] += g * math.sqrt(n * (m_at - n + 1))
-        if r >= 1:  # JR- lowers the right ensemble, same (m, n) labels
-            a_right[dst[(m, n)], j] += g * math.sqrt(r * (m_at - r + 1))
-        if m >= 1:  # B_q removes one resonant-mode photon
-            a_left[dst[(m - 1, n)], j] += lam_l * math.sqrt(m)
-            a_right[dst[(m - 1, n)], j] += lam_r * math.sqrt(m)
-    return a_left, a_right
+    couplings = (params.g, coupling_lambda(params, params.q, "L"),
+                 coupling_lambda(params, params.q, "R"))
+    shift = max(0, math.frexp(max(map(abs, couplings)))[1] - 1000)
+    g, lam_l, lam_r = (math.ldexp(x, -shift) for x in couplings)
+    m, n = _cells(k)
+    r = k - m - n
+    col = np.arange(len(m))
+    row = m * k - m * (m - 1) // 2 + n  # of the cell (m, n) on the K - 1 grid
+    half = k * (k + 1) // 2
+    a = np.zeros((2 * half, len(m)))
+    left, right, photons = n >= 1, r >= 1, m >= 1
+    # JL- lowers the left ensemble to (m, n - 1); JR- the right, at (m, n)
+    a[row[left] - 1, col[left]] = g * np.sqrt(n[left] * (m_at - n[left] + 1))
+    a[half + row[right], col[right]] = g * np.sqrt(r[right] * (m_at - r[right] + 1))
+    # B_q removes one resonant-mode photon, to (m - 1, n)
+    removed = row[photons] - k + m[photons] - 1
+    a[removed, col[photons]] = lam_l * np.sqrt(m[photons])
+    a[half + removed, col[photons]] = lam_r * np.sqrt(m[photons])
+    return a
 
 
 def _null_space(a: np.ndarray) -> np.ndarray:
@@ -309,8 +329,9 @@ def _null_space(a: np.ndarray) -> np.ndarray:
     scale 1 and stays a kernel direction.  A kernel vector y of B is one
     of ``a`` as y / scale, taken as y * (smallest scale / scale) so that no
     entry exceeds |y|, and divided by its largest |entry| before its norm,
-    so that no square underflows to a zero norm."""
-    top = np.abs(a).max(axis=0)
+    so that no square underflows to a zero norm.  A matrix without rows
+    (the conditions at K = 0) has the one unit vector as its kernel."""
+    top = np.abs(a).max(axis=0, initial=0.0)
     top[top == 0] = 1.0
     # a nonzero column divided by its largest |entry| has norm at least 1
     scale = top * np.maximum(np.linalg.norm(a / top, axis=0), 1.0)
@@ -328,18 +349,15 @@ def null_space_coefficients(params: ModelParams, k: int) -> BicCoefficients:
 
     Raises :class:`DegenerateNullSpaceError` unless the kernel is exactly
     one-dimensional (it is K + 1 dimensional at g = 0, where the trapped
-    state is not unique).  Since ``_null_space`` scales the columns, the
-    kernel was one-dimensional and the table agreed with the closed form
-    to rounding at every g tried from 1e-315 to 1e306; at the subnormal g
+    state is not unique).  Since ``_null_space`` scales the columns and
+    ``_condition_matrix`` scales the couplings below 2^1000, the kernel was
+    one-dimensional and the table agreed with the closed form to rounding
+    at every g tried from 1e-315 to the float maximum; at the subnormal g
     below, where the conditions' ensemble entries are themselves rounded,
-    the table stays finite and of unit norm.  Near the float maximum the
-    column scale overflows and the kernel is no longer one-dimensional.
+    the table stays finite and of unit norm.
     """
     _check_k(params, k)
-    if k == 0:
-        return _normalize(0, params, np.ones((1, 1), dtype=np.complex128))
-    a_left, a_right = _condition_matrices(params, k)
-    kernel = _null_space(np.vstack([a_left, a_right]))
+    kernel = _null_space(_condition_matrix(params, k))
     if kernel.shape[1] != 1:
         raise DegenerateNullSpaceError(
             f"stacked trapping conditions have a {kernel.shape[1]}-dimensional kernel")

@@ -167,8 +167,7 @@ def parse_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def resolve_config(experiment: str, raw_values: dict[str, str],
-                   seed_override: int | None = None) -> RunConfig:
+def resolve_config(experiment: str, raw_values: dict[str, str]) -> RunConfig:
     schema = SCHEMAS.get(experiment)
     if schema is None:
         raise ParamError(f"unknown experiment {experiment!r}")
@@ -191,8 +190,6 @@ def resolve_config(experiment: str, raw_values: dict[str, str],
         raise ParamError(f"bad values for 't_end' and 'snapshot_dt': t_end / snapshot_dt "
                          f"must be at most {dynamics.MAX_SNAPSHOTS}, "
                          f"got {options['t_end'] / options['snapshot_dt']:.3g}")
-    if seed_override is not None:
-        options["seed"] = seed_override
     if options.get("seed", 0) < 0:
         raise ParamError(f"bad value for 'seed': must be >= 0, got {options['seed']!r}")
     model = {key: options.get(key, default) for key, (_, default) in _MODEL_KEYS.items()}
@@ -457,8 +454,9 @@ def main(argv: Sequence[str] | None = None) -> int:
                     raise ParamError(f"--set expects KEY=VALUE, got {item!r}")
                 key, _, value = item.partition("=")
                 raw[key.strip()] = value.strip()
-            config = resolve_config(args.experiment, raw,
-                                    seed_override=getattr(args, "seed", None))
+            if getattr(args, "seed", None) is not None:  # --seed over --set and --config
+                raw["seed"] = str(args.seed)
+            config = resolve_config(args.experiment, raw)
             print(*config.echo_lines(), sep="\n", file=out)
             code = _DRIVERS[args.experiment](config, out)
         if args.out:

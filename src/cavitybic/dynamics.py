@@ -303,20 +303,16 @@ class LindbladGenerator:
         self._h_eff_blocks = h_eff
         self._jumps = [(float(rate), blocks) for rate, blocks in jumps]
 
-    def reach(self, rho: np.ndarray) -> tuple[list[tuple[int, int]], np.ndarray]:
-        """``(blocks, index)``: the sector ``blocks`` that the generator
-        reaches from the nonzero blocks of ``rho`` and their positions in
-        ``rho.ravel()``, as ``_reach`` finds them."""
-        return _reach(self.space, rho, bool(self._jumps))
-
     def superoperator(self, rho: np.ndarray) -> tuple[list[tuple[int, int]], np.ndarray,
                                                       sparse.csr_matrix]:
-        """``(blocks, index, matrix)``: ``reach(rho)`` and the superoperator
-        on it, with ``apply(rho).ravel()[index] == matrix @ rho.ravel()[index]``
-        while ``apply(rho)`` is zero elsewhere.  A reach of more than
-        ``MAX_REACHED_ENTRIES`` entries raises ``ValueError`` before
-        anything is built."""
-        blocks, index = self.reach(rho)
+        """``(blocks, index, matrix)``: the sector ``blocks`` that the
+        generator reaches from the nonzero blocks of ``rho`` and their
+        positions ``index`` in ``rho.ravel()``, as ``_reach`` finds them, and
+        the superoperator on them, with ``apply(rho).ravel()[index] ==
+        matrix @ rho.ravel()[index]`` while ``apply(rho)`` is zero
+        elsewhere.  A reach of more than ``MAX_REACHED_ENTRIES`` entries
+        raises ``ValueError`` before anything is built."""
+        blocks, index = _reach(self.space, rho, bool(self._jumps))
         return blocks, index, self._matrix(blocks)
 
     def _matrix(self, blocks: list[tuple[int, int]]) -> sparse.csr_matrix:

@@ -52,6 +52,35 @@ def mode_fock_embedding(params, k, table):
     return vec
 
 
+def condition_matrices(params, k):
+    """Matrices of the two interference conditions on the (m, n) label grid,
+    mapping the K grid to the K - 1 grid, built cell by cell from ladder
+    matrix elements, each grid numbered by a dict in m-major order."""
+    m_at = params.m_atoms
+    g = params.g
+    lam_l = coupling_lambda(params, params.q, "L")
+    lam_r = coupling_lambda(params, params.q, "R")
+
+    def grid(kk):
+        cells = [(m, n) for m in range(kk + 1) for n in range(kk + 1 - m)]
+        return {cell: i for i, cell in enumerate(cells)}
+
+    src = grid(k)
+    dst = grid(k - 1) if k >= 1 else {}
+    a_left = np.zeros((len(dst), len(src)))
+    a_right = np.zeros((len(dst), len(src)))
+    for (m, n), j in src.items():
+        r = k - m - n
+        if n >= 1:  # JL- lowers the left ensemble
+            a_left[dst[(m, n - 1)], j] += g * math.sqrt(n * (m_at - n + 1))
+        if r >= 1:  # JR- lowers the right ensemble, same (m, n) labels
+            a_right[dst[(m, n)], j] += g * math.sqrt(r * (m_at - r + 1))
+        if m >= 1:  # B_q removes one resonant-mode photon
+            a_left[dst[(m - 1, n)], j] += lam_l * math.sqrt(m)
+            a_right[dst[(m - 1, n)], j] += lam_r * math.sqrt(m)
+    return a_left, a_right
+
+
 def hamiltonian_normal_mode_picture(params, sector, sector_km1):
     """Dense Hamiltonian assembled in the normal-mode picture: free mode
     energies plus each end cavity exchanging with (g J- + sum_k lambda_k B_k)."""

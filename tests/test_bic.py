@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -15,11 +16,11 @@ from cavitybic import (BasisState, ModelParams, NoTrappedStateError,
                        mean_photons_across_chi, null_space_coefficients,
                        recursive_coefficients, regime_observables,
                        resonant_mode_index, subradiant_approx, verify_trapping)
-from cavitybic.bic import (DegenerateNullSpaceError, _condition_matrices, _null_space,
+from cavitybic.bic import (DegenerateNullSpaceError, _condition_matrix, _null_space,
                            _trapping_reports)
 from conftest import triple_cavity
-from oracles import (eigenspace_projection, hamiltonian_normal_mode_picture,
-                     mode_fock_embedding)
+from oracles import (condition_matrices, eigenspace_projection,
+                     hamiltonian_normal_mode_picture, mode_fock_embedding)
 
 
 def four_chain(m_atoms, g=0.3):
@@ -106,7 +107,7 @@ def test_null_space_matches_scipy(n_chain, g):
         params = (triple_cavity(m_atoms=m_atoms, g=g) if n_chain == 2
                   else four_chain(m_atoms, g=g))
         for k in sorted({1, min(2, m_atoms), max(1, m_atoms // 2), m_atoms}):
-            a = np.vstack(_condition_matrices(params, k))
+            a = _condition_matrix(params, k)
             ours, oracle = _null_space(a), null_space(a)
             assert ours.shape == oracle.shape == (a.shape[1], 1 if g else k + 1)
             if g:
@@ -124,7 +125,7 @@ def _assert_kernel_as_scipy(params, k, overlap_tol=1e-14):
     kernel vector is off the exact one by an angle of at most tol / gap
     (Wedin), tol the rank threshold and gap the smallest singular value
     above it, so 1 - |overlap| <= 2 (tol / gap)^2."""
-    a = np.vstack(_condition_matrices(params, k))
+    a = _condition_matrix(params, k)
     ours, oracle = _null_space(a), null_space(a)
     assert ours.shape == oracle.shape
     if oracle.shape[1] == 1:
@@ -152,7 +153,7 @@ def test_qr_first_kernel_keeps_scipys_rank_at_near_degenerate_coupling(n_chain, 
                   else four_chain(m_atoms, g=g))
         for k in sorted({1, min(2, m_atoms), max(1, m_atoms // 2), m_atoms}):
             if g == 1e-12 and m_atoms == k == 30:
-                assert null_space(np.vstack(_condition_matrices(params, k))).shape[1] == 2
+                assert null_space(_condition_matrix(params, k)).shape[1] == 2
                 exact = closed_form_coefficients(params, k)
                 assert 1.0 - abs(null_space_coefficients(params, k).overlap(exact)) <= 1e-14
             else:
@@ -162,7 +163,7 @@ def test_qr_first_kernel_keeps_scipys_rank_at_near_degenerate_coupling(n_chain, 
 def test_qr_first_kernel_keeps_scipys_rank_on_the_wide_and_the_largest_matrices():
     # K = 1 is wide (2 x 3); K = 30 at M = 30 is 930 x 496
     params = triple_cavity(m_atoms=30, g=0.3)
-    assert np.vstack(_condition_matrices(params, 1)).shape == (2, 3)
+    assert _condition_matrix(params, 1).shape == (2, 3)
     for k in range(1, 31):
         _assert_kernel_as_scipy(params, k)
 
@@ -187,17 +188,68 @@ def test_routes_agree_from_tiny_to_large_coupling(n_chain):
 def test_routes_agree_where_chi_to_the_k_overflows(g):
     # at (N, M, K) = (2, 30, 30) chi^30 times the chi-free factor overflows a
     # float, so the closed form failed here before its table was built from
-    # logs shifted by their largest.  The recursion multiplies chi into each
-    # step and its table still overflows at both couplings
+    # logs shifted by their largest, and the recursion, which multiplied chi
+    # into each step, before it summed the logs of its step ratios
     params = triple_cavity(m_atoms=30, g=g)
-    exact = closed_form_coefficients(params, 30)
-    assert abs(1.0 - abs(exact.overlap(null_space_coefficients(params, 30)))) <= 1e-14
+    routes = [build(params, 30) for build in (closed_form_coefficients, recursive_coefficients,
+                                              null_space_coefficients)]
+    for i, x in enumerate(routes):
+        for y in routes[i + 1:]:
+            assert abs(1.0 - abs(x.overlap(y))) <= 1e-14
 
 
 def test_closed_form_at_an_infinite_chi_is_an_overflow():
     # g / lambda_qL overflows a float on the four-cavity chain
     with pytest.raises(OverflowError, match="the K=2 amplitude table overflows a float at chi=inf"):
         closed_form_coefficients(four_chain(2, g=1.7e308), 2)
+
+
+def test_recursion_at_an_infinite_chi_is_the_same_overflow():
+    # its steps are inf - inf after the shift; no warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError,
+                           match="the K=2 amplitude table overflows a float at chi=inf"):
+            recursive_coefficients(four_chain(2, g=1.7e308), 2)
+
+
+@pytest.mark.parametrize("m_atoms, k", [(2, 2), (5, 1), (30, 30)])
+def test_null_space_near_the_float_maximum_is_the_closed_form(m_atoms, k):
+    # g * sqrt(n (M - n + 1)) and the column scale overflowed here, which
+    # left a 2-dimensional kernel at (2, 2) and (30, 30) and a Gram matrix
+    # whose eigenvalues did not converge at (5, 1)
+    params = triple_cavity(m_atoms=m_atoms, g=1e308)
+    c = null_space_coefficients(params, k)
+    assert np.isfinite(c.table).all()
+    assert c.norm() == pytest.approx(1.0, abs=1e-14)
+    assert abs(1.0 - abs(c.overlap(closed_form_coefficients(params, k)))) <= 1e-14
+
+
+def _condition_cases(couplings):
+    for n_chain in (2, 3, 4):
+        for q in range(1, n_chain):
+            for m_atoms in (1, 2, 3, 5, 8, 13, 30):
+                for k in sorted({0, 1, m_atoms // 2, m_atoms}):
+                    for g in couplings:
+                        yield ModelParams(n_chain=n_chain, m_atoms=m_atoms, omega_c=0.7,
+                                          omega_a=0.7, g=g, lam=1.0, q=q), k
+
+
+def test_condition_matrix_is_the_per_cell_builder():
+    # bit for bit below 2^1000, where the couplings are not scaled; K = 0
+    # gives the 0 x 1 matrix whose kernel is the one-cell table
+    below = [0.0, 1e-12, 0.01, 0.3, 1.7, 50.0, -0.7, 1e6, math.nextafter(2.0 ** 1000, 0)]
+    for params, k in _condition_cases(below):
+        a = _condition_matrix(params, k)
+        assert a.shape == (k * (k + 1), (k + 1) * (k + 2) // 2)
+        assert np.array_equal(a, np.vstack(condition_matrices(params, k)))
+
+
+def test_condition_matrix_above_2_to_the_1000_has_the_per_cell_kernel():
+    for params, k in _condition_cases([2.0 ** 1000, 1e303, -1e306]):
+        a = _condition_matrix(params, k)
+        assert np.abs(a).max(initial=0.0) < 2.0 ** 1000 * (params.m_atoms + 1)
+        assert np.array_equal(_null_space(a), _null_space(np.vstack(condition_matrices(params, k))))
 
 
 @pytest.mark.parametrize("m_atoms", [2, 3])

@@ -266,7 +266,8 @@ def test_seed_flag_changes_baseline_only(tmp_path, capsys):
     assert pick(outputs[0], "eigen_residual") == pick(outputs[1], "eigen_residual")
 
 
-@pytest.mark.parametrize("argv", [("--set", "seed=-1"), ("--seed", "-1")])
+@pytest.mark.parametrize("argv", [("--set", "seed=-1"), ("--seed", "-1"),
+                                  ("--seed", "-1", "--set", "seed=2")])  # --seed wins
 def test_negative_seed_is_rejected(argv, capsys):
     code, out, err = run_captured(capsys, "bic", *argv)
     assert code == 1
@@ -346,26 +347,26 @@ def test_qfactor_outside_its_model_is_rejected(setting, message, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ("bic", "--set", "g=1e308"),  # the null space's column scale overflows
+    ("bic", "--set", "g=1e308"),
     ("bic", "--set", "g=1e150"),
     ("sweep-chi", "--set", "chi_max=1e300", "--set", "chi_points=3"),
     ("sweep-chi", "--set", "chi_min=1e100", "--set", "chi_max=1e100", "--set", "chi_points=1"),
     ("bic", "--set", "g=1e160"),
     ("bic", "--set", "m_atoms=30", "--set", "k_excitations=30", "--set", "g=1e6"),
+    ("bic", "--set", "g=1.79e308"),
+    ("bic", "--set", "m_atoms=30", "--set", "k_excitations=30", "--set", "g=1e308"),
+    ("bic", "--set", "m_atoms=5", "--set", "k_excitations=1", "--set", "g=1e308"),
 ])
 def test_overflowing_amplitude_table_is_a_numerical_failure(argv, capsys):
     # chi^K times the closed form's chi-free factor overflows a float in
     # each input, and each exited 2 with "the K=... amplitude table
     # overflows a float" before the table was built from logs shifted by
-    # their largest.  Only g = 1e308 still fails, in the null-space route
+    # their largest.  The g near the float maximum exited 2 in the
+    # null-space route, whose entries and column scales overflowed, before
+    # the couplings of the conditions were scaled below 2^1000
     code = run_in_process(*argv)
     captured = capsys.readouterr()
     assert "nan" not in captured.out + captured.err
-    if argv[-1] == "g=1e308":
-        assert code == 2 and captured.out == ""
-        assert len(captured.err.splitlines()) == 1
-        assert captured.err.startswith("numerical failure: ")
-        return
     assert (code, captured.err) == (0, "")
     if argv[0] == "bic":
         assert "status=PASS" in captured.out.splitlines()
@@ -373,6 +374,16 @@ def test_overflowing_amplitude_table_is_a_numerical_failure(argv, capsys):
         rows = [line.split(",") for line in captured.out.splitlines()
                 if line and not line.startswith(("#", "chi"))]
         assert float(rows[-1][3]) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_bic_at_an_infinite_chi_is_a_numerical_failure(capsys):
+    # g / lambda_qL overflows a float on the four-cavity chain, so no route
+    # has a table to normalise
+    code, out, err = run_captured(capsys, "bic", "--set", "g=1.7e308", "--set", "n_chain=4",
+                                  "--set", "q=2")
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["numerical failure: the K=2 amplitude table overflows "
+                                "a float at chi=inf"]
 
 
 @pytest.mark.parametrize("settings", [
@@ -572,7 +583,7 @@ def test_unreadable_config_or_out_path_is_a_validation_error(kind, tmp_path, cap
 
 @pytest.mark.parametrize("argv", [
     ("bic", "--set", "k_excitations=5"),  # exit 1 from inside the driver
-    ("bic", "--set", "g=1e308"),  # exit 2
+    ("bic", "--set", "g=0"),  # exit 2 from inside the driver: a (K + 1)-dimensional kernel
     ("sweep-chi", "--set", "chi_points=0"),
     ("qfactor", "--set", "gamma_c=0"),
     ("sweep-chi", "--set", "chi_points=1", "--set", "chi_scale=bogus"),
@@ -998,7 +1009,8 @@ def test_sweep_chi_reaches_every_point_at_a_large_k(m_atoms, chi_min, chi_max, c
 def _sweep_settings(draw):
     n_chain = draw(st.integers(2, 9))
     q = draw(st.integers(1, n_chain - 1))
-    # beyond M = 300 the table's chi-free factor overflows near K = M
+    # beyond M = 300 the chi-free factor near K = M exceeds a float (its log
+    # passes 709), which the closed form's shift by the largest log keeps finite
     m_atoms = draw(st.integers(1, 60) | st.integers(290, 400))
     chis = st.sampled_from([v for v in _FLOAT_POOL if v > 0]) | st.floats(1e-3, 1e3)
     chi_min, chi_max = sorted(draw(chis) for _ in range(2))

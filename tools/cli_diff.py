@@ -39,9 +39,10 @@ _EVOLVE = [
 
 # The README's four examples (without their --out), the evolve inputs above,
 # the benchmark's cli-scan commands at seeds 1, 2 and 3, two bic runs at a
-# coupling small enough to test the null-space route's conditioning, and
-# four runs where chi^K times the closed form's chi-free factor overflows a
-# float.
+# coupling small enough to test the null-space route's conditioning, four
+# runs where chi^K times the closed form's chi-free factor overflows a
+# float, and two bic runs near the float maximum, where the conditions'
+# couplings are scaled below 2^1000.
 ARGVS = [
     ["bic", "--set", "m_atoms=2", "--set", "k_excitations=2", "--set", "g=0.1"],
     ["sweep-chi", "--set", "chi_min=0.05", "--set", "chi_max=20", "--set", "chi_points=41"],
@@ -65,6 +66,8 @@ ARGVS = [
      "--set", "chi_max=0.01", "--set", "chi_points=3"],
     ["bic", "--set", "g=1e160"],
     ["bic", "--set", "m_atoms=30", "--set", "k_excitations=30", "--set", "g=1e6"],
+    ["bic", "--set", "g=1e308"],
+    ["bic", "--set", "g=1e308", "--set", "m_atoms=5", "--set", "k_excitations=1"],
 ]
 
 
