@@ -99,7 +99,7 @@ SCHEMAS: dict[str, dict[str, tuple[Callable, object]]] = {
         **_model_keys("n_chain", "m_atoms", "g", "gamma_c", "gamma_a", "delta", "q"),
         "seed": (int, 0),
         "initial": (str, "left_excited"),
-        "initial_k": (int, -1),           # -1: use m_atoms (left_excited) / required for bic
+        "initial_k": (int, -1),           # negative: use m_atoms
         "t_end": (float, 2000.0),
         "snapshot_dt": (float, 2.0),
         "detect_steady": (_parse_bool, True),
@@ -114,9 +114,6 @@ SCHEMAS: dict[str, dict[str, tuple[Callable, object]]] = {
         "max_rel_err": (float, -1.0),     # negative: no tolerance check
     },
 }
-
-# Float keys that must also be positive (every float key must be finite).
-_POSITIVE_KEYS = ("t_end", "snapshot_dt")
 
 # Upper bound on chi_points and delta_points: every grid point costs K + 1
 # weights or an eigensolve, and the grid itself is allocated whole.
@@ -182,14 +179,6 @@ def resolve_config(experiment: str, raw_values: dict[str, str]) -> RunConfig:
             raise ParamError(f"bad value for {key!r}: {exc}") from exc
         if caster is float and not math.isfinite(options[key]):
             raise ParamError(f"bad value for {key!r}: must be finite, got {text!r}")
-    for key in _POSITIVE_KEYS:
-        if key in options and not options[key] > 0:
-            raise ParamError(f"bad value for {key!r}: must be > 0, got {options[key]!r}")
-    if experiment == "evolve" and (options["t_end"] / options["snapshot_dt"]
-                                   > dynamics.MAX_SNAPSHOTS):
-        raise ParamError(f"bad values for 't_end' and 'snapshot_dt': t_end / snapshot_dt "
-                         f"must be at most {dynamics.MAX_SNAPSHOTS}, "
-                         f"got {options['t_end'] / options['snapshot_dt']:.3g}")
     if options.get("seed", 0) < 0:
         raise ParamError(f"bad value for 'seed': must be >= 0, got {options['seed']!r}")
     model = {key: options.get(key, default) for key, (_, default) in _MODEL_KEYS.items()}
@@ -312,22 +301,13 @@ def run_evolve(config: RunConfig, stream: IO[str]) -> int:
     k_init = int(config.options["initial_k"])
     if k_init < 0:
         k_init = p.m_atoms
-    if k_init > p.m_atoms and initial != "bic":
-        raise ParamError("initial_k cannot exceed m_atoms for atomic initial states")
-    # a start in sector K reaches the diagonal blocks of sectors 0 .. K; each
-    # term is at least 1, so the sum passes the bound within that many terms
-    reached = 0
-    for k in range(k_init + 1):
-        reached += sector_dim(p, k) ** 2
-        if reached > dynamics.MAX_REACHED_ENTRIES:
-            raise ParamError(f"evolve from sector K={k_init} reaches more than "
-                             f"MAX_REACHED_ENTRIES = {dynamics.MAX_REACHED_ENTRIES} entries "
-                             "per snapshot")
+    if k_init > p.m_atoms:
+        raise ParamError("initial_k cannot exceed m_atoms")
     t_end, snapshot_dt = (float(config.options[key]) for key in ("t_end", "snapshot_dt"))
-    snapshots = max(1, math.ceil(t_end / snapshot_dt - 1e-12)) + 1  # as evolve lays out its grid
-    if reached * snapshots > dynamics.MAX_KEPT_ENTRIES:
-        raise ParamError(f"evolve would keep {snapshots} snapshots of {reached} entries, more "
-                         f"than MAX_KEPT_ENTRIES = {dynamics.MAX_KEPT_ENTRIES}")
+    # evolve's own grid and size checks, before any sector is enumerated
+    snapshots = len(dynamics._snapshot_times(t_end, snapshot_dt))
+    dynamics._reached_blocks(lambda k: sector_dim(p, k), [(k_init, k_init)],
+                             bool(dynamics._jump_slots(p, p.gamma_a > 0)), snapshots)
 
     space = dynamics.stack_sectors(p, k_init)
     if initial == "left_excited":

@@ -79,7 +79,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .bic import StateVector
-from .model import ModelParams, SectorBasis, enumerate_sector
+from .model import ModelParams, ParamError, SectorBasis, enumerate_sector
 from .operators import _hamiltonian_entries, lowering_maps
 
 if TYPE_CHECKING:
@@ -243,12 +243,6 @@ def _sector_labels(space: SectorStack) -> np.ndarray:
     return np.repeat(np.arange(space.k_max + 1), np.diff(space.offsets))
 
 
-def _block_keys(space: SectorStack, rows: np.ndarray, cols: np.ndarray) -> list[tuple[int, int]]:
-    """Sorted sector blocks (J, K) that hold the stacked-space entries (rows, cols)."""
-    label, n = _sector_labels(space), space.k_max + 1
-    return [divmod(int(key), n) for key in np.unique(label[rows] * n + label[cols])]
-
-
 def _block_index(space: SectorStack, blocks: Sequence[tuple[int, int]]) -> np.ndarray:
     """Positions in ``rho.ravel()`` of the entries of ``blocks``, block by
     block and row-major within a block."""
@@ -258,27 +252,45 @@ def _block_index(space: SectorStack, blocks: Sequence[tuple[int, int]]) -> np.nd
     return np.concatenate([np.zeros(0, dtype=np.int64), *index])
 
 
-def _reach(space: SectorStack, rho: np.ndarray,
-           decays: bool) -> tuple[list[tuple[int, int]], np.ndarray]:
-    """``(blocks, index)``: the sorted sector ``blocks`` (K, K') that a
-    generator on ``space`` reaches from the nonzero blocks of ``rho``, those
-    included, and ``index``, their positions in ``rho.ravel()`` (block by
-    block, row-major within a block); a state supported on them stays so.
+def _reached_blocks(dim: Callable[[int], int], start: Iterable[tuple[int, int]],
+                    decays: bool, snapshots: int = 1) -> list[tuple[int, int]]:
+    """The sorted sector blocks (K, K') that a generator reaches from the
+    ``start`` blocks, those included; a state supported on them stays so.
     H_eff keeps a block in place and, when the generator ``decays`` (has a
     jump), the jumps carry (K, K') to (K - 1, K' - 1), down to a block of
     sector 0: every jump that ``lindblad_generator`` builds has a nonzero
-    block (K - 1, K) for each K >= 1.  Reads no operator, so ``evolve``
-    calls it before the generator is built.  A reach of more than
-    ``MAX_REACHED_ENTRIES`` entries raises ``ValueError``."""
+    block (K - 1, K) for each K >= 1.  ``dim(K)`` is the size of sector K.
+    Reads no operator, so ``evolve`` and the CLI call it before anything
+    is built.  Raises ``ParamError`` for a reach of more than
+    ``MAX_REACHED_ENTRIES`` entries, at the first partial sum of its block
+    sizes in ascending block order above the bound, or for more than
+    ``MAX_KEPT_ENTRIES`` entries kept over ``snapshots`` snapshots."""
+    blocks = sorted({(k - j, k_col - j) for k, k_col in start
+                     for j in range(min(k, k_col) + 1 if decays else 1)})
+    size = 0
+    for k, k_col in blocks:
+        size += dim(k) * dim(k_col)
+        if size > MAX_REACHED_ENTRIES:
+            raise ParamError(f"the reach holds more than MAX_REACHED_ENTRIES = "
+                             f"{MAX_REACHED_ENTRIES} entries")
+    if size * snapshots > MAX_KEPT_ENTRIES:
+        raise ParamError(f"evolve would keep {snapshots} snapshots of {size} entries, "
+                         f"more than MAX_KEPT_ENTRIES = {MAX_KEPT_ENTRIES}")
+    return blocks
+
+
+def _reach(space: SectorStack, rho: np.ndarray, decays: bool,
+           snapshots: int = 1) -> tuple[list[tuple[int, int]], np.ndarray]:
+    """``(blocks, index)``: the sector ``blocks`` that ``_reached_blocks``
+    finds from the nonzero blocks of ``rho`` on ``space``, with its size
+    bounds, and ``index``, their positions in ``rho.ravel()`` (block by
+    block, row-major within a block)."""
     if rho.shape != (space.dim, space.dim):
         raise ValueError("density matrix does not match the generator's space")
-    blocks = sorted({(k - j, k_col - j) for k, k_col in _block_keys(space, *np.nonzero(rho))
-                     for j in range(min(k, k_col) + 1 if decays else 1)})
-    dims = np.diff(space.offsets)
-    size = sum(int(dims[k] * dims[k_col]) for k, k_col in blocks)
-    if size > MAX_REACHED_ENTRIES:
-        raise ValueError(f"the reach holds {size} entries, more than "
-                         f"MAX_REACHED_ENTRIES = {MAX_REACHED_ENTRIES}")
+    label, n = _sector_labels(space), space.k_max + 1
+    rows, cols = np.nonzero(rho)
+    start = [divmod(int(key), n) for key in np.unique(label[rows] * n + label[cols])]
+    blocks = _reached_blocks(np.diff(space.offsets).item, start, decays, snapshots)
     return blocks, _block_index(space, blocks)
 
 
@@ -311,7 +323,7 @@ class LindbladGenerator:
         the superoperator on them, with ``apply(rho).ravel()[index] ==
         matrix @ rho.ravel()[index]`` while ``apply(rho)`` is zero
         elsewhere.  A reach of more than ``MAX_REACHED_ENTRIES`` entries
-        raises ``ValueError`` before anything is built."""
+        raises ``ParamError`` before anything is built."""
         blocks, index = _reach(self.space, rho, bool(self._jumps))
         return blocks, index, self._matrix(blocks)
 
@@ -467,9 +479,9 @@ class Trajectory:
 MAX_SNAPSHOTS = 100_000
 # Most entries a reach may hold (``LindbladGenerator.superoperator``), so most
 # an evolve snapshot may keep: sum_{j <= K} d_j^2 for a start in sector K (d_j
-# the sector dimensions).  The RK45 fallback peaked at 1.87 GB
-# on 4,194,305 entries, about 450 bytes an entry, so this keeps a run's
-# working set near 0.5 GB; (N, M) = (2, 5) reaches 22,252.
+# the sector dimensions), or d_K^2 alone without a jump.  The RK45 fallback
+# peaked at 1.87 GB on 4,194,305 entries, about 450 bytes an entry, so this
+# keeps a run's working set near 0.5 GB; (N, M) = (2, 5) reaches 22,252.
 MAX_REACHED_ENTRIES = 1 << 20
 # Most entries an evolve run may keep: its reached entries at every snapshot,
 # t = 0 included, at 16 bytes each (512 MiB).  (2, 5) at the default grid
@@ -723,9 +735,20 @@ class _Rk45:
             yield snap_times, solver.dense_output()(snap_times).T
 
 
-def _require_positive_finite(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+def _snapshot_times(t_end: float, snapshot_dt: float | None = None) -> np.ndarray:
+    """``evolve``'s snapshot grid: 0 to ``t_end`` in steps of at most
+    ``snapshot_dt`` (``t_end`` / 200 by default), both ends included.
+    Raises ``ParamError`` unless both are finite and > 0, and for a grid
+    of more than ``MAX_SNAPSHOTS`` steps."""
+    if snapshot_dt is None:
+        snapshot_dt = t_end / 200.0
+    for name, value in (("t_end", t_end), ("snapshot_dt", snapshot_dt)):
+        if not (math.isfinite(value) and value > 0):
+            raise ParamError(f"{name} must be finite and > 0, got {value!r}")
+    if t_end / snapshot_dt > MAX_SNAPSHOTS:
+        raise ParamError(f"t_end / snapshot_dt must be at most {MAX_SNAPSHOTS}, "
+                         f"got {t_end / snapshot_dt:.3g}")
+    return np.linspace(0.0, t_end, max(1, math.ceil(t_end / snapshot_dt - 1e-12)) + 1)
 
 
 def evolve(params: ModelParams, rho0: DensityMatrix, t_end: float, *,
@@ -786,19 +809,15 @@ def evolve(params: ModelParams, rho0: DensityMatrix, t_end: float, *,
     and off-block size are Python ``max``/``min`` over those lists in time
     order, and ``rhs_sup_last`` is the last kept snapshot's d rho / dt.
     ``rho0`` must be Hermitian and enumerated for ``params``' ``n_chain``
-    and ``m_atoms``; otherwise ``ValueError``.  A grid of more than
-    ``MAX_SNAPSHOTS`` snapshots raises ``ValueError``, and so does, before
-    anything is propagated, a reach of more than ``MAX_REACHED_ENTRIES``
-    entries or of more than ``MAX_KEPT_ENTRIES`` entries over all
-    snapshots, t = 0 included, both before the generator is built.
+    and ``m_atoms``; otherwise ``ValueError``.  The run's inputs out of
+    range raise ``ParamError`` (a ``ValueError``), before the generator is
+    built: a ``t_end`` or ``snapshot_dt`` that is not finite and > 0 or a
+    grid of more than ``MAX_SNAPSHOTS`` steps (``_snapshot_times``), and a
+    reach of more than ``MAX_REACHED_ENTRIES`` entries or of more than
+    ``MAX_KEPT_ENTRIES`` entries over all snapshots, t = 0 included
+    (``_reached_blocks``).
     """
-    _require_positive_finite("t_end", t_end)
-    if snapshot_dt is None:
-        snapshot_dt = t_end / 200.0
-    _require_positive_finite("snapshot_dt", snapshot_dt)
-    if t_end / snapshot_dt > MAX_SNAPSHOTS:
-        raise ValueError(f"t_end / snapshot_dt must be at most {MAX_SNAPSHOTS}, "
-                         f"got {t_end / snapshot_dt:.3g}")
+    times = _snapshot_times(t_end, snapshot_dt)
     space = rho0.space
     # the sector enumeration reads n_chain and m_atoms alone
     enumerated = (space.params.n_chain, space.params.m_atoms)
@@ -808,16 +827,12 @@ def evolve(params: ModelParams, rho0: DensityMatrix, t_end: float, *,
                          f"{enumerated}")
     # no rhs_sup is below -inf: without the steady test every snapshot is kept
     steady_threshold = STEADY_THRESHOLD * params.lam if detect_steady else -math.inf
-    n_snap = max(1, int(math.ceil(t_end / snapshot_dt - 1e-12)))
-    times = np.linspace(0.0, t_end, n_snap + 1)
 
     # the reach, its positions in rho.ravel() and its superoperator, once per
     # run: the propagator starts from them and the steady test reads them.
     # Both size bounds are checked before the generator is built.
-    blocks, index = _reach(space, rho0.data, bool(_jump_slots(params, include_atomic_decay)))
-    if index.size * len(times) > MAX_KEPT_ENTRIES:
-        raise ValueError(f"evolve would keep {len(times)} snapshots of {index.size} entries, "
-                         f"more than MAX_KEPT_ENTRIES = {MAX_KEPT_ENTRIES}")
+    blocks, index = _reach(space, rho0.data, bool(_jump_slots(params, include_atomic_decay)),
+                           len(times))
     generator = lindblad_generator(params, space, include_atomic_decay)
     superop = generator._matrix(blocks)
     transposes = _transposes(index, space.dim)

@@ -35,8 +35,9 @@ MAX_SECTOR_ENTRIES = 2 ** 22
 
 
 class ParamError(ValueError):
-    """A model parameter violates one of its invariants, or a command line
-    or its config is malformed."""
+    """A model parameter violates one of its invariants, a command line or
+    its config is malformed, or a run's input is out of range (``evolve``'s
+    time grid, or a reach above its size bounds)."""
 
 
 class NoResonantModeError(ValueError):

@@ -8,6 +8,7 @@ checks.
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -15,6 +16,8 @@ from cavitybic import (BasisState, build_collective_lowering,
                        build_end_annihilation, build_hamiltonian,
                        build_normal_mode, coupling_lambda, enumerate_sector,
                        normal_mode_frequency)
+from cavitybic.dynamics import MAX_KEPT_ENTRIES, MAX_REACHED_ENTRIES, MAX_SNAPSHOTS
+from cavitybic.model import sector_dim
 
 
 def brute_force_sector(params, k):
@@ -173,3 +176,24 @@ def dense_lindblad_apply(params, space, include_atomic_decay=False):
         return out
 
     return apply
+
+
+def evolve_refused(params, initial_k, t_end, snapshot_dt):
+    """Whether the ``evolve`` command must refuse a run from sector
+    ``initial_k`` (m_atoms when negative) to ``t_end`` in steps of at most
+    ``snapshot_dt``, its steps counted in exact rationals: a start above
+    m_atoms, a time that is not > 0, more than MAX_SNAPSHOTS steps, or a
+    reach of more than MAX_REACHED_ENTRIES entries, or of more than
+    MAX_KEPT_ENTRIES over every snapshot, t = 0 included.  The reach is
+    sum d_j^2 over j <= K with a nonzero damping rate and d_K^2 alone
+    without one."""
+    k = params.m_atoms if initial_k < 0 else initial_k
+    if k > params.m_atoms or not (t_end > 0 and snapshot_dt > 0):
+        return True
+    steps = Fraction(t_end) / Fraction(snapshot_dt)
+    if steps > MAX_SNAPSHOTS:
+        return True
+    damped = params.gamma_c > 0 or params.gamma_a > 0
+    reached = sum(sector_dim(params, j) ** 2 for j in (range(k + 1) if damped else [k]))
+    snapshots = max(1, math.ceil(steps)) + 1
+    return reached > MAX_REACHED_ENTRIES or reached * snapshots > MAX_KEPT_ENTRIES

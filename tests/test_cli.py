@@ -11,10 +11,11 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from cavitybic import bic, cli, dynamics, linear
+from cavitybic import ModelParams, bic, cli, dynamics, linear
 from cavitybic.cli import (MAX_GRID_POINTS, MAX_M_ATOMS, MAX_N_CHAIN, SCHEMAS, main,
                           parse_config_file, resolve_config)
 from cavitybic.model import MAX_SECTOR_ENTRIES
+from oracles import evolve_refused
 
 
 def run_cli(*args):
@@ -289,18 +290,16 @@ def test_evolve_rejects_bad_time_grid(setting, capsys):
 def test_evolve_grid_error_names_both_keys_and_the_ratio(capsys):
     code, out, err = run_captured(capsys, "evolve", "--set", "t_end=1e300")
     assert code == 1 and out == ""
-    assert err.splitlines() == ["error: bad values for 't_end' and 'snapshot_dt': t_end / "
-                                "snapshot_dt must be at most 100000, got 5e+299"]
+    assert err.splitlines() == ["error: t_end / snapshot_dt must be at most 100000, "
+                                "got 5e+299"]
 
 
 @pytest.mark.parametrize("settings, message", [
     # sector 1 of a 2,045-cavity chain: 2,048^2 + 1 = 4,194,305 entries
     (("n_chain=2045", "m_atoms=1", "q=1", "t_end=4"),
-     "evolve from sector K=1 reaches more than MAX_REACHED_ENTRIES = 1048576 entries "
-     "per snapshot"),
+     "the reach holds more than MAX_REACHED_ENTRIES = 1048576 entries"),
     (("n_chain=60", "m_atoms=2"),  # 4,068,226 entries
-     "evolve from sector K=2 reaches more than MAX_REACHED_ENTRIES = 1048576 entries "
-     "per snapshot"),
+     "the reach holds more than MAX_REACHED_ENTRIES = 1048576 entries"),
     (("m_atoms=6",), "evolve would keep 1001 snapshots of 66352 entries, more than "
                      "MAX_KEPT_ENTRIES = 33554432"),
     (("n_chain=4", "m_atoms=4", "t_end=1300"),
@@ -312,6 +311,87 @@ def test_evolve_above_its_size_bounds_is_refused_before_it_allocates(settings, m
     code, out, err = run_captured(capsys, "evolve", *argv)
     assert code == 1 and out == ""
     assert err.splitlines() == [f"error: {message}"]
+
+
+def test_an_undamped_run_keeps_only_its_own_block(capsys):
+    # without a jump the reach is block (6, 6) alone, 210^2 = 44,100 entries,
+    # so 601 snapshots stay below MAX_KEPT_ENTRIES; the blocks of sectors
+    # 0 .. 6 together (66,352 entries) would not
+    code, out, err = run_captured(capsys, "evolve", "--set", "m_atoms=6", "--set", "gamma_c=0",
+                                  "--set", "g=0", "--set", "t_end=1200")
+    assert (code, err) == (0, "")
+    assert "# steady_state_reached=true" in out.splitlines()
+
+
+def test_a_start_far_above_m_atoms_is_refused_at_once():
+    # refused before any sector size is counted: a start in sector 10^9
+    # has 10^9 + 1 diagonal blocks below it
+    proc = subprocess.run([sys.executable, "-m", "cavitybic", "evolve", "--set", "initial=bic",
+                           "--set", "initial_k=1000000000"], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+                          timeout=20)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.splitlines() == ["error: initial_k cannot exceed m_atoms"]
+
+
+# evolve's refusals near its bounds: chains of up to 60 cavities (short
+# ones, where an undamped reach can fall between the bounds, drawn more
+# often), up to 12 atoms, starts up to one above m_atoms, with and without
+# damping, and grids from one step to far above MAX_SNAPSHOTS (every time
+# is a dyadic rational, so the oracle counts the steps exactly)
+_GRID_TIMES = [-1.0, 0.0, 0.015625, 0.5, 2.0, 20.0, 1200.0, 2000.0, 80600.0, 1e300]
+
+
+@st.composite
+def _evolve_near_its_bounds(draw):
+    m_atoms = draw(st.integers(1, 12))
+    return {"n_chain": draw(st.integers(2, 4) | st.integers(2, 60)), "m_atoms": m_atoms,
+            "q": 1,  # every chain has mode 1; q=auto finds none on an odd one
+            "initial": draw(st.sampled_from(["left_excited", "bic"])),
+            "initial_k": draw(st.integers(-1, m_atoms + 1)),
+            "gamma_c": draw(st.sampled_from([0.0, 0.7])),
+            "gamma_a": draw(st.sampled_from([0.0, 0.05])),
+            "t_end": draw(st.sampled_from(_GRID_TIMES)),
+            "snapshot_dt": draw(st.sampled_from(_GRID_TIMES))}
+
+
+class _Accepted(BaseException):
+    """Raised where an accepted evolve run enumerates its sectors; not an
+    ``Exception``, so ``main`` does not turn it into an exit code."""
+
+
+def _accept(*_args, **_kwargs):
+    raise _Accepted
+
+
+@settings(deadline=None, max_examples=300, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(values=_evolve_near_its_bounds())
+# undamped, each reach is its own block, 601 snapshots of 44,100 entries
+# and 1,002,001 entries, within the bounds; the blocks of sectors 0 .. K
+# together (66,352 and 1,933,503 entries) would not be
+@example(values={"n_chain": 2, "m_atoms": 6, "q": 1, "initial": "left_excited",
+                 "initial_k": -1, "gamma_c": 0.0, "gamma_a": 0.0, "t_end": 1200.0,
+                 "snapshot_dt": 2.0})
+@example(values={"n_chain": 2, "m_atoms": 10, "q": 1, "initial": "bic", "initial_k": 10,
+                 "gamma_c": 0.0, "gamma_a": 0.0, "t_end": 2.0, "snapshot_dt": 1.0})
+def test_evolve_is_refused_exactly_where_its_bounds_say(values, capsys, monkeypatch):
+    # an accepted run stops where it would enumerate its first sector
+    monkeypatch.setattr(dynamics, "stack_sectors", _accept)
+    capsys.readouterr()
+    argv = ["evolve"]
+    for key, value in values.items():
+        argv += ["--set", f"{key}={value}"]
+    params = ModelParams(n_chain=values["n_chain"], m_atoms=values["m_atoms"], omega_c=0.0,
+                         omega_a=0.0, g=0.1, lam=1.0, q=1, gamma_c=values["gamma_c"],
+                         gamma_a=values["gamma_a"])
+    if evolve_refused(params, values["initial_k"], values["t_end"], values["snapshot_dt"]):
+        code, out, err = run_captured(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    else:
+        with pytest.raises(_Accepted):
+            main(argv)
 
 
 def test_non_finite_float_key_is_rejected(capsys):
@@ -370,6 +450,11 @@ def test_overflowing_amplitude_table_is_a_numerical_failure(argv, capsys):
     assert (code, captured.err) == (0, "")
     if argv[0] == "bic":
         assert "status=PASS" in captured.out.splitlines()
+        if "k_excitations=1" in argv:
+            # the random vector's exact residual is above the float maximum:
+            # it is 2.1e300 at g = 1e300 and grows in proportion to g, so inf
+            # is its correctly rounded value; the trapped state's stay finite
+            assert "random_unit_residual=inf" in captured.out.splitlines()
     else:  # the quantum-cavity limit: all K excitations are photons
         rows = [line.split(",") for line in captured.out.splitlines()
                 if line and not line.startswith(("#", "chi"))]

@@ -7,8 +7,9 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from cavitybic import (DensityMatrix, FitError, IntegrationError, ModelParams,
-                       StateVector, assemble_bic_state, build_collective_lowering,
-                       build_end_annihilation, build_hamiltonian, dicke_basis, dynamics,
+                       ParamError, StateVector, assemble_bic_state,
+                       build_collective_lowering, build_end_annihilation,
+                       build_hamiltonian, dicke_basis, dynamics,
                        effective_tc_hamiltonian, enumerate_sector, evolve,
                        fit_decay_rate, lindblad_generator, operators, stack_sectors,
                        steady_state_prediction, trapped_probabilities,
@@ -202,21 +203,36 @@ def test_evolve_rejects_bad_time_grid(t_end, snapshot_dt):
     p = triple_cavity(m_atoms=1, gamma_c=1.0)
     space = stack_sectors(p, 1)
     rho0 = DensityMatrix.from_pure(space, left_excited_state(space, 1))
-    with pytest.raises(ValueError, match="must be finite and > 0"):
+    with pytest.raises(ParamError, match="must be finite and > 0"):
         evolve(p, rho0, t_end, snapshot_dt=snapshot_dt)
+    with pytest.raises(ParamError, match="must be finite and > 0"):
+        dynamics._snapshot_times(t_end, snapshot_dt)
 
 
 def test_evolve_rejects_too_fine_snapshot_grid():
     p = triple_cavity(m_atoms=1, gamma_c=1.0)
     space = stack_sectors(p, 1)
     rho0 = DensityMatrix.from_pure(space, left_excited_state(space, 1))
-    with pytest.raises(ValueError, match="t_end / snapshot_dt must be at most"):
+    with pytest.raises(ParamError, match="t_end / snapshot_dt must be at most"):
         evolve(p, rho0, 2000.0, snapshot_dt=1e-300)
+    with pytest.raises(ParamError, match="t_end / snapshot_dt must be at most"):
+        dynamics._snapshot_times(2000.0, 1e-300)
+
+
+@pytest.mark.parametrize("t_end, snapshot_dt, expected", [
+    (10.0, 1.0, np.arange(11.0)), (10.0, None, np.linspace(0.0, 10.0, 201)),
+    (1.0, 3.0, [0.0, 1.0]), (2.5, 1.0, [0.0, 2.5 / 3, 5.0 / 3, 2.5]),
+    (1e5, 1.0, np.arange(1e5 + 1))])
+def test_snapshot_grid_spans_t_end_in_steps_of_at_most_snapshot_dt(t_end, snapshot_dt,
+                                                                   expected):
+    # no step is longer than snapshot_dt, and MAX_SNAPSHOTS steps are accepted
+    times = dynamics._snapshot_times(t_end, snapshot_dt)
+    assert np.array_equal(times, np.asarray(expected, dtype=float))
 
 
 @pytest.mark.parametrize("bound, value, message", [
     ("MAX_REACHED_ENTRIES", 250,
-     "the reach holds 251 entries, more than MAX_REACHED_ENTRIES = 250"),
+     "the reach holds more than MAX_REACHED_ENTRIES = 250 entries"),
     ("MAX_KEPT_ENTRIES", 251 * 11 - 1,
      "evolve would keep 11 snapshots of 251 entries, more than MAX_KEPT_ENTRIES = 2760"),
 ])
@@ -234,13 +250,18 @@ def test_evolve_above_its_size_bounds_raises_before_it_allocates(bound, value, m
         raise AssertionError("allocated past the bound")
 
     monkeypatch.setattr(dynamics, bound, value)
+    if bound == "MAX_REACHED_ENTRIES":  # the superoperator has the same bound
+        gen = lindblad_generator(p, space)
+        with pytest.raises(ParamError) as raised:
+            gen.superoperator(rho0.data)
+        assert str(raised.value) == message
     # neither the generator nor a propagator is built, on either bound
     for name in ("lindblad_generator", "_Cascade", "_Rk45"):
         monkeypatch.setattr(dynamics, name, refuse)
     # nor is the superoperator
     for name in ("superoperator", "_matrix"):
         monkeypatch.setattr(dynamics.LindbladGenerator, name, refuse)
-    with pytest.raises(ValueError) as raised:
+    with pytest.raises(ParamError) as raised:
         evolve(p, rho0, 10.0, snapshot_dt=1.0, detect_steady=False)
     assert str(raised.value) == message
 

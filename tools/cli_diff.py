@@ -41,8 +41,11 @@ _EVOLVE = [
 # the benchmark's cli-scan commands at seeds 1, 2 and 3, two bic runs at a
 # coupling small enough to test the null-space route's conditioning, four
 # runs where chi^K times the closed form's chi-free factor overflows a
-# float, and two bic runs near the float maximum, where the conditions'
-# couplings are scaled below 2^1000.
+# float, two bic runs near the float maximum, where the conditions'
+# couplings are scaled below 2^1000, and five evolve runs at its input
+# bounds: an undamped run whose reach is its own block, a reach above
+# MAX_REACHED_ENTRIES, a grid too fine, a negative t_end and a trapped
+# start above m_atoms.
 ARGVS = [
     ["bic", "--set", "m_atoms=2", "--set", "k_excitations=2", "--set", "g=0.1"],
     ["sweep-chi", "--set", "chi_min=0.05", "--set", "chi_max=20", "--set", "chi_points=41"],
@@ -68,6 +71,11 @@ ARGVS = [
     ["bic", "--set", "m_atoms=30", "--set", "k_excitations=30", "--set", "g=1e6"],
     ["bic", "--set", "g=1e308"],
     ["bic", "--set", "g=1e308", "--set", "m_atoms=5", "--set", "k_excitations=1"],
+    ["evolve", "--set", "m_atoms=6", "--set", "gamma_c=0", "--set", "g=0", "--set", "t_end=1200"],
+    ["evolve", "--set", "n_chain=60", "--set", "m_atoms=2"],
+    ["evolve", "--set", "t_end=1e300"],
+    ["evolve", "--set", "t_end=-5"],
+    ["evolve", "--set", "initial=bic", "--set", "initial_k=3"],
 ]
 
 
