@@ -9,9 +9,7 @@ quantum-cavity regime (trapped-mode decay rate and quality factor).
 from .model import (BasisState, ModelParams, NoResonantModeError, ParamError,
                     SectorBasis, enumerate_sector, resonant_mode_index,
                     validate_params)
-from .operators import (build_collective_lowering, build_end_annihilation,
-                        build_hamiltonian, build_normal_mode, build_number_op,
-                        coupling_lambda, mode_weights, normal_mode_frequency)
+from .operators import coupling_lambda, mode_weights, normal_mode_frequency
 from .bic import (ApproxState, BicCoefficients, DegenerateNullSpaceError,
                   NoTrappedStateError, RegimeObservables, StateVector,
                   TrappingReport, assemble_bic_state, chi,
@@ -31,6 +29,8 @@ from .linear import (LinearSystem, PolaritonModes, closed_form_decay, decay_rate
 
 __version__ = "0.1.0"
 
+# The public names; without this list ``from cavitybic import *`` would also
+# bind the submodules (model, operators, bic, dynamics, linear).
 __all__ = [
     "ApproxState",
     "BasisState",
@@ -54,11 +54,6 @@ __all__ = [
     "Trajectory",
     "TrappingReport",
     "assemble_bic_state",
-    "build_collective_lowering",
-    "build_end_annihilation",
-    "build_hamiltonian",
-    "build_normal_mode",
-    "build_number_op",
     "chi",
     "closed_form_coefficients",
     "closed_form_decay",

@@ -1002,7 +1002,8 @@ def effective_tc_hamiltonian(params: ModelParams, sector: SectorBasis) -> sparse
     n = params.n_chain
     sector_km1 = enumerate_sector(params, sector.k_excitations - 1)
     a_left, a_right, j_left, j_right = (
-        m.matrix() for m in lowering_maps(params, sector, sector_km1, [0, n, n + 1, n + 2]))
+        sparse.csr_matrix((m.amp.astype(np.complex128), (m.rows, m.cols)), shape=m.shape)
+        for m in lowering_maps(params, sector, sector_km1, [0, n, n + 1, n + 2]))
     a_minus = (1.0 / math.sqrt(2.0)) * (a_left - a_right)
     s_minus = j_left - j_right
     sz = sparse.diags(sector.occupations[:, -2:].sum(axis=1) - params.m_atoms,

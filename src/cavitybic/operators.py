@@ -1,5 +1,5 @@
-"""Lowering maps of the sector occupations, and the interior Hamiltonian and
-ladder operators built from them.
+"""Lowering maps of the sector occupations, and the interior Hamiltonian
+built from them.
 
 Conventions
 -----------
@@ -10,11 +10,9 @@ Conventions
   prefix sums (``SectorBasis.lowered_indices``), slot by slot, with no
   lowered row built and no search.
 - Ladder operators map sector K to sector K - 1; all of them come from one
-  lowering primitive, ``lowering_maps``.  A ``LoweringMap`` applies itself
-  and its adjoint to a vector without a matrix (``apply_hamiltonian`` does
-  the same for H), and turns into a complex ``scipy.sparse.csr_matrix`` in
-  canonical form (sorted indices, no duplicates, no stored zeros), whose
-  adjoint is ``.conj().T``.
+  lowering primitive, ``lowering_maps``.  A ``LoweringMap`` holds its
+  nonzero entries and applies itself and its adjoint to a vector without a
+  matrix (``apply_hamiltonian`` does the same for H).
 - Photon ladder action:  a |n> = sqrt(n) |n - 1>.
 - Collective (symmetric-subspace) ladder action for an ensemble of M atoms
   with n excited:  J- |n> = sqrt(n (M - n + 1)) |n - 1>,
@@ -27,33 +25,24 @@ Conventions
   neighbouring pair (atoms with their end cavity at rate g, neighbouring
   cavities at rate lam).  The normal-mode picture is kept as an
   independent verification path in the test suite.
-- All builders are pure functions of immutable inputs, so identical inputs
-  give bitwise identical operators.
+- Everything here is a pure function of immutable inputs, so identical
+  inputs give bitwise identical maps and entries.
 - The Hamiltonian has one construction, ``_hamiltonian_entries``: its
-  nonzero entries from the lowering maps, with no scipy.
-  ``build_hamiltonian`` turns them into CSR, and
-  ``dynamics.lindblad_generator`` into dense sector blocks.
-- ``scipy.sparse`` is imported only where a matrix is built:
-  ``LoweringMap.matrix``, ``build_hamiltonian``, ``build_number_op`` and
-  the ladder builders (``build_end_annihilation``,
-  ``build_collective_lowering``, ``build_normal_mode``).  Importing the
-  package, computing lowering maps or Hamiltonian entries and applying the
-  maps load no scipy module.
+  nonzero entries from the lowering maps.  ``dynamics.lindblad_generator``
+  turns them into dense sector blocks.
+- No matrix is built here and no scipy module is loaded: the dense
+  matrices of these operators that the tests compare against are built
+  independently, by brute force, in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .model import ModelParams, SectorBasis, enumerate_sector
-
-if TYPE_CHECKING:
-    from scipy import sparse
-
-_SIDES = ("L", "R")
+from .model import ModelParams, SectorBasis
 
 
 def mode_weights(n_chain: int, k_index: int) -> np.ndarray:
@@ -70,7 +59,8 @@ def coupling_lambda(params: ModelParams, k: int, side: str) -> float:
     The right coupling equals the left one times the parity factor
     (-1)^(k+1); the sign is computed exactly rather than through the sine.
     """
-    _check_side(side)
+    if side not in ("L", "R"):
+        raise ValueError(f"side must be 'L' or 'R', got {side!r}")
     if not 1 <= k <= params.n_chain - 1:
         raise ValueError(f"mode index out of range: 1 <= k <= {params.n_chain - 1}")
     left = params.lam * math.sqrt(2.0 / params.n_chain) * math.sin(k * math.pi / params.n_chain)
@@ -84,19 +74,6 @@ def normal_mode_frequency(params: ModelParams, k: int) -> float:
     if not 1 <= k <= params.n_chain - 1:
         raise ValueError(f"mode index out of range: 1 <= k <= {params.n_chain - 1}")
     return params.omega_c + 2.0 * params.lam * math.cos(k * math.pi / params.n_chain)
-
-
-def _check_side(side: str) -> None:
-    if side not in _SIDES:
-        raise ValueError(f"side must be 'L' or 'R', got {side!r}")
-
-
-def _canonical(matrix) -> sparse.csr_matrix:
-    from scipy import sparse
-    m = sparse.csr_matrix(matrix, dtype=np.complex128)
-    m.sum_duplicates()
-    m.eliminate_zeros()
-    return m
 
 
 class LoweringMap(NamedTuple):
@@ -124,15 +101,6 @@ class LoweringMap(NamedTuple):
         out = np.zeros(self.shape[1], dtype=np.result_type(w, self.amp))
         out[self.cols] = self.amp * w[self.rows]
         return out
-
-    def matrix(self) -> sparse.csr_matrix:
-        """The map as a canonical CSR matrix."""
-        from scipy import sparse
-        # at most one entry per column; the CSC constructor narrows the index type
-        indptr = np.zeros(self.shape[1] + 1, dtype=np.int64)
-        indptr[self.cols + 1] = 1
-        np.cumsum(indptr, out=indptr)
-        return _canonical(sparse.csc_matrix((self.amp, self.rows, indptr), shape=self.shape))
 
 
 def lowering_maps(params: ModelParams, sector_k: SectorBasis, sector_km1: SectorBasis,
@@ -207,28 +175,9 @@ def _hamiltonian_entries(params: ModelParams, sector: SectorBasis,
     return rows[nonzero], cols[nonzero], values[nonzero]
 
 
-def build_hamiltonian(params: ModelParams, sector: SectorBasis,
-                      sector_km1: SectorBasis | None = None) -> sparse.csr_matrix:
-    """Interior Hamiltonian (cavity energies, atomic energies, hopping and
-    atom-field exchange) restricted to one excitation sector.
-
-    Built from ``_hamiltonian_entries``: diag(omega n) + X + X^dagger with X
-    the sum of the exchange terms amp A+ B, so H is exactly Hermitian.
-    ``sector_km1``, the sector K - 1 basis the exchange terms pass through,
-    is enumerated when not given.
-    """
-    from scipy import sparse
-    if sector_km1 is None:
-        sector_km1 = enumerate_sector(params, sector.k_excitations - 1)
-    rows, cols, values = _hamiltonian_entries(params, sector,
-                                              lowering_maps(params, sector, sector_km1))
-    return _canonical(sparse.coo_matrix((values, (rows, cols)),
-                                        shape=(sector.dim, sector.dim)))
-
-
 def apply_hamiltonian(params: ModelParams, sector: SectorBasis, maps: Sequence[LoweringMap],
                       v: np.ndarray, lowered: Sequence[np.ndarray]) -> np.ndarray:
-    """H v without a matrix, the same sum as ``build_hamiltonian``:
+    """H v without a matrix, the same sum as ``_hamiltonian_entries``:
     diag v + sum amp (A+ (B v) + B+ (A v)) over the exchange terms A+ B.
 
     ``maps`` are the lowering maps of every slot of ``sector`` and
@@ -243,33 +192,3 @@ def apply_hamiltonian(params: ModelParams, sector: SectorBasis, maps: Sequence[L
     for m, w in zip(maps, into):
         hv += m.apply_adjoint(w)
     return hv
-
-
-def build_number_op(params: ModelParams, sector: SectorBasis) -> sparse.csr_matrix:
-    """Total excitation-number operator (diagonal on any sector)."""
-    from scipy import sparse
-    return _canonical(sparse.diags(sector.occupations.sum(axis=1), dtype=np.complex128))
-
-
-def build_end_annihilation(params: ModelParams, sector_k: SectorBasis,
-                           sector_km1: SectorBasis, side: str) -> sparse.csr_matrix:
-    """Annihilation operator of an end cavity, mapping sector K to K - 1."""
-    _check_side(side)
-    slot = 0 if side == "L" else params.n_chain
-    return lowering_maps(params, sector_k, sector_km1, [slot])[0].matrix()
-
-
-def build_collective_lowering(params: ModelParams, sector_k: SectorBasis,
-                              sector_km1: SectorBasis, side: str) -> sparse.csr_matrix:
-    """Collective atomic lowering operator J- of one ensemble, K -> K - 1."""
-    _check_side(side)
-    slot = params.n_chain + (1 if side == "L" else 2)
-    return lowering_maps(params, sector_k, sector_km1, [slot])[0].matrix()
-
-
-def build_normal_mode(params: ModelParams, sector_k: SectorBasis,
-                      sector_km1: SectorBasis, k_index: int) -> sparse.csr_matrix:
-    """Normal-mode annihilation operator B_k as a sparse map K -> K - 1."""
-    maps = lowering_maps(params, sector_k, sector_km1, range(1, params.n_chain))
-    terms = [w * m.matrix() for m, w in zip(maps, mode_weights(params.n_chain, k_index))]
-    return _canonical(sum(terms[1:], terms[0]))

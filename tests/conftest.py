@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from cavitybic import (DensityMatrix, ModelParams, StateVector,
-                       assemble_bic_state, evolve, stack_sectors,
-                       trapped_probabilities)
+                       assemble_bic_state, enumerate_sector, evolve,
+                       stack_sectors, trapped_probabilities)
+from cavitybic.operators import _hamiltonian_entries, lowering_maps
 
 
 def triple_cavity(m_atoms=2, g=0.1, gamma_c=0.0, gamma_a=0.0, delta=0.0,
@@ -16,6 +17,24 @@ def triple_cavity(m_atoms=2, g=0.1, gamma_c=0.0, gamma_a=0.0, delta=0.0,
     return ModelParams(n_chain=2, m_atoms=m_atoms, omega_c=omega_c,
                        omega_a=omega_c - delta, g=g, lam=1.0, q=1,
                        gamma_c=gamma_c, gamma_a=gamma_a, **extra)
+
+
+def dense_map(lowering):
+    """A ``LoweringMap`` as a dense array."""
+    out = np.zeros(lowering.shape)
+    out[lowering.rows, lowering.cols] = lowering.amp
+    return out
+
+
+def dense_hamiltonian(params, sector):
+    """The package's Hamiltonian on ``sector`` as a dense array, from its
+    entries over the lowering maps into sector K - 1."""
+    below = enumerate_sector(params, sector.k_excitations - 1)
+    rows, cols, values = _hamiltonian_entries(params, sector,
+                                              lowering_maps(params, sector, below))
+    h = np.zeros((sector.dim, sector.dim))
+    h[rows, cols] = values
+    return h
 
 
 def left_excited_state(space, k):

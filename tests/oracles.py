@@ -1,9 +1,12 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is deliberately brute force: enumeration over full product
-spaces, operator composition in the normal-mode picture, dense
-diagonalization.  None of it shares code paths with the implementations it
-checks.
+spaces, ladder operators lowered one state at a time and found through a
+dict, dense operator products, operator composition in the normal-mode
+picture, dense diagonalization.  None of it shares code paths with the
+implementations it checks: no lowering map, Hamiltonian entry or
+matrix-free apply of ``cavitybic.operators``, no normal-mode weight table,
+and no basis rank table of ``SectorBasis`` is used here.
 """
 
 import itertools
@@ -12,12 +15,67 @@ from fractions import Fraction
 
 import numpy as np
 
-from cavitybic import (BasisState, build_collective_lowering,
-                       build_end_annihilation, build_hamiltonian,
-                       build_normal_mode, coupling_lambda, enumerate_sector,
+from cavitybic import (BasisState, coupling_lambda, enumerate_sector,
                        normal_mode_frequency)
 from cavitybic.dynamics import MAX_KEPT_ENTRIES, MAX_REACHED_ENTRIES, MAX_SNAPSHOTS
 from cavitybic.model import sector_dim
+
+
+def _positions(sector):
+    """Index of each occupation row of ``sector``, as a dict."""
+    return {tuple(row): i for i, row in enumerate(sector.occupations.tolist())}
+
+
+def ladder(params, sector, sector_km1, slot):
+    """Dense lowering matrix of one occupation slot from ``sector`` to
+    ``sector_km1``: each row lowered in a Python loop and looked up by
+    value, with amplitude sqrt(n) on a photon slot and sqrt(n (M - n + 1))
+    on an atom slot."""
+    target = _positions(sector_km1)
+    out = np.zeros((sector_km1.dim, sector.dim))
+    for col, occ in enumerate(sector.occupations.tolist()):
+        n = occ[slot]
+        if n:
+            occ[slot] -= 1
+            atom = slot > params.n_chain
+            out[target[tuple(occ)], col] = math.sqrt(n * (params.m_atoms - n + 1) if atom else n)
+    return out
+
+
+def end_annihilation(params, sector, sector_km1, side):
+    """Annihilation operator a_L or a_R of an end cavity."""
+    return ladder(params, sector, sector_km1, 0 if side == "L" else params.n_chain)
+
+
+def collective_lowering(params, sector, sector_km1, side):
+    """Collective lowering operator J- of the left or right ensemble."""
+    return ladder(params, sector, sector_km1, params.n_chain + (1 if side == "L" else 2))
+
+
+def normal_mode(params, sector, sector_km1, k):
+    """Normal-mode annihilation operator B_k = sum_n sqrt(2/N) sin(k n pi / N) b_n."""
+    n_chain = params.n_chain
+    return sum(math.sqrt(2.0 / n_chain) * math.sin(k * n * math.pi / n_chain)
+               * ladder(params, sector, sector_km1, n) for n in range(1, n_chain))
+
+
+def hamiltonian(params, sector, sector_km1):
+    """Dense interior Hamiltonian: each state's free energy on the diagonal,
+    plus X + X^T for every exchange term amp A+ B, with X = (amp A)^T B
+    formed from the dense ladders of the raised slot A and the lowered
+    slot B through ``sector_km1``."""
+    n, m_atoms = params.n_chain, params.m_atoms
+    h = np.diag([params.omega_c * sum(occ[:n + 1]) + params.omega_a * (sum(occ[n + 1:]) - m_atoms)
+                 for occ in sector.occupations.tolist()]).astype(float)
+    # (amplitude, raised slot, lowered slot): each atom ensemble with its end
+    # cavity, each end cavity with its middle neighbour, then the middle pairs
+    exchanges = [(params.g, 0, n + 1), (params.g, n, n + 2), (params.lam, 0, 1),
+                 (params.lam, n, n - 1), *((params.lam, i, i + 1) for i in range(1, n - 1))]
+    for amp, up, down in exchanges:
+        raised = amp * ladder(params, sector, sector_km1, up)
+        x = raised.T @ ladder(params, sector, sector_km1, down)
+        h += x + x.T
+    return h
 
 
 def brute_force_sector(params, k):
@@ -40,15 +98,15 @@ def mode_fock_embedding(params, k, table):
     atomic state |0...0, n, k - m - n>: each creation step is the adjoint
     of the normal-mode annihilation matrix, so no multinomial is used."""
     sectors = [enumerate_sector(params, j) for j in range(k + 1)]
-    raising = [build_normal_mode(params, sectors[j + 1], sectors[j], params.q).conj().T
+    raising = [normal_mode(params, sectors[j + 1], sectors[j], params.q).T
                for j in range(k)]
-    vacuum = (0,) * (params.n_chain - 1)
+    vacuum = (0,) * (params.n_chain + 1)
     vec = np.zeros(sectors[k].dim, dtype=complex)
     for m in range(k + 1):
         for n in range(k + 1 - m):
             atoms = sectors[k - m]
             state = np.zeros(atoms.dim, dtype=complex)
-            state[atoms.index_of(BasisState(0, vacuum, 0, n, k - m - n))] = 1.0
+            state[_positions(atoms)[(*vacuum, n, k - m - n)]] = 1.0
             for j in range(k - m, k):
                 state = raising[j] @ state
             vec += table[m, n] * state / math.sqrt(math.factorial(m))
@@ -92,17 +150,15 @@ def hamiltonian_normal_mode_picture(params, sector, sector_km1):
     for i, s in enumerate(sector.states):
         h[i, i] = (params.omega_c * (s.photons_left + s.photons_right)
                    + params.omega_a * (s.excited_left + s.excited_right - params.m_atoms))
-    for k in range(1, params.n_chain):
-        bk = build_normal_mode(params, sector, sector_km1, k).toarray()
-        h += normal_mode_frequency(params, k) * (bk.conj().T @ bk)
+    modes = [normal_mode(params, sector, sector_km1, k) for k in range(1, params.n_chain)]
+    for k, bk in enumerate(modes, start=1):
+        h += normal_mode_frequency(params, k) * (bk.T @ bk)
     for side in ("L", "R"):
-        a_op = build_end_annihilation(params, sector, sector_km1, side).toarray()
-        j_low = build_collective_lowering(params, sector, sector_km1, side).toarray()
-        drain = params.g * j_low
-        for k in range(1, params.n_chain):
-            bk = build_normal_mode(params, sector, sector_km1, k).toarray()
+        a_op = end_annihilation(params, sector, sector_km1, side)
+        drain = params.g * collective_lowering(params, sector, sector_km1, side)
+        for k, bk in enumerate(modes, start=1):
             drain = drain + coupling_lambda(params, k, side) * bk
-        coupling = a_op.conj().T @ drain
+        coupling = a_op.T @ drain
         h += coupling + coupling.conj().T
     return h
 
@@ -148,23 +204,23 @@ def dense_lindblad_apply(params, space, include_atomic_decay=False):
     dim = space.dim
     h = np.zeros((dim, dim), dtype=complex)
     for k, sector in enumerate(space.sectors):
-        block = build_hamiltonian(params, sector).toarray()
+        block = hamiltonian(params, sector, enumerate_sector(params, k - 1))
         block -= params.omega_c * k * np.eye(sector.dim)
         h[space.sector_slice(k), space.sector_slice(k)] = block
 
-    def stacked_lowering(builder, side):
+    def stacked_lowering(ladder_of, side):
         full = np.zeros((dim, dim), dtype=complex)
         for k in range(1, space.k_max + 1):
-            op = builder(params, space.sectors[k], space.sectors[k - 1], side)
-            full[space.sector_slice(k - 1), space.sector_slice(k)] = op.toarray()
+            op = ladder_of(params, space.sectors[k], space.sectors[k - 1], side)
+            full[space.sector_slice(k - 1), space.sector_slice(k)] = op
         return full
 
     jumps = []
     if params.gamma_c > 0:
-        jumps += [(params.gamma_c, stacked_lowering(build_end_annihilation, side))
+        jumps += [(params.gamma_c, stacked_lowering(end_annihilation, side))
                   for side in ("L", "R")]
     if include_atomic_decay and params.gamma_a > 0:
-        jumps += [(params.gamma_a, stacked_lowering(build_collective_lowering, side))
+        jumps += [(params.gamma_a, stacked_lowering(collective_lowering, side))
                   for side in ("L", "R")]
 
     def apply(rho):

@@ -14,7 +14,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from cavitybic import ModelParams, cli, dynamics
+from cavitybic import ModelParams, cli, dynamics, operators
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -51,6 +51,29 @@ def test_traced_decay_fit_passes_its_checks(bench, tmp_path):
     assert not hasattr(dynamics.evolve, "__wrapped__")
     assert not hasattr(dynamics.DensityMatrix.min_eigenvalue, "__wrapped__")
     assert cli._DRIVERS["evolve"] is cli.run_evolve
+
+
+@pytest.mark.parametrize("index", [0, 1])
+def test_traced_certify_passes_its_checks(bench, tmp_path, index):
+    # a certify-large case as a traced round runs it: every package function
+    # it reaches goes through the tracer's wrappers
+    tracer = bench.tracing.Tracer()
+    ctx = bench.workloads.Context(ROOT, str(tmp_path), 1, in_process=True)
+    ctx.tracer = tracer
+    case = bench.workloads.build("certify-large", 1)[index]
+    try:
+        tracer.install()
+        with tracer.operation(case.metric):
+            case.run(ctx)
+    finally:
+        tracer.uninstall()
+    assert [name for name, _ok, _detail in ctx.results] == list(case.check_names)
+    assert all(ok for _name, ok, _detail in ctx.results), ctx.results
+    names = {span[0] for span in tracer.spans}
+    assert {"operators.lowering_maps", "bic.verify_trapping",
+            "bic.null_space_coefficients"} <= names
+    assert bench.tracing.layer_metrics(tracer, [1])["trace.spans"] == len(tracer.spans)
+    assert not hasattr(operators.lowering_maps, "__wrapped__")
 
 
 def test_traced_generator_apply_counts_its_flops(bench):

@@ -9,18 +9,18 @@ from hypothesis import strategies as st
 from scipy.linalg import null_space
 
 from cavitybic import (BasisState, ModelParams, NoTrappedStateError,
-                       StateVector, assemble_bic_state,
-                       build_collective_lowering, build_hamiltonian,
-                       build_normal_mode, chi, closed_form_coefficients,
-                       coupling_lambda, enumerate_sector, fock_approx,
+                       StateVector, assemble_bic_state, chi,
+                       closed_form_coefficients, coupling_lambda,
+                       enumerate_sector, fock_approx,
                        mean_photons_across_chi, null_space_coefficients,
                        recursive_coefficients, regime_observables,
                        resonant_mode_index, subradiant_approx, verify_trapping)
 from cavitybic.bic import (DegenerateNullSpaceError, _condition_matrix, _null_space,
                            _trapping_reports)
 from conftest import triple_cavity
-from oracles import (condition_matrices, eigenspace_projection,
-                     hamiltonian_normal_mode_picture, mode_fock_embedding)
+from oracles import (collective_lowering, condition_matrices, eigenspace_projection,
+                     hamiltonian, hamiltonian_normal_mode_picture, mode_fock_embedding,
+                     normal_mode)
 
 
 def four_chain(m_atoms, g=0.3):
@@ -370,15 +370,15 @@ def test_random_vector_has_large_residuals():
     (5, 2, 2, -0.7, 0.4, 1.1),   # odd chain, detuned
 ])
 def test_matrix_free_residuals_match_dense_operators(n_chain, m_atoms, k, g, omega_c, omega_a):
-    # references: H in the normal-mode picture, the conditions from the CSR ladders
+    # references: H in the normal-mode picture, the conditions from the dense ladders
     q = n_chain // 2
     p = ModelParams(n_chain=n_chain, m_atoms=m_atoms, omega_c=omega_c, omega_a=omega_a,
                     g=g, lam=1.0, q=q)
     sector, below = enumerate_sector(p, k), enumerate_sector(p, k - 1)
     shifted = (hamiltonian_normal_mode_picture(p, sector, below)
                - (k - m_atoms) * omega_a * np.eye(sector.dim))
-    bq = build_normal_mode(p, sector, below, q).toarray()
-    conditions = [g * build_collective_lowering(p, sector, below, side).toarray()
+    bq = normal_mode(p, sector, below, q)
+    conditions = [g * collective_lowering(p, sector, below, side)
                   + coupling_lambda(p, q, side) * bq for side in ("L", "R")]
     rng = np.random.default_rng(5)
     for _ in range(3):
@@ -432,7 +432,7 @@ def test_full_diagonalization_contains_the_trapped_state():
             for k in range(m_atoms + 1):
                 sector = enumerate_sector(params, k)
                 psi = assemble_bic_state(params, k, sector=sector)
-                h = build_hamiltonian(params, sector).toarray()
+                h = hamiltonian(params, sector, enumerate_sector(params, k - 1))
                 energy = (k - m_atoms) * params.omega_a
                 weight = eigenspace_projection(h, energy, psi.amplitudes)
                 assert weight == pytest.approx(1.0, abs=1e-8)

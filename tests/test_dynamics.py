@@ -8,14 +8,14 @@ from scipy.linalg import expm
 
 from cavitybic import (DensityMatrix, FitError, IntegrationError, ModelParams,
                        ParamError, StateVector, assemble_bic_state,
-                       build_collective_lowering, build_end_annihilation,
-                       build_hamiltonian, dicke_basis, dynamics,
+                       dicke_basis, dynamics,
                        effective_tc_hamiltonian, enumerate_sector, evolve,
                        fit_decay_rate, lindblad_generator, operators, stack_sectors,
                        steady_state_prediction, trapped_probabilities,
                        twisted_spin_ops)
 from conftest import left_excited_state, triple_cavity
-from oracles import atomic_reduced_density, dense_lindblad_apply
+from oracles import (atomic_reduced_density, collective_lowering, dense_lindblad_apply,
+                     end_annihilation, hamiltonian)
 
 
 def test_generator_annihilates_ground_state():
@@ -82,16 +82,16 @@ def test_generator_blocks_are_the_sector_operators(n_chain, m_atoms):
     gen = lindblad_generator(p, space, include_atomic_decay=True)
     sectors = space.sectors
 
-    # each jump holds the builder's map from sector K to K - 1 as its dense
-    # block K - 1, entry for entry, and no other block
-    lowerings = [(rate, builder, side)
-                 for rate, builder in ((p.gamma_c, build_end_annihilation),
-                                       (p.gamma_a, build_collective_lowering))
+    # each jump holds the reference ladder from sector K to K - 1 as its
+    # dense block K - 1, entry for entry, and no other block
+    lowerings = [(rate, ladder_of, side)
+                 for rate, ladder_of in ((p.gamma_c, end_annihilation),
+                                         (p.gamma_a, collective_lowering))
                  for side in ("L", "R")]
     assert [rate for rate, _blocks in gen._jumps] == [rate for rate, _b, _s in lowerings]
     maps = []
-    for (_rate, blocks), (rate, builder, side) in zip(gen._jumps, lowerings):
-        wanted = [builder(p, sectors[k], sectors[k - 1], side).toarray()
+    for (_rate, blocks), (rate, ladder_of, side) in zip(gen._jumps, lowerings):
+        wanted = [ladder_of(p, sectors[k], sectors[k - 1], side)
                   for k in range(1, len(sectors))]
         assert len(blocks) == len(wanted)
         for blk, ref in zip(blocks, wanted):
@@ -106,7 +106,7 @@ def test_generator_blocks_are_the_sector_operators(n_chain, m_atoms):
     for k, sec in enumerate(sectors[1:], start=1):
         blk = gen._h_eff_blocks[k]
         assert isinstance(blk, np.ndarray) and blk.dtype == np.complex128
-        ref = (build_hamiltonian(p, sec, sectors[k - 1]).toarray()
+        ref = (hamiltonian(p, sec, sectors[k - 1])
                - (p.omega_c * k - p.omega_a * p.m_atoms) * np.eye(sec.dim))
         for rate, wanted in maps:
             c = wanted[k - 1]
@@ -603,7 +603,7 @@ def test_effective_model_conserves_total_spin():
 def test_effective_model_tracks_full_hamiltonian():
     p = triple_cavity(m_atoms=2, g=0.05)
     sector = enumerate_sector(p, 1)
-    h_full = build_hamiltonian(p, sector).toarray()
+    h_full = hamiltonian(p, sector, enumerate_sector(p, 0))
     h_eff = effective_tc_hamiltonian(p, sector).toarray()
     rng = np.random.default_rng(7)
     v = np.zeros(sector.dim, dtype=complex)

@@ -1,18 +1,18 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import warnings
 
 import numpy as np
 import pytest
 
-from scipy import sparse
-
-from cavitybic import (ModelParams, build_collective_lowering,
-                       build_end_annihilation, build_hamiltonian,
-                       build_normal_mode, build_number_op, coupling_lambda,
-                       enumerate_sector, mode_weights, normal_mode_frequency)
-from cavitybic.operators import lowering_maps
-from conftest import triple_cavity
-from oracles import hamiltonian_normal_mode_picture
+from cavitybic import (ModelParams, coupling_lambda, enumerate_sector,
+                       mode_weights, normal_mode_frequency)
+from cavitybic.operators import _hamiltonian_entries, apply_hamiltonian, lowering_maps
+from conftest import dense_hamiltonian, dense_map, triple_cavity
+from oracles import hamiltonian, hamiltonian_normal_mode_picture, ladder, normal_mode
 
 
 def four_chain(m_atoms=1, g=0.3, omega=0.0):
@@ -20,28 +20,40 @@ def four_chain(m_atoms=1, g=0.3, omega=0.0):
                        g=g, lam=1.0, q=2)
 
 
-def test_builders_return_canonical_csr():
-    # g = 0 and zero diagonal energies would leave stored zeros if any
-    # builder skipped canonicalisation; one atom per end caps the ensembles below K
+def test_hamiltonian_entries_are_distinct_and_nonzero():
+    # g = 0 and zero diagonal energies would leave zero entries if any were
+    # kept; one atom per end caps the ensembles below K
     for p in (four_chain(m_atoms=2, g=0.0), four_chain(m_atoms=1),
               triple_cavity(m_atoms=3, g=0.4, omega_c=0.2)):
         for k in range(4):
             sector, sector_km1 = enumerate_sector(p, k), enumerate_sector(p, k - 1)
-            ops = [build_hamiltonian(p, sector), build_number_op(p, sector)]
-            for side in ("L", "R"):
-                ops.append(build_end_annihilation(p, sector, sector_km1, side))
-                ops.append(build_collective_lowering(p, sector, sector_km1, side))
-            ops += [build_normal_mode(p, sector, sector_km1, q) for q in range(1, p.n_chain)]
-            for op in ops:
-                assert isinstance(op, sparse.csr_matrix)
-                assert op.dtype == np.complex128
-                assert op.has_canonical_format
-                assert not np.any(op.data == 0)
+            maps = lowering_maps(p, sector, sector_km1)
+            rows, cols, values = _hamiltonian_entries(p, sector, maps)
+            assert values.dtype == np.float64
+            assert np.unique(rows * sector.dim + cols).size == rows.size
+            assert np.all(values != 0)
+            # a map holds at most one entry per row and per column, none zero
+            for m in maps:
+                assert np.unique(m.rows).size == np.unique(m.cols).size == m.rows.size
+                assert np.all(m.amp > 0)
+
+
+@pytest.mark.parametrize("n_chain, m_atoms", [(2, 2), (3, 1), (4, 3), (2, 3), (5, 2), (6, 2)])
+def test_hamiltonian_entries_match_the_dense_reference(n_chain, m_atoms):
+    # each entry is one product (amp a_up) a_down, formed in the same order
+    # by the reference's dense ladders, so the two agree bit for bit
+    for g, omega_c, omega_a in ((0.3, 0.0, 0.0), (-0.7, 0.4, 0.3), (1.3, 0.2, 0.9),
+                                (0.05, 1.0, 0.6)):
+        p = ModelParams(n_chain=n_chain, m_atoms=m_atoms, omega_c=omega_c, omega_a=omega_a,
+                        g=g, lam=1.0, q=1)
+        for k in range(m_atoms + 2):
+            sector, below = enumerate_sector(p, k), enumerate_sector(p, k - 1)
+            assert np.array_equal(dense_hamiltonian(p, sector), hamiltonian(p, sector, below))
 
 
 def test_vacuum_hamiltonian_is_ground_energy():
     p = triple_cavity(m_atoms=2, omega_c=0.9).replace(omega_a=0.9)
-    h = build_hamiltonian(p, enumerate_sector(p, 0)).toarray()
+    h = dense_hamiltonian(p, enumerate_sector(p, 0))
     assert h.shape == (1, 1)
     assert h[0, 0] == pytest.approx(-2 * 0.9)
 
@@ -50,7 +62,7 @@ def test_single_excitation_hamiltonian_matches_hand_construction():
     omega = 0.37
     p = triple_cavity(m_atoms=1, g=0.2, omega_c=omega).replace(omega_a=omega)
     sector = enumerate_sector(p, 1)
-    h = build_hamiltonian(p, sector).toarray()
+    h = dense_hamiltonian(p, sector)
     # lexicographic order: right atom, left atom, a_R, b_1, a_L
     expected = np.zeros((5, 5))
     expected[4, 3] = expected[3, 4] = p.lam
@@ -64,78 +76,55 @@ def test_single_excitation_hamiltonian_matches_hand_construction():
 def test_hamiltonian_exactly_hermitian():
     p = four_chain(m_atoms=2)
     for k in range(4):
-        h = build_hamiltonian(p, enumerate_sector(p, k))
-        assert (h != h.conj().T).nnz == 0
+        h = dense_hamiltonian(p, enumerate_sector(p, k))
+        assert np.array_equal(h, h.T)
 
 
 def test_hamiltonian_commutes_with_number_op():
     p = four_chain(m_atoms=2, g=0.41, omega=0.6)
     for k in range(1, 4):
         sector = enumerate_sector(p, k)
-        h = build_hamiltonian(p, sector).toarray()
-        n_op = build_number_op(p, sector).toarray()
+        h = dense_hamiltonian(p, sector)
+        n_op = np.diag(sector.occupations.sum(axis=1))
         assert np.abs(h @ n_op - n_op @ h).max() < 1e-12
 
 
 def test_number_op_eigenvalues():
     p = triple_cavity(m_atoms=2)
-    assert build_number_op(p, enumerate_sector(p, 0)).toarray()[0, 0] == 0
+    assert enumerate_sector(p, 0).occupations.sum(axis=1).tolist() == [0]
     sector = enumerate_sector(p, 2)
-    n_op = build_number_op(p, sector).toarray()
+    n_op = np.diag(sector.occupations.sum(axis=1))
     assert np.allclose(np.diag(n_op), 2)
-    assert np.trace(n_op).real == pytest.approx(2 * sector.dim)
+    assert np.trace(n_op) == 2 * sector.dim
 
 
 def test_ladders_match_per_state_reference():
-    # reference: lower each state with a dict lookup, one state at a time
+    # reference: each state lowered in a Python loop and found through a dict
     for p in (four_chain(m_atoms=2), triple_cavity(m_atoms=3)):
         n = p.n_chain
         for k in range(4):
             sector, sector_km1 = enumerate_sector(p, k), enumerate_sector(p, k - 1)
-
-            def reference(slot, amplitude):
-                ref = np.zeros((sector_km1.dim, sector.dim))
-                for col, s in enumerate(sector.states):
-                    occ = [s.photons_left, *s.photons_mid, s.photons_right,
-                           s.excited_left, s.excited_right]
-                    if occ[slot]:
-                        amp = amplitude(occ[slot])
-                        occ[slot] -= 1
-                        target = type(s)(occ[0], tuple(occ[1:n]), *occ[n:])
-                        ref[sector_km1.index_of(target), col] = amp
-                return ref
-
-            def photon(m):
-                return math.sqrt(m)
-
-            def atom(m):
-                return math.sqrt(m * (p.m_atoms - m + 1))
-
-            for side, end, ens in (("L", 0, n + 1), ("R", n, n + 2)):
-                assert np.array_equal(
-                    build_end_annihilation(p, sector, sector_km1, side).toarray(),
-                    reference(end, photon))
-                assert np.array_equal(
-                    build_collective_lowering(p, sector, sector_km1, side).toarray(),
-                    reference(ens, atom))
+            maps = lowering_maps(p, sector, sector_km1)
+            assert len(maps) == n + 3
+            for slot, m in enumerate(maps):
+                assert np.array_equal(dense_map(m), ladder(p, sector, sector_km1, slot))
+            # the normal modes from the weight table, against the sine formula
             for q in range(1, n):
-                weights = mode_weights(n, q)
-                expected = sum(reference(i, lambda m, w=weights[i - 1]: w * math.sqrt(m))
-                               for i in range(1, n))
-                assert np.array_equal(build_normal_mode(p, sector, sector_km1, q).toarray(),
-                                      expected)
+                weighted = sum(w * dense_map(m) for w, m in zip(mode_weights(n, q), maps[1:n]))
+                assert np.allclose(weighted, normal_mode(p, sector, sector_km1, q),
+                                   rtol=0, atol=1e-15)
 
 
 def test_end_annihilation_amplitudes():
     p = triple_cavity(m_atoms=2)
     sec1, sec2 = enumerate_sector(p, 1), enumerate_sector(p, 2)
     sec0 = enumerate_sector(p, 0)
-    a1 = build_end_annihilation(p, sec1, sec0, "L").toarray()
+    a1 = dense_map(lowering_maps(p, sec1, sec0, [0])[0])
     one_left = [j for j, s in enumerate(sec1.states) if s.photons_left == 1]
     assert len(one_left) == 1
     assert a1[0, one_left[0]] == pytest.approx(1.0)
 
-    a2 = build_end_annihilation(p, sec2, sec1, "L").toarray()
+    a2 = dense_map(lowering_maps(p, sec2, sec1, [0])[0])
     for j, s in enumerate(sec2.states):
         if s.photons_left == 2:
             col = a2[:, j]
@@ -148,9 +137,9 @@ def test_end_annihilation_from_vacuum_is_zero_row_matrix():
     p = triple_cavity()
     sec0 = enumerate_sector(p, 0)
     empty = enumerate_sector(p, -1)
-    op = build_end_annihilation(p, sec0, empty, "L")
-    assert op.shape == (0, 1)
-    assert op.nnz == 0
+    (a_left,) = lowering_maps(p, sec0, empty, [0])
+    assert a_left.shape == dense_map(a_left).shape == (0, 1)
+    assert a_left.rows.size == a_left.cols.size == 0
 
 
 def test_ladder_rejects_a_target_that_is_not_the_lower_sector():
@@ -161,7 +150,7 @@ def test_ladder_rejects_a_target_that_is_not_the_lower_sector():
     for target in (enumerate_sector(p, 0), enumerate_sector(triple_cavity(m_atoms=1), 1),
                    enumerate_sector(p.replace(n_chain=3), 1)):
         with pytest.raises(ValueError, match="does not contain every lowered state"):
-            build_end_annihilation(p, sec2, target, "L")
+            lowering_maps(p, sec2, target, [0])
 
 
 def test_lowering_maps_reject_params_of_another_chain_or_ensemble():
@@ -178,7 +167,8 @@ def test_lowering_maps_reject_params_of_another_chain_or_ensemble():
 def test_normal_mode_is_middle_cavity_for_triple():
     p = triple_cavity(m_atoms=1)
     sec1, sec0 = enumerate_sector(p, 1), enumerate_sector(p, 0)
-    b1 = build_normal_mode(p, sec1, sec0, 1).toarray()
+    assert mode_weights(2, 1).tolist() == [1.0]
+    b1 = normal_mode(p, sec1, sec0, 1)
     mid = [j for j, s in enumerate(sec1.states) if sum(s.photons_mid) == 1]
     assert len(mid) == 1
     assert b1[0, mid[0]] == pytest.approx(1.0)
@@ -198,11 +188,11 @@ def test_normal_mode_commutators():
     sec2 = enumerate_sector(p, 2)
     sec0 = enumerate_sector(p, 0)
     for k in range(1, 4):
-        bk_10 = build_normal_mode(p, sec1, sec0, k).toarray()
-        bk_21 = build_normal_mode(p, sec2, sec1, k).toarray()
+        bk_10 = normal_mode(p, sec1, sec0, k)
+        bk_21 = normal_mode(p, sec2, sec1, k)
         for kp in range(1, 4):
-            bp_10 = build_normal_mode(p, sec1, sec0, kp).toarray()
-            bp_21 = build_normal_mode(p, sec2, sec1, kp).toarray()
+            bp_10 = normal_mode(p, sec1, sec0, kp)
+            bp_21 = normal_mode(p, sec2, sec1, kp)
             # acting within sector 1: lower from 2 after raising, or raise after lowering to 0
             comm = bk_21 @ bp_21.conj().T - bp_10.conj().T @ bk_10
             expected = np.eye(sec1.dim) if k == kp else np.zeros((sec1.dim, sec1.dim))
@@ -234,33 +224,75 @@ def test_normal_mode_frequencies():
 
 def test_mode_index_out_of_range():
     p = triple_cavity()
-    sec1, sec0 = enumerate_sector(p, 1), enumerate_sector(p, 0)
     with pytest.raises(ValueError, match="mode index out of range"):
-        build_normal_mode(p, sec1, sec0, 2)
+        mode_weights(p.n_chain, 2)
     with pytest.raises(ValueError, match="mode index out of range"):
         normal_mode_frequency(p, 0)
 
 
+# the 41-cavity chain has a slot space of 3^41 * 4 > 2^63 states at K = 2,
+# beyond any int64 mixed-radix rank of the occupations
+LONG_CHAIN = ModelParams(n_chain=40, m_atoms=1, omega_c=0.6, omega_a=0.6, g=0.41, lam=1.0, q=20)
+
+
 def test_normal_mode_picture_reproduces_hamiltonian():
-    # the 41-cavity chain has a slot space of 3^41 * 4 > 2^63 states at K = 2,
-    # beyond any int64 mixed-radix rank of the occupations
-    long_chain = ModelParams(n_chain=40, m_atoms=1, omega_c=0.6, omega_a=0.6,
-                             g=0.41, lam=1.0, q=20)
     for p, k_max in ((triple_cavity(m_atoms=2, g=0.3, omega_c=0.8).replace(omega_a=0.8), 3),
                      (four_chain(m_atoms=2, g=0.41, omega=0.6), 3),
-                     (long_chain, 2)):
+                     (LONG_CHAIN, 2)):
         for k in range(1, k_max + 1):
             sector = enumerate_sector(p, k)
             sector_km1 = enumerate_sector(p, k - 1)
-            direct = build_hamiltonian(p, sector).toarray()
+            direct = dense_hamiltonian(p, sector)
             via_modes = hamiltonian_normal_mode_picture(p, sector, sector_km1)
             assert np.abs(direct - via_modes).max() < 1e-12
+
+
+@pytest.mark.parametrize("p, k", [
+    (triple_cavity(m_atoms=2, g=0.3, omega_c=0.8).replace(omega_a=0.8), 2),
+    (triple_cavity(m_atoms=3, g=0.4), 4),                   # K > M
+    (four_chain(m_atoms=2, g=0.41, omega=0.6), 3),
+    (ModelParams(n_chain=5, m_atoms=2, omega_c=0.4, omega_a=1.1, g=-0.7, lam=1.0, q=2), 2),
+    (LONG_CHAIN, 2),
+])
+def test_apply_hamiltonian_matches_the_dense_reference(p, k):
+    # H v through the maps against the reference's dense H @ v: the two sum
+    # each entry's few terms in different orders, so they agree to a
+    # relative 1e-14 in the 2-norm
+    sector, below = enumerate_sector(p, k), enumerate_sector(p, k - 1)
+    h = hamiltonian(p, sector, below)
+    maps = lowering_maps(p, sector, below)
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        v = rng.normal(size=sector.dim) + 1j * rng.normal(size=sector.dim)
+        hv = apply_hamiltonian(p, sector, maps, v, [m.apply(v) for m in maps])
+        assert np.linalg.norm(hv - h @ v) <= 1e-14 * np.linalg.norm(h @ v)
+
+
+def test_operator_layer_loads_no_scipy():
+    # maps, Hamiltonian entries and the matrix-free apply, in a fresh process
+    probe = textwrap.dedent("""
+        import sys
+        import numpy as np
+        import cavitybic.operators as ops
+        from cavitybic import ModelParams, enumerate_sector
+        p = ModelParams(n_chain=3, m_atoms=2, omega_c=0.4, omega_a=0.3, g=0.7, lam=1.0, q=1)
+        sector, below = enumerate_sector(p, 2), enumerate_sector(p, 1)
+        maps = ops.lowering_maps(p, sector, below)
+        ops._hamiltonian_entries(p, sector, maps)
+        v = np.ones(sector.dim)
+        ops.apply_hamiltonian(p, sector, maps, v, [m.apply(v) for m in maps])
+        print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+    """)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_collective_lowering_matrix_elements():
     p = triple_cavity(m_atoms=3)
     sec2, sec1 = enumerate_sector(p, 2), enumerate_sector(p, 1)
-    jl = build_collective_lowering(p, sec2, sec1, "L").toarray()
+    jl = dense_map(lowering_maps(p, sec2, sec1, [p.n_chain + 1])[0])
     for j, s in enumerate(sec2.states):
         if s.excited_left == 2 and s.excited_right == 0 and sum(s.photons_mid) == 0 \
                 and s.photons_left == 0 and s.photons_right == 0:
@@ -268,26 +300,18 @@ def test_collective_lowering_matrix_elements():
             assert np.abs(jl[:, j]).max() == pytest.approx(2.0)
 
 
-def test_hamiltonian_from_a_given_lower_sector_is_identical():
-    p = four_chain(m_atoms=2, g=0.7, omega=0.3)
-    for k in range(4):
-        sector, below = enumerate_sector(p, k), enumerate_sector(p, k - 1)
-        own, given = build_hamiltonian(p, sector), build_hamiltonian(p, sector, below)
-        for attr in ("indptr", "indices", "data"):
-            assert getattr(own, attr).tobytes() == getattr(given, attr).tobytes()
-
-
 @pytest.mark.parametrize("omega_c, omega_a", [(0, 0), (2, 1)])
 def test_integer_frequencies_build_the_float_hamiltonian(omega_c, omega_a):
-    # ints are valid frequencies: the diagonal is float64 either way, and
-    # scipy.sparse is handed no int64 diagonal to warn about
+    # ints are valid frequencies: the entries are float64 either way, with
+    # no warning on the way
     as_int = four_chain(m_atoms=2, g=0.7).replace(omega_c=omega_c, omega_a=omega_a)
     as_float = as_int.replace(omega_c=float(omega_c), omega_a=float(omega_a))
     for k in range(4):
         sector = enumerate_sector(as_float, k)
+        maps = lowering_maps(as_float, sector, enumerate_sector(as_float, k - 1))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            own = build_hamiltonian(as_int, sector)
-        ref = build_hamiltonian(as_float, sector)
-        for attr in ("indptr", "indices", "data"):
-            assert getattr(own, attr).tobytes() == getattr(ref, attr).tobytes()
+            own = _hamiltonian_entries(as_int, sector, maps)
+        ref = _hamiltonian_entries(as_float, sector, maps)
+        for got, want in zip(own, ref):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
