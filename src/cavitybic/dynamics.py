@@ -40,8 +40,10 @@ computed, and so is each real or imaginary part, of a term or of an
 entry of X(t), below it: a decayed mode costs no subnormal arithmetic.
 Inputs the eigenbasis cannot represent accurately fail one of three
 guards: an ill-conditioned V, a resonance that needs a secular
-t e^{mu t} term, or too many coefficients.  They run
-on an adaptive RK45 integrator of the sparse superoperator instead, and
+t e^{mu t} term, or too many coefficients.  They run on
+``scipy.sparse.linalg.expm_multiply`` of the sparse superoperator instead
+(Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)), which is exact
+to rounding on the uniform snapshot grid, y_{i+1} = exp(L Delta) y_i, and
 the trajectory's diagnostics name the path that ran.  On either path a
 snapshot whose smallest eigenvalue is below -``POSITIVITY_LIMIT``, or
 whose trace is farther than ``TRACE_DRIFT_LIMIT`` from the initial one,
@@ -58,7 +60,7 @@ those entries, weighed at their positions, without rebuilding a matrix.
 Importing this module loads no scipy module, and neither does building
 the generator's blocks.  ``scipy.sparse`` is imported where the sparse
 superoperator is built (and by ``effective_tc_hamiltonian``), and
-``scipy.integrate`` by the RK45 fallback alone.
+``scipy.sparse.linalg`` by the fallback alone.
 
 Twisted collective spin
 -----------------------
@@ -88,8 +90,8 @@ if TYPE_CHECKING:
 
 def __getattr__(name: str):
     # bench/tracing.py reads ``dynamics.solve_ivp`` when it installs.  The name
-    # is resolved on that access, so that only the RK45 fallback and a traced
-    # run pay for importing ``scipy.integrate``.
+    # is resolved on that access, so that only a traced run pays for
+    # importing ``scipy.integrate``.
     if name == "solve_ivp":
         from scipy.integrate import solve_ivp
         return solve_ivp
@@ -97,7 +99,8 @@ def __getattr__(name: str):
 
 
 class IntegrationError(RuntimeError):
-    """Master-equation integration failed (step underflow or positivity loss)."""
+    """Master-equation integration failed (positivity or trace loss, or a
+    fallback run above its cost bound)."""
 
 
 class FitError(RuntimeError):
@@ -414,9 +417,8 @@ class TrajectoryDiagnostics:
     min_eigenvalue: float = 0.0
     max_offblock: float = 0.0  # largest propagated entry outside the diagonal blocks
     rhs_sup_last: float = 0.0
-    n_rhs_evaluations: int = 0  # RK45 right-hand-side evaluations; 0 on the cascade
-    propagator: str = "cascade"  # the path that ran: "cascade" or "rk45"
-    fallback_reason: str = ""  # the cascade guard that sent the run to RK45
+    propagator: str = "cascade"  # the path that ran: "cascade" or "krylov"
+    fallback_reason: str = ""  # the cascade guard that sent the run to the fallback
 
 
 class TrajectoryStates(Sequence):
@@ -479,9 +481,10 @@ class Trajectory:
 MAX_SNAPSHOTS = 100_000
 # Most entries a reach may hold (``LindbladGenerator.superoperator``), so most
 # an evolve snapshot may keep: sum_{j <= K} d_j^2 for a start in sector K (d_j
-# the sector dimensions), or d_K^2 alone without a jump.  The RK45 fallback
-# peaked at 1.87 GB on 4,194,305 entries, about 450 bytes an entry, so this
-# keeps a run's working set near 0.5 GB; (N, M) = (2, 5) reaches 22,252.
+# the sector dimensions), or d_K^2 alone without a jump.  A fallback run at
+# (N, M) = (2, 7), t_end = 10, peaked at 299 MB on 175,252 entries (a small
+# run at 54 MB), about 1.4 kB an entry, so a run like it at this bound would
+# need some 1.5 GB; (2, 5) reaches 22,252.
 MAX_REACHED_ENTRIES = 1 << 20
 # Most entries an evolve run may keep: its reached entries at every snapshot,
 # t = 0 included, at 16 bytes each (512 MiB).  (2, 5) at the default grid
@@ -495,24 +498,27 @@ POSITIVITY_LIMIT = 1e-6
 # ``evolve`` aborts at a snapshot whose trace is farther than this from
 # rho0's.  The master equation keeps the trace, and both propagators keep it
 # to rounding where they are accurate: the (N, M) = (2, 2), (2, 3) and
-# (4, 2) runs at the CLI defaults and both RK45 inputs drift by at most
-# 1.3e-13.  The cascade loses digits at a large detuning instead (1.2e-6
-# at delta = 1e8, t_end = 200).  1e-8 is the trace bound that the
-# benchmark's checks and the relaxation tests hold every run to.
+# (4, 2) runs at the CLI defaults and the fallback at an exceptional point
+# and at a rate resonance drift by at most 1.3e-13.  The cascade loses
+# digits at a large detuning instead (1.2e-6 at delta = 1e8, t_end = 200).
+# 1e-8 is the trace bound that the benchmark's checks and the relaxation
+# tests hold every run to.
 TRACE_DRIFT_LIMIT = 1e-8
 
-# Most steps the RK45 fallback may take.  The fallback runs measured on a
-# 2-core x86 host took 113 (g = 0, gamma_a = 0.05), 462 (n_chain = 2,
-# m_atoms = 1, g = 0.25), 886 ((2, 4), t_end = 200), 2,864 ((2, 4)) and
-# 3,290 ((4, 3)) steps; the cap is 30 times the largest.  A stiff run (a
-# decay rate far above the hopping rate, with the cascade rejected) would
-# otherwise step for minutes.
-MAX_RK45_STEPS = 100_000
-# The RK45 fallback's relative and absolute tolerances.
-_RK45_RTOL = 1e-8
-_RK45_ATOL = 1e-12
+# Largest ||L||_1 t_end that the fallback accepts, L the superoperator of
+# the reach and ||L||_1 its largest column sum, checked before the first
+# product: ``expm_multiply`` takes a number of products in proportion to it.
+# Measured on a 2-core x86 host at the CLI defaults: 9.0e3 at the exceptional
+# point n_chain = 2, m_atoms = 1, g = 0.25 (1,774 products), 1.9e4 at the
+# resonance g = 0, gamma_a = 0.05 (5,544), 4.0e4 and 3.1e4 at (N, M) = (2, 4)
+# and (4, 3) (about 7 s each), and 4.0e5 at delta = 1e3, t_end = 200 (1.26e6
+# products on 251 entries, 24 s).  At the bound a run takes about 3e6
+# products: 54 s on that reach (t_end = 498), and, at about 0.2 ms a product
+# instead of 19 us, some 10 minutes on the 6,376 entries of (2, 4).  A stiff
+# run is refused at once: gamma_a = 1e6, t_end = 20 is at 1.6e8.
+_MAX_NORM_TIME = 1e6
 
-# Guards of the cascade propagator; a run that fails one goes to RK45.
+# Guards of the cascade propagator; a run that fails one goes to the fallback.
 # Most complex coefficients the cascade may hold (64 MiB).  Block K - 1
 # holds d_{K-1}^2 times the number of modes above it: from the top sector
 # K = M, 3.2e5 at (N, M) = (2, 3), 7.6e6 at (2, 4) and 1.1e8 at (2, 5).
@@ -536,8 +542,8 @@ _TINY = float(np.finfo(float).tiny)
 _LOG_TINY = math.log(_TINY)
 # Entries of a source that ``_particular`` works on at once.
 _SLICE = 1 << 12
-# Snapshots the cascade evaluates at once; the steady test may stop a run
-# inside a chunk.
+# Snapshots either propagator evaluates at once; the steady test may stop a
+# run inside a chunk, and no later chunk is computed.
 _CHUNK = 16
 
 
@@ -587,9 +593,6 @@ class _Cascade:
     blocks that ``LindbladGenerator`` holds, as they are: H_eff,K and each
     jump's block from sector K + 1 to K, both at index K.  The reached
     ``blocks`` come from ``evolve``."""
-
-    name = "cascade"
-    n_rhs_evaluations = 0
 
     def __init__(self, generator: LindbladGenerator, blocks: list[tuple[int, int]],
                  rho0: np.ndarray, t_end: float):
@@ -693,46 +696,23 @@ def _flush_subnormal(z: np.ndarray) -> np.ndarray:
     return z
 
 
-class _Rk45:
-    """Adaptive RK45 on the sparse superoperator of the reached blocks,
-    read out on the snapshot grid from each step's dense output.
-
-    An overflow or an invalid value while choosing or taking a step raises
-    ``FloatingPointError`` (a NaN step size would otherwise make one step
-    retry forever), and a run that needs more than ``MAX_RK45_STEPS`` steps
-    raises ``IntegrationError``."""
-
-    name = "rk45"
-
-    def __init__(self, superop: sparse.csr_matrix, y0: np.ndarray, t_end: float):
-        from scipy.integrate import RK45
-        with np.errstate(over="raise", invalid="raise"):
-            self._solver = RK45(lambda _t, y: superop @ y, 0.0, y0, t_end,
-                                rtol=_RK45_RTOL, atol=_RK45_ATOL)
-
-    @property
-    def n_rhs_evaluations(self) -> int:
-        return self._solver.nfev
-
-    def chunks(self, times: np.ndarray):
-        """``(ts, ys)`` over ``times[1:]`` in order, one chunk per step that
-        passes a snapshot time; as ``_Cascade.chunks``."""
-        solver, next_snap, steps = self._solver, 1, 0
-        while next_snap < len(times):
-            if steps == MAX_RK45_STEPS:
-                raise IntegrationError(f"RK45 reached only t={solver.t:.6g} of {times[-1]:.6g} "
-                                       f"in MAX_RK45_STEPS = {MAX_RK45_STEPS} steps")
-            steps += 1
-            with np.errstate(over="raise", invalid="raise"):
-                message = solver.step()
-            if solver.status == "failed":
-                raise IntegrationError(f"integration failed at t={solver.t:.6g}: {message}")
-            stop = int(np.searchsorted(times, solver.t, side="right"))
-            if stop <= next_snap:
-                continue
-            snap_times = times[next_snap:stop]
-            next_snap = stop
-            yield snap_times, solver.dense_output()(snap_times).T
+def _krylov_chunks(superop: sparse.csr_matrix, y0: np.ndarray, times: np.ndarray):
+    """``(ts, ys)`` over ``times[1:]`` in order, as ``_Cascade.chunks``: each
+    chunk is ``expm_multiply`` on its own stretch of the uniform grid, from
+    the previous chunk's last state.  Raises ``IntegrationError`` before the
+    first product when ||superop||_1 t_end exceeds ``_MAX_NORM_TIME``."""
+    from scipy.sparse.linalg import expm_multiply, norm
+    cost = norm(superop, 1) * times[-1]
+    if not cost <= _MAX_NORM_TIME:
+        raise IntegrationError(f"||L||_1 t_end = {cost:.3g} exceeds the fallback's bound "
+                               f"_MAX_NORM_TIME = {_MAX_NORM_TIME:g}")
+    y = y0
+    for start in range(1, len(times), _CHUNK):
+        ts = times[start:start + _CHUNK]
+        ys = expm_multiply(superop, y, start=0.0, stop=ts[-1] - times[start - 1],
+                           num=len(ts) + 1, endpoint=True)[1:]
+        y = ys[-1]
+        yield ts, ys
 
 
 def _snapshot_times(t_end: float, snapshot_dt: float | None = None) -> np.ndarray:
@@ -765,8 +745,11 @@ def evolve(params: ModelParams, rho0: DensityMatrix, t_end: float, *,
     The blocks are propagated exactly, as sums of exponentials in the
     eigenbases of each sector's H_eff (the module docstring has the
     construction).  A run that fails one of the cascade's three guards is
-    integrated by adaptive RK45 instead, at the fixed tolerances
-    ``_RK45_RTOL`` = 1e-8 and ``_RK45_ATOL`` = 1e-12:
+    propagated by ``scipy.sparse.linalg.expm_multiply`` of the
+    superoperator instead, chunk by chunk over the snapshot grid, each
+    chunk from the last state of the one before; it raises
+    ``IntegrationError`` before its first product when ||L||_1 t_end
+    exceeds ``_MAX_NORM_TIME``.  The guards:
       * a sector's eigenvector matrix has a condition number above
         ``MAX_EIGENVECTOR_CONDITION`` (at or near an exceptional point);
       * a particular coefficient S / (lam - mu) would round by more than
@@ -774,8 +757,8 @@ def evolve(params: ModelParams, rho0: DensityMatrix, t_end: float, *,
         that small (at a resonance lam = mu the exact answer has a
         t e^{mu t} term);
       * the coefficients would exceed ``MAX_CASCADE_COEFFICIENTS``.
-    ``diagnostics.propagator`` names the path that ran and
-    ``diagnostics.fallback_reason`` the guard that failed.
+    ``diagnostics.propagator`` names the path that ran (``"cascade"`` or
+    ``"krylov"``) and ``diagnostics.fallback_reason`` the guard that failed.
 
     On the cascade, a term e^{mu t} below ``_TINY`` in magnitude (the
     smallest normal float) is an exact zero, and so is each real or
@@ -838,10 +821,10 @@ def evolve(params: ModelParams, rho0: DensityMatrix, t_end: float, *,
     transposes = _transposes(index, space.dim)
     y0 = rho0.data.ravel()[index]
     try:
-        path = _Cascade(generator, blocks, rho0.data, t_end)
+        chunks = _Cascade(generator, blocks, rho0.data, t_end).chunks(times)
         fallback_reason = ""
     except _CascadeRejected as exc:
-        path = _Rk45(superop, y0, t_end)
+        chunks = _krylov_chunks(superop, y0, times)
         fallback_reason = str(exc)
     dim = space.dim
     label = _sector_labels(space)
@@ -864,7 +847,7 @@ def evolve(params: ModelParams, rho0: DensityMatrix, t_end: float, *,
     below = False  # the last judged snapshot's rhs_sup is below the threshold
     rhs_sup_last = 0.0
 
-    for ts, ys in path.chunks(times):
+    for ts, ys in chunks:
         ys_sym = 0.5 * (ys + ys[:, transposes].conj())  # symmetrized storage
         rhs_sups = np.abs(superop @ ys_sym.T).max(axis=0, initial=0.0)
         # judge the snapshots up to the steady stop, the second of the first
@@ -893,8 +876,7 @@ def evolve(params: ModelParams, rho0: DensityMatrix, t_end: float, *,
     diag = TrajectoryDiagnostics(
         max_trace_drift=max(abs(trace - traces[0]) for trace in traces),
         min_eigenvalue=min(min_eigs), max_offblock=max(offblocks), rhs_sup_last=rhs_sup_last,
-        n_rhs_evaluations=path.n_rhs_evaluations, propagator=path.name,
-        fallback_reason=fallback_reason)
+        propagator="krylov" if fallback_reason else "cascade", fallback_reason=fallback_reason)
     return Trajectory(np.array(kept_times), TrajectoryStates(space, index, entries),
                       np.array(min_eigs), np.array(traces), steady_time is not None,
                       steady_time, diag)

@@ -14,6 +14,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+from scipy.linalg import expm
 
 from cavitybic import (BasisState, coupling_lambda, enumerate_sector,
                        normal_mode_frequency)
@@ -232,6 +233,32 @@ def dense_lindblad_apply(params, space, include_atomic_decay=False):
         return out
 
     return apply
+
+
+def dense_expm_run(params, rho0, times, include_atomic_decay=False):
+    """rho at each of the uniform ``times`` (``times[0]`` = 0), by repeated
+    products with ``scipy.linalg.expm`` of L Delta: L is the dense
+    d^2 x d^2 Liouvillian whose column j is ``dense_lindblad_apply`` of the
+    j-th unit matrix (row-major), Delta the grid step.  Only the entries
+    that L's nonzero pattern reaches from those of ``rho0`` can become
+    nonzero, so L is exponentiated on them alone."""
+    dim = rho0.space.dim
+    apply = dense_lindblad_apply(params, rho0.space, include_atomic_decay)
+    units = np.eye(dim * dim, dtype=complex).reshape(-1, dim, dim)
+    liouvillian = np.array([apply(unit).ravel() for unit in units]).T
+    links = liouvillian != 0
+    reached = rho0.data.ravel() != 0
+    grown = reached | links[:, reached].any(axis=1)
+    while not np.array_equal(grown, reached):
+        reached, grown = grown, grown | links[:, grown].any(axis=1)
+    step = expm(liouvillian[np.ix_(reached, reached)] * (times[1] - times[0]))
+    flat = rho0.data.ravel().copy()
+    states = [flat.reshape(dim, dim)]
+    for _ in times[1:]:
+        flat = flat.copy()
+        flat[reached] = step @ flat[reached]
+        states.append(flat.reshape(dim, dim))
+    return states
 
 
 def evolve_refused(params, initial_k, t_end, snapshot_dt):

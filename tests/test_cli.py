@@ -185,7 +185,7 @@ def test_identical_configs_give_identical_bytes(tmp_path):
     ("sweep-chi", "--set", "chi_points=41"),
     ("qfactor", "--set", "delta_points=61"),
     ("evolve", "--set", "t_end=200"),
-    ("evolve", "--set", "n_chain=2", "--set", "m_atoms=1", "--set", "g=0.25",  # on RK45
+    ("evolve", "--set", "n_chain=2", "--set", "m_atoms=1", "--set", "g=0.25",  # the fallback
      "--set", "t_end=100"),
 ])
 def test_identical_configs_give_identical_bytes_across_processes(argv):
@@ -521,13 +521,14 @@ def test_evolve_at_an_exceptional_point_runs_on_rk45(capsys):
 _IMPORT_PROBE = """
 import contextlib, io, json, sys
 from cavitybic import cli, dynamics
-probed = ("scipy", "scipy.sparse", "scipy.integrate", "scipy.linalg", "scipy.optimize")
+probed = ("scipy", "scipy.sparse", "scipy.sparse.linalg", "scipy.integrate", "scipy.linalg",
+          "scipy.optimize")
 loaded = {"import": [name for name in probed if name in sys.modules]}
 codes = {}
 runs = {"sweep-chi qfactor": [["sweep-chi"], ["qfactor"]],
         "bic": [["bic"]],
         "cascade": [["evolve"]],
-        "rk45": [["evolve", "--set", "n_chain=2", "--set", "m_atoms=1", "--set", "g=0.25"]]}
+        "fallback": [["evolve", "--set", "n_chain=2", "--set", "m_atoms=1", "--set", "g=0.25"]]}
 for stage, argvs in runs.items():
     with contextlib.redirect_stdout(io.StringIO()):
         codes[stage] = [cli.main(argv) for argv in argvs]
@@ -545,10 +546,10 @@ def test_each_run_imports_only_the_scipy_it_uses():
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
-    # scipy.integrate brings scipy.linalg and scipy.optimize along
-    assert "scipy.integrate" in report["loaded"].pop("rk45")
+    fallback = report["loaded"].pop("fallback")
+    assert "scipy.sparse.linalg" in fallback and "scipy.integrate" not in fallback
     assert report == {
-        "codes": {"sweep-chi qfactor": [0, 0], "bic": [0], "cascade": [0], "rk45": [0]},
+        "codes": {"sweep-chi qfactor": [0, 0], "bic": [0], "cascade": [0], "fallback": [0]},
         "loaded": {"import": [], "sweep-chi qfactor": [], "bic": [],
                    "cascade": ["scipy", "scipy.sparse"]},
         "traced_name": True, "other_name": False}
@@ -728,24 +729,58 @@ def test_a_model_at_its_size_bounds_is_resolved():
     assert config.params.m_atoms == MAX_M_ATOMS
 
 
-def test_rk45_fallback_beyond_its_step_limit_is_a_numerical_failure(monkeypatch, capsys):
-    # the exceptional-point run above takes a few hundred steps
-    monkeypatch.setattr(dynamics, "MAX_RK45_STEPS", 50)
-    code, out, err = run_captured(capsys, "evolve", "--set", "n_chain=2", "--set", "m_atoms=1",
-                                  "--set", "g=0.25")
-    assert code == 2 and out == ""
-    assert len(err.splitlines()) == 1
-    assert err.startswith("numerical failure: RK45 reached only t=")
-    assert "in MAX_RK45_STEPS = 50 steps" in err
+@pytest.mark.parametrize("gamma_a", ["1e6", "1e300"])
+def test_fallback_beyond_its_cost_bound_is_a_numerical_failure(gamma_a):
+    # the cascade rejects both runs.  Without the bound the fallback ran for
+    # minutes at gamma_a = 1e6 and failed on a NaN at 1e300; a separate
+    # process, so that the timeout can end a run that does not stop
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run([sys.executable, "-m", "cavitybic", "evolve", "--set",
+                           f"gamma_a={gamma_a}", "--set", "t_end=20"],
+                          capture_output=True, text=True, env=env, timeout=30)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("numerical failure: ||L||_1 t_end = ")
+    assert "_MAX_NORM_TIME = 1e+06" in proc.stderr
 
 
-def test_rk45_fallback_whose_first_step_overflows_is_a_numerical_failure(capsys):
-    # the cascade rejects this run; RK45's initial step size overflows, and
-    # a NaN step size would make its first step retry forever
-    code, out, err = run_captured(capsys, "evolve", "--set", "gamma_a=1e300",
-                                  "--set", "t_end=20")
-    assert code == 2 and out == ""
-    assert len(err.splitlines()) == 1 and err.startswith("numerical failure: overflow")
+def test_evolve_at_a_large_detuning_resonance_finishes(monkeypatch, capsys):
+    # the cascade rejects this resonance, and RK45 reached only t = 31.68
+    # of it in 100,000 steps; t_end = 200 finishes too, in about 25 s
+    ran = []
+    real = dynamics._krylov_chunks
+    monkeypatch.setattr(dynamics, "_krylov_chunks", lambda *args: ran.append(1) or real(*args))
+    code, out, err = run_captured(capsys, "evolve", "--set", "t_end=35", "--set", "delta=1e3")
+    assert code == 0 and err == "" and ran == [1]
+    rows = [line for line in out.splitlines() if not line.startswith(("#", "lambda_t"))]
+    assert len(rows) == 19 and rows[-1].startswith("35,")
+    assert "# steady_state_reached=false" in out.splitlines()
+
+
+_GLOBAL_SEEDS = (1, 2, 3, 4, 5)
+
+
+@pytest.mark.parametrize("settings", [
+    ("n_chain=2", "m_atoms=1", "g=0.25"),  # an exceptional point
+    ("g=0", "gamma_a=0.05"),  # a rate resonance
+    ("m_atoms=4", "t_end=100"),  # the storage guard
+    ("delta=1e3", "t_end=2"),  # a large-detuning resonance
+])
+def test_fallback_bytes_do_not_depend_on_numpys_global_random_state(settings, capsys):
+    # the fallback's norm estimates draw from np.random
+    argv = ["evolve"]
+    for setting in settings:
+        argv += ["--set", setting]
+    saved = np.random.get_state()
+    runs = []
+    try:
+        for seed in _GLOBAL_SEEDS:
+            np.random.seed(seed)
+            runs.append(run_captured(capsys, *argv))
+    finally:
+        np.random.set_state(saved)
+    assert runs[0][0] == 0 and runs[0][2] == ""
+    assert all(run == runs[0] for run in runs[1:])
 
 
 def test_evolve_with_a_subnormal_cascade_denominator_prints_no_nan(capsys):
@@ -771,7 +806,7 @@ _RETIRED_KEYS = {"bic": ["residual_tol", "overlap_tol", "gamma_c", "gamma_a"],
                                              for experiment, keys in _RETIRED_KEYS.items()
                                              for key in keys])
 def test_retired_keys_are_unknown_config_keys(experiment, key, capsys):
-    # rtol and atol set only the RK45 fallback's tolerances, now fixed;
+    # rtol and atol set only the tolerances of the former RK45 fallback;
     # sweep-chi and qfactor draw no random numbers; bic passes at one fixed
     # 1e-8 in place of residual_tol and overlap_tol.  The model keys changed
     # nothing but their own echo line: bic's H and trapping conditions hold
@@ -786,7 +821,7 @@ def test_retired_keys_are_unknown_config_keys(experiment, key, capsys):
 
 @pytest.mark.parametrize("rtol", ["-1", "0"])
 def test_nonpositive_rtol_is_a_validation_error(capsys, rtol):
-    # the exceptional point runs on RK45, which once warned and clamped such
+    # the exceptional point ran on RK45, which once warned and clamped such
     # an rtol; the key is retired, so any rtol is refused before a run starts
     code, out, err = run_captured(capsys, "evolve", "--set", "n_chain=2", "--set", "m_atoms=1",
                                   "--set", "g=0.25", "--set", f"rtol={rtol}")

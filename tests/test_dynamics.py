@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
+from scipy.sparse import linalg as sparse_linalg
 
 from cavitybic import (DensityMatrix, FitError, IntegrationError, ModelParams,
                        ParamError, StateVector, assemble_bic_state,
@@ -14,8 +15,8 @@ from cavitybic import (DensityMatrix, FitError, IntegrationError, ModelParams,
                        steady_state_prediction, trapped_probabilities,
                        twisted_spin_ops)
 from conftest import left_excited_state, triple_cavity
-from oracles import (atomic_reduced_density, collective_lowering, dense_lindblad_apply,
-                     end_annihilation, hamiltonian)
+from oracles import (atomic_reduced_density, collective_lowering, dense_expm_run,
+                     dense_lindblad_apply, end_annihilation, hamiltonian)
 
 
 def test_generator_annihilates_ground_state():
@@ -256,7 +257,7 @@ def test_evolve_above_its_size_bounds_raises_before_it_allocates(bound, value, m
             gen.superoperator(rho0.data)
         assert str(raised.value) == message
     # neither the generator nor a propagator is built, on either bound
-    for name in ("lindblad_generator", "_Cascade", "_Rk45"):
+    for name in ("lindblad_generator", "_Cascade", "_krylov_chunks"):
         monkeypatch.setattr(dynamics, name, refuse)
     # nor is the superoperator
     for name in ("superoperator", "_matrix"):
@@ -334,13 +335,23 @@ def test_positivity_judges_no_snapshot_after_the_steady_stop(monkeypatch):
 @pytest.mark.parametrize("g, snapshot_dt, placement", [
     (0.3, 5.0, "first of a chunk"),  # the previous chunk's last snapshot decides
     (0.3, 2.0, "inside a chunk"),
-    (0.25, 2.0, "rk45"),  # an exceptional point: one chunk per RK45 step
+    (0.25, 2.0, "krylov"),  # an exceptional point
 ])
-def test_steady_stop_cuts_the_full_run_at_its_first_quiet_pair(g, snapshot_dt, placement):
+def test_steady_stop_cuts_the_full_run_at_its_first_quiet_pair(g, snapshot_dt, placement,
+                                                               monkeypatch):
     p = triple_cavity(m_atoms=1, g=g, gamma_c=1.0)
     space = stack_sectors(p, 1)
     rho0 = DensityMatrix.from_pure(space, left_excited_state(space, 1))
+    chunks = []  # snapshots of each fallback chunk, in the order computed
+    real = sparse_linalg.expm_multiply
+
+    def counted(*args, **kwargs):
+        chunks.append(kwargs["num"] - 1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sparse_linalg, "expm_multiply", counted)
     full = evolve(p, rho0, 200.0, snapshot_dt=snapshot_dt, detect_steady=False)
+    full_chunks, chunks[:] = chunks[:], []
     steady = evolve(p, rho0, 200.0, snapshot_dt=snapshot_dt)
 
     # max |d rho / dt| of every snapshot of the full run, on the run's reach
@@ -349,8 +360,8 @@ def test_steady_stop_cuts_the_full_run_at_its_first_quiet_pair(g, snapshot_dt, p
            for state in full.states]
     quiet = [r < dynamics.STEADY_THRESHOLD * p.lam for r in rhs]
     cut = next(i for i in range(2, len(rhs)) if quiet[i - 1] and quiet[i])
-    assert (full.diagnostics.propagator == "rk45") == (placement == "rk45")
-    if placement != "rk45":
+    assert (full.diagnostics.propagator == "krylov") == (placement == "krylov")
+    if placement != "krylov":
         assert ((cut - 1) % dynamics._CHUNK == 0) == (placement == "first of a chunk")
 
     assert steady.steady_reached and steady.steady_time == full.times[cut]
@@ -363,13 +374,15 @@ def test_steady_stop_cuts_the_full_run_at_its_first_quiet_pair(g, snapshot_dt, p
         max_trace_drift=max(abs(np.trace(s.data).real - rho0.trace()) for s in kept[1:]),
         min_eigenvalue=min(full.min_eigenvalues[:cut + 1].tolist()),
         max_offblock=max(s.offblock_max() for s in kept),
-        rhs_sup_last=rhs[cut], n_rhs_evaluations=steady.diagnostics.n_rhs_evaluations,
-        propagator=full.diagnostics.propagator,
+        rhs_sup_last=rhs[cut], propagator=full.diagnostics.propagator,
         fallback_reason=full.diagnostics.fallback_reason)
     assert steady.diagnostics == expected
-    # RK45 stops stepping at the stop; the cascade evaluates without a step
-    assert (0 < steady.diagnostics.n_rhs_evaluations < full.diagnostics.n_rhs_evaluations
-            if placement == "rk45" else full.diagnostics.n_rhs_evaluations == 0)
+    # the fallback computes no chunk past the one that holds the stop
+    if placement == "krylov":
+        assert sum(full_chunks) == len(full.times) - 1
+        assert chunks == full_chunks[:(cut - 1) // dynamics._CHUNK + 1] != full_chunks
+    else:
+        assert full_chunks == chunks == []
 
 
 @pytest.mark.parametrize("change", [dict(m_atoms=3), dict(n_chain=4)])
@@ -709,7 +722,7 @@ def test_relaxation_sanity_diagnostics(relaxation_run):
     assert diag.max_offblock is not None and diag.max_offblock < 1e-10
 
 
-# -- cascade propagator and its RK45 fallback -----------------------------
+# -- cascade propagator and its Krylov fallback ---------------------------
 
 
 def _chain(n_chain, m_atoms, g=1.0, gamma_c=1.0, gamma_a=0.0, delta=0.0):
@@ -722,15 +735,23 @@ def _max_gap(a, b):
     return max(np.abs(x.data - y.data).max() for x, y in zip(a.states, b.states))
 
 
-def _tight_rk45(monkeypatch, *args, **kwargs):
-    """``evolve`` pushed onto its RK45 fallback by the storage guard."""
+def _max_oracle_gap(traj, params, rho0, include_atomic_decay=False):
+    oracle = dense_expm_run(params, rho0, traj.times, include_atomic_decay)
+    return max(np.abs(state.data - ref).max() for state, ref in zip(traj.states, oracle))
+
+
+def _forced_krylov(monkeypatch, *args, **kwargs):
+    """``evolve`` pushed onto its Krylov fallback by the storage guard,
+    checked against the dense-``expm`` oracle at a reach of at most 1,000
+    entries."""
     with monkeypatch.context() as patch:
         patch.setattr(dynamics, "MAX_CASCADE_COEFFICIENTS", 0)
-        patch.setattr(dynamics, "_RK45_RTOL", 1e-11)
-        patch.setattr(dynamics, "_RK45_ATOL", 1e-13)
         traj = evolve(*args, **kwargs)
-    assert traj.diagnostics.propagator == "rk45"
+    assert traj.diagnostics.propagator == "krylov"
     assert "MAX_CASCADE_COEFFICIENTS" in traj.diagnostics.fallback_reason
+    if len(traj.states.index) <= 1000:
+        params, rho0 = args[:2]
+        assert _max_oracle_gap(traj, params, rho0, kwargs["include_atomic_decay"]) < 1e-12
     return traj
 
 
@@ -748,24 +769,22 @@ def test_cascade_matches_tight_rk45(n_chain, m_atoms, gamma_a, delta, monkeypatc
     cascade = evolve(*args, **kwargs)
     assert cascade.diagnostics.propagator == "cascade"
     assert cascade.diagnostics.fallback_reason == ""
-    assert cascade.diagnostics.n_rhs_evaluations == 0
-    rk45 = _tight_rk45(monkeypatch, *args, **kwargs)
-    assert _max_gap(cascade, rk45) < 1e-9
+    krylov = _forced_krylov(monkeypatch, *args, **kwargs)
+    assert _max_gap(cascade, krylov) < 1e-12
     # the steady test's d rho / dt is the generator's, on either propagator
     gen = lindblad_generator(p, space, include_atomic_decay=True)
     rhs = np.abs(gen.apply(cascade.states[-1].data)).max()
     assert cascade.diagnostics.rhs_sup_last == pytest.approx(rhs, rel=1e-9)
-    assert rk45.diagnostics.rhs_sup_last == np.abs(gen.apply(rk45.states[-1].data)).max()
+    assert krylov.diagnostics.rhs_sup_last == np.abs(gen.apply(krylov.states[-1].data)).max()
 
 
-def test_oversized_cascade_falls_back_to_rk45():
+def test_oversized_cascade_falls_back_to_krylov():
     p = _chain(4, 3)
     space = stack_sectors(p, 3)
     rho0 = DensityMatrix.from_pure(space, left_excited_state(space, 3))
     traj = evolve(p, rho0, 0.5, snapshot_dt=0.5, detect_steady=False)
-    assert traj.diagnostics.propagator == "rk45"
+    assert traj.diagnostics.propagator == "krylov"
     assert "exceed MAX_CASCADE_COEFFICIENTS" in traj.diagnostics.fallback_reason
-    assert traj.diagnostics.n_rhs_evaluations > 0
 
 
 @pytest.mark.parametrize("k_low, k_high", [(0, 1), (1, 2)])
@@ -783,9 +802,9 @@ def test_cross_sector_start_runs_on_the_cascade(k_low, k_high, monkeypatch):
     gen = lindblad_generator(p, space, include_atomic_decay=True)
     rhs = np.abs(gen.apply(cascade.states[-1].data)).max()
     assert cascade.diagnostics.rhs_sup_last == pytest.approx(rhs, rel=1e-9)
-    rk45 = _tight_rk45(monkeypatch, *args, **kwargs)
-    assert _max_gap(cascade, rk45) < 1e-9
-    assert rk45.diagnostics.rhs_sup_last == np.abs(gen.apply(rk45.states[-1].data)).max()
+    krylov = _forced_krylov(monkeypatch, *args, **kwargs)
+    assert _max_gap(cascade, krylov) < 1e-12
+    assert krylov.diagnostics.rhs_sup_last == np.abs(gen.apply(krylov.states[-1].data)).max()
 
 
 def _oracle_run(apply, rho0, times):
@@ -796,23 +815,23 @@ def _oracle_run(apply, rho0, times):
     return [ref.y[:, i].reshape(dim, dim) for i in range(len(times))]
 
 
-def test_exceptional_point_takes_the_rk45_fallback():
+def test_exceptional_point_takes_the_krylov_fallback():
     # g = gamma_c / 4: the K = 1 block of H_eff is not diagonalisable
     p = triple_cavity(m_atoms=1, g=0.25, gamma_c=1.0)
     space = stack_sectors(p, 1)
     rho0 = DensityMatrix.from_pure(space, left_excited_state(space, 1))
     traj = evolve(p, rho0, 20.0, snapshot_dt=1.0, detect_steady=False)
-    assert traj.diagnostics.propagator == "rk45"
+    assert traj.diagnostics.propagator == "krylov"
     assert traj.diagnostics.fallback_reason.startswith("sector 1: H_eff eigenvectors")
-    assert traj.diagnostics.n_rhs_evaluations > 0
     gen = lindblad_generator(p, space)
     assert traj.diagnostics.rhs_sup_last == np.abs(gen.apply(traj.states[-1].data)).max()
     oracle = _oracle_run(dense_lindblad_apply(p, space), rho0, traj.times)
     for state, ref in zip(traj.states, oracle):
         assert np.abs(state.data - ref).max() < 1e-7
+    assert _max_oracle_gap(traj, p, rho0) < 1e-12
 
 
-def test_resonant_cascade_takes_the_rk45_fallback(monkeypatch):
+def test_resonant_cascade_takes_the_krylov_fallback(monkeypatch):
     # g = 0 leaves the atoms alone with their collective decay.  For M = 2,
     # |J_L = 2> and |J_L = 1> both decay at 2 gamma_a, so the population of
     # |J_L = 1> is the secular 2 gamma_a t exp(-2 gamma_a t).
@@ -823,8 +842,9 @@ def test_resonant_cascade_takes_the_rk45_fallback(monkeypatch):
     rate = 2 * gamma_a
     kwargs = dict(snapshot_dt=1.0, include_atomic_decay=True, detect_steady=False)
     traj = evolve(p, rho0, 40.0, **kwargs)
-    assert traj.diagnostics.propagator == "rk45"
+    assert traj.diagnostics.propagator == "krylov"
     assert "too small for a source" in traj.diagnostics.fallback_reason
+    assert _max_oracle_gap(traj, p, rho0, include_atomic_decay=True) < 1e-12
     two = space.offsets[2] + space.sectors[2].indices([[0, 0, 0, 2, 0]])[0]
     one = space.offsets[1] + space.sectors[1].indices([[0, 0, 0, 1, 0]])[0]
     for t, state in traj:

@@ -24,9 +24,11 @@ _EVOLVE = [
     [],
     ["--set", "m_atoms=3"],
     ["--set", "n_chain=4"],
-    # both fall back to RK45: an exceptional point and a rate resonance
+    # these three run on the fallback: an exceptional point, a rate
+    # resonance and, past the cascade's storage guard, (N, M) = (2, 4)
     ["--set", "n_chain=2", "--set", "m_atoms=1", "--set", "g=0.25"],
     ["--set", "g=0", "--set", "gamma_a=0.05"],
+    ["--set", "m_atoms=4", "--set", "t_end=100"],
     ["--set", "initial=bic", "--set", "initial_k=2", "--set", "m_atoms=3"],
     ["--set", "initial_k=0"],
     ["--set", "initial_k=1"],
