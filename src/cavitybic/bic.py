@@ -61,7 +61,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import ModelParams, SectorBasis, enumerate_sector, sector_dim
+from .model import (ModelParams, NoTrappedStateError, SectorBasis, enumerate_sector,
+                    sector_dim)
 from .operators import apply_hamiltonian, coupling_lambda, lowering_maps, mode_weights
 
 
@@ -69,10 +70,6 @@ from .operators import apply_hamiltonian, coupling_lambda, lowering_maps, mode_w
 # photon numbers or table rows times cells: its working memory, whatever the
 # grid's length or K.
 _SLICE_ENTRIES = 2 ** 16
-
-
-class NoTrappedStateError(ValueError):
-    """Raised when K exceeds M, where the interference conditions have no solution."""
 
 
 class DegenerateNullSpaceError(RuntimeError):

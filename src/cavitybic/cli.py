@@ -20,6 +20,11 @@ omega_c = 0 and zero detuning).  Every output starts with comment lines
 echoing the fully resolved configuration, so identical configs give
 byte-identical files.
 
+Each driver imports the library modules it runs; of those, this module
+itself imports only ``model``.  So a process loads ``bic`` for ``bic`` and
+``sweep-chi``, ``linear`` for ``qfactor``, and ``bic`` and ``dynamics`` for
+``evolve``.
+
 Exit codes: 0 success, 1 validation error (a malformed command line
 included), 2 numerical failure (any other error included), 3 tolerance
 violation.  A run that exits 1 or 2 writes nothing to stdout or ``--out``
@@ -38,9 +43,9 @@ from typing import Callable, IO, Sequence
 
 import numpy as np
 
-from . import bic, dynamics, linear
-from .model import (MAX_SECTOR_ENTRIES, ModelParams, NoResonantModeError, ParamError,
-                    enumerate_sector, resonant_mode_index, sector_dim, validate_params)
+from .model import (MAX_SECTOR_ENTRIES, ModelParams, NoResonantModeError, NoTrappedStateError,
+                    ParamError, enumerate_sector, resonant_mode_index, sector_dim,
+                    validate_params)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -215,6 +220,14 @@ def _fmt(value) -> str:
     return str(value) if isinstance(value, (int, str)) else f"{value:.17g}"
 
 
+def _print_table(stream: IO[str], header: str, *columns: np.ndarray) -> None:
+    """A CSV table in one write: ``header``, then one row per index of the
+    real ``columns``, each cell as ``_fmt`` prints a float."""
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    cells = zip(*(column.tolist() for column in columns))
+    stream.write(header + "\n" + "".join(row % values for values in cells))
+
+
 def _grid(config: RunConfig, name: str, scale: str = "linear", *,
           positive: bool = False) -> np.ndarray:
     """``{name}_points`` values from ``{name}_min`` to ``{name}_max``, evenly
@@ -239,6 +252,8 @@ def _grid(config: RunConfig, name: str, scale: str = "linear", *,
 def run_bic(config: RunConfig, stream: IO[str]) -> int:
     """Trapped-state report: amplitude table, residuals, kernel overlap,
     regime observables, and a seeded random-vector residual baseline."""
+    from . import bic
+
     p = config.params
     k = int(config.options["k_excitations"])
 
@@ -280,6 +295,8 @@ def run_bic(config: RunConfig, stream: IO[str]) -> int:
 
 def run_sweep_chi(config: RunConfig, stream: IO[str]) -> int:
     """Composition of the trapped state across a chi grid, one CSV row per point."""
+    from . import bic
+
     p = config.params
     k = int(config.options["k_excitations"])
     if k < 1:
@@ -288,14 +305,15 @@ def run_sweep_chi(config: RunConfig, stream: IO[str]) -> int:
     photons = bic.mean_photons_across_chi(p, k, grid)
     excited = k - photons
 
-    print("chi,mean_photons,mean_excited,photon_fraction,atom_fraction", file=stream)
-    for values in zip(grid, photons, excited, photons / k, excited / k):
-        print(",".join(_fmt(v) for v in values), file=stream)
+    _print_table(stream, "chi,mean_photons,mean_excited,photon_fraction,atom_fraction",
+                 grid, photons, excited, photons / k, excited / k)
     return EXIT_OK
 
 
 def run_evolve(config: RunConfig, stream: IO[str]) -> int:
     """Master-equation relaxation; trapped-state occupations per snapshot."""
+    from . import bic, dynamics
+
     p = config.params
     initial = str(config.options["initial"])
     k_init = int(config.options["initial_k"])
@@ -331,10 +349,8 @@ def run_evolve(config: RunConfig, stream: IO[str]) -> int:
     probs = trajectory.states.expectations(
         [bic.assemble_bic_state(p, i, sector=space.sectors[i]) for i in range(k_init + 1)])
     prob_cols = [f"P{i}" for i in range(k_init + 1)]
-    print("lambda_t," + ",".join(prob_cols) + ",trace,min_eig", file=stream)
-    for t, row, trace, min_eig in zip(trajectory.times, probs, trajectory.traces,
-                                      trajectory.min_eigenvalues):
-        print(",".join(_fmt(v) for v in (t, *row, trace, min_eig)), file=stream)
+    _print_table(stream, "lambda_t," + ",".join(prob_cols) + ",trace,min_eig",
+                 trajectory.times, *probs.T, trajectory.traces, trajectory.min_eigenvalues)
     print(f"# steady_state_reached={_fmt(trajectory.steady_reached)}", file=stream)
     if trajectory.steady_time is not None:
         print(f"# steady_time={_fmt(trajectory.steady_time)}", file=stream)
@@ -345,6 +361,8 @@ def run_evolve(config: RunConfig, stream: IO[str]) -> int:
 
 def run_qfactor(config: RunConfig, stream: IO[str]) -> int:
     """Quality factor of the trapped mode across a detuning grid."""
+    from . import linear
+
     p = config.params
     if not p.gamma_c > 0:
         raise ParamError("qfactor requires gamma_c > 0: its detuning grid is in units of gamma_c")
@@ -373,9 +391,8 @@ def run_qfactor(config: RunConfig, stream: IO[str]) -> int:
         print(f"warning: degenerate minimal decay pair at {degenerate.sum()} of {len(grid)} grid "
               "points; q_exact there uses the smallest rate", file=sys.stderr)
 
-    print("delta_over_gc,q_exact,q_approx,rel_err", file=stream)
-    for values in zip(grid, q_exact, q_approx, rel_err):
-        print(",".join(_fmt(v) for v in values), file=stream)
+    _print_table(stream, "delta_over_gc,q_exact,q_approx,rel_err",
+                 grid, q_exact, q_approx, rel_err)
     worst = rel_err.max()
     print(f"# max_rel_err_observed={_fmt(worst)}", file=stream)
     max_rel_err = float(config.options["max_rel_err"])
@@ -446,7 +463,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if not args.out:
             sys.stdout.write(out.getvalue())
         return code
-    except (ParamError, NoResonantModeError, bic.NoTrappedStateError,
+    except (ParamError, NoResonantModeError, NoTrappedStateError,
             OSError, UnicodeDecodeError) as exc:  # the last two: an unreadable --config/--out
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

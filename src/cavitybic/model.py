@@ -44,6 +44,10 @@ class NoResonantModeError(ValueError):
     """No chain normal mode lies within tolerance of the atomic frequency."""
 
 
+class NoTrappedStateError(ValueError):
+    """Raised when K exceeds M, where the interference conditions have no solution."""
+
+
 @dataclass(frozen=True, kw_only=True)
 class ModelParams:
     """Immutable bundle of physical constants.

@@ -505,13 +505,19 @@ def test_bic_residuals_whose_squares_overflow_are_finite(settings):
         assert float(fields[0][key]) == pytest.approx(1e100 * float(fields[1][key]), rel=1e-12)
 
 
-def test_evolve_at_an_exceptional_point_runs_on_rk45(capsys):
+def test_evolve_at_an_exceptional_point_runs_on_the_fallback(monkeypatch, capsys):
     # g = gamma_c / 4 with one atom per end: the K = 1 H_eff is defective
+    trajectories = []
+    evolve = dynamics.evolve
+    monkeypatch.setattr(dynamics, "evolve",
+                        lambda *args, **kwargs: trajectories.append(evolve(*args, **kwargs))
+                        or trajectories[-1])
     code = run_in_process("evolve", "--set", "n_chain=2", "--set", "m_atoms=1",
                           "--set", "g=0.25")
     captured = capsys.readouterr()
     assert code == 0 and captured.err == ""
     assert "# steady_state_reached=true" in captured.out.splitlines()
+    assert [t.diagnostics.propagator for t in trajectories] == ["krylov"]
 
 
 # Run in a fresh interpreter, since this one has imported scipy already; the
